@@ -22,12 +22,15 @@ from .qcore import (
     PureState,
     ValidationError,
     assemble_state,
+    dump_json,
     matrix_from_json,
+    matrix_json_shape,
     matrix_to_json,
     random_hermitian,
     random_state,
     schmidt_decompose,
     state_from_json,
+    state_json_dims,
     state_to_json,
 )
 from .rate import energy_stats, gamma_rate, mean_energy, schmidt_block
@@ -96,12 +99,21 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
+    """Decode a (state, Hamiltonian) pair, checking the dimension cap on both
+    before any entry is decoded; the parsed JSON is dropped on return."""
+    state_obj = _load_json(state_path)
+    ham_obj = _load_json(ham_path)
+    d_a, d_b = state_json_dims(state_obj)
+    product = max(d_a * d_b, *matrix_json_shape(ham_obj))
+    cap = _dim_cap()
+    if product > cap:
+        raise ValidationError(f"product dimension {product} exceeds cap {cap}")
+    return state_from_json(state_obj), matrix_from_json(ham_obj)
+
+
 def cmd_rate(cfg: RunConfig, state_path: str, ham_path: str, out) -> int:
-    psi = state_from_json(_load_json(state_path))
-    h = matrix_from_json(_load_json(ham_path))
-    product = psi.d_a * psi.d_b
-    if product > _dim_cap():
-        raise ValidationError(f"product dimension {product} exceeds cap {_dim_cap()}")
+    psi, h = _load_pair(state_path, ham_path)
 
     state = schmidt_decompose(psi)
     block = schmidt_block(h, state)
@@ -129,26 +141,28 @@ def cmd_optimize(cfg: RunConfig, out) -> int:
             max_iter=cfg.max_iter,
         )
         _emit(result.as_dict(), cfg, out)
+        if result.converged_fraction == 0:
+            print("numeric failure: no start converged", file=sys.stderr)
+            return 1
         return 0
 
     design = opt.optimal_design(cfg.d_a)
+    psi = assemble_state(design.state)
     report = {
         "gamma_star": design.gamma,
         "rate_nat": design.rate,
         "rate_bits": design.rate / LN2,
         "dim": design.d,
-        "state": state_to_json(assemble_state(design.state)),
-        "hamiltonian": matrix_to_json(design.hamiltonian),
     }
     if cfg.output_path:
-        state_file = cfg.output_path + "_state.json"
-        ham_file = cfg.output_path + "_hamiltonian.json"
-        with open(state_file, "w", encoding="utf-8") as fh:
-            json.dump(report["state"], fh, indent=2)
-        with open(ham_file, "w", encoding="utf-8") as fh:
-            json.dump(report["hamiltonian"], fh, indent=2)
-        report["state"] = state_file
-        report["hamiltonian"] = ham_file
+        for key, value in (("state", psi), ("hamiltonian", design.hamiltonian)):
+            path = f"{cfg.output_path}_{key}.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                dump_json(value, fh)
+            report[key] = path
+    else:
+        report["state"] = state_to_json(psi)
+        report["hamiltonian"] = matrix_to_json(design.hamiltonian)
     _emit(report, cfg, out)
     return 0
 

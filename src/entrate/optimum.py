@@ -197,6 +197,8 @@ def gamma_curve(gamma: np.ndarray, d: int) -> np.ndarray:
     coefficient is the small one and the fixed Hamiltonian family drains
     entropy instead of generating it.
     """
+    if d < 2:
+        raise ValidationError("dimension must be >= 2")
     gamma = np.asarray(gamma, dtype=float)
     return 2.0 * np.sqrt(gamma * (1.0 - gamma)) * np.log(
         gamma * (d - 1) / (1.0 - gamma)

@@ -12,9 +12,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -31,8 +33,11 @@ __all__ = [
     "random_hermitian",
     "matrix_to_json",
     "matrix_from_json",
+    "matrix_json_shape",
     "state_to_json",
     "state_from_json",
+    "state_json_dims",
+    "dump_json",
     "hermiticity_defect",
 ]
 
@@ -228,57 +233,113 @@ def random_hermitian(n: int, seed: Any) -> np.ndarray:
 # entries in row-major order; states use the same entry layout keyed by
 # their subsystem dimensions.
 
+# Entries per json.dumps call when dump_json streams a file.
+DUMP_CHUNK = 4096
 
-def matrix_to_json(m: np.ndarray) -> dict:
+
+# The layouts return the header fields and the entries as one contiguous
+# complex vector in row-major order.
+def _matrix_layout(m: np.ndarray) -> tuple[dict, np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValidationError("only 2-D matrices serialize")
-    flat = m.reshape(-1)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re_im": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    head = {"rows": int(m.shape[0]), "cols": int(m.shape[1])}
+    return head, np.ascontiguousarray(m).reshape(-1)
+
+
+def _state_layout(psi: PureState) -> tuple[dict, np.ndarray]:
+    return {"d_a": psi.d_a, "d_b": psi.d_b}, np.ascontiguousarray(psi.amplitudes)
+
+
+def _pairs(flat: np.ndarray) -> list:
+    """[[re, im], ...] of a contiguous complex vector, as Python floats."""
+    return flat.view(float).reshape(-1, 2).tolist()
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    head, flat = _matrix_layout(m)
+    return {**head, "re_im": _pairs(flat)}
+
+
+def state_to_json(psi: PureState) -> dict:
+    head, flat = _state_layout(psi)
+    return {**head, "re_im": _pairs(flat)}
+
+
+def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
+    """Write ``json.dumps`` of ``state_to_json(value)`` for a state, else of
+    ``matrix_to_json(value)``, to a text file, byte for byte.
+
+    The entries go out DUMP_CHUNK at a time, each chunk through the C
+    encoder, so the full list of [re, im] pairs is never built.
+    """
+    if isinstance(value, PureState):
+        head, flat = _state_layout(value)
+    else:
+        head, flat = _matrix_layout(value)
+    # json.dumps of the header with an empty entry list ends in '[]}'.
+    fh.write(json.dumps({**head, "re_im": []})[:-2])
+    for start in range(0, flat.size, DUMP_CHUNK):
+        if start:
+            fh.write(", ")
+        fh.write(json.dumps(_pairs(flat[start:start + DUMP_CHUNK]))[1:-1])
+    fh.write("]}")
 
 
 def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
     pairs = obj.get(key)
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ValidationError(f"'{key}' must be a list of {expected} [re, im] pairs")
+    # Bulk path: when every entry is a two-element list, convert them all in
+    # one numpy call.  numpy reads a JSON null as NaN, so entries holding a
+    # NaN take the entry-by-entry path below, which tells the two apart.
+    if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * expected)
+        except (TypeError, ValueError):
+            flat = None
+        if flat is not None and not np.isnan(flat).any():
+            return flat.view(complex)
     out = np.empty(expected, dtype=complex)
     for i, pair in enumerate(pairs):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValidationError(f"entry {i} of '{key}' is not an [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise TypeError
+            out[i] = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            raise ValidationError(f"entry {i} of '{key}' is not an [re, im] pair") from None
     return out
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def _json_dims(obj: Any, kind: str, keys: tuple[str, str]) -> tuple[int, int]:
     if not isinstance(obj, dict):
-        raise ValidationError("matrix JSON must be an object")
+        raise ValidationError(f"{kind} JSON must be an object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        return int(obj[keys[0]]), int(obj[keys[1]])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("matrix JSON needs integer 'rows' and 'cols'") from exc
+        raise ValidationError(
+            f"{kind} JSON needs integer '{keys[0]}' and '{keys[1]}'"
+        ) from exc
+
+
+def matrix_json_shape(obj: Any) -> tuple[int, int]:
+    """(rows, cols) of a matrix JSON object, read without decoding entries."""
+    return _json_dims(obj, "matrix", ("rows", "cols"))
+
+
+def state_json_dims(obj: Any) -> tuple[int, int]:
+    """(d_a, d_b) of a state JSON object, read without decoding entries."""
+    return _json_dims(obj, "state", ("d_a", "d_b"))
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    rows, cols = matrix_json_shape(obj)
     if rows < 1 or cols < 1:
         raise ValidationError("matrix dimensions must be >= 1")
     return _entries_from_json(obj, "re_im", rows * cols).reshape(rows, cols)
 
 
-def state_to_json(psi: PureState) -> dict:
-    return {
-        "d_a": psi.d_a,
-        "d_b": psi.d_b,
-        "re_im": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
-    }
-
-
 def state_from_json(obj: dict) -> PureState:
-    if not isinstance(obj, dict):
-        raise ValidationError("state JSON must be an object")
-    try:
-        d_a, d_b = int(obj["d_a"]), int(obj["d_b"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("state JSON needs integer 'd_a' and 'd_b'") from exc
+    d_a, d_b = state_json_dims(obj)
     amp = _entries_from_json(obj, "re_im", d_a * d_b)
     return PureState(d_a=d_a, d_b=d_b, amplitudes=amp)

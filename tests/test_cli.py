@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import entrate.cli
 from entrate.cli import main
-from entrate.optimum import optimal_gamma
+from entrate.optimum import optimal_design, optimal_gamma
 from entrate.qcore import (
     PureState,
+    assemble_state,
     matrix_from_json,
     matrix_to_json,
     state_from_json,
@@ -80,6 +82,31 @@ class TestRateCommand:
         assert main(["rate", state_file, ham_file, "--tol", "1e-15"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bad", [None, "abc"])
+    def test_non_numeric_entry_is_input_failure(self, tmp_path, capsys, bad):
+        state_file, ham_file = write_worked_pair(tmp_path)
+        ham = json.loads(open(ham_file).read())
+        ham["re_im"][5] = [bad, 0.0]
+        (tmp_path / "bad.json").write_text(json.dumps(ham))
+        assert main(["rate", state_file, str(tmp_path / "bad.json")]) == 2
+        err = capsys.readouterr().err
+        assert "entry 5 of 're_im' is not an [re, im] pair" in err
+
+    def test_dim_cap_checked_before_entries(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "16")
+        amp = [[0.125, 0.0]] * 64
+        amp[3] = [None, 0.0]
+        entries = [[0.0, 0.0]] * (64 * 64)
+        entries[7] = ["abc", 0.0]
+        state_file = tmp_path / "s.json"
+        ham_file = tmp_path / "h.json"
+        state_file.write_text(json.dumps({"d_a": 8, "d_b": 8, "re_im": amp}))
+        ham_file.write_text(json.dumps({"rows": 64, "cols": 64, "re_im": entries}))
+        assert main(["rate", str(state_file), str(ham_file)]) == 2
+        err = capsys.readouterr().err
+        assert "product dimension 64 exceeds cap 16" in err
+        assert "entry" not in err
+
 
 class TestOptimizeCommand:
     def test_dim_two_report(self, capsys):
@@ -106,6 +133,36 @@ class TestOptimizeCommand:
         assert psi.d_a == 3
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
+    def test_output_files_are_json_dumps_of_the_codec(self, tmp_path, capsys):
+        prefix = str(tmp_path / "opt")
+        assert main(["optimize", "--dim", "3", "--out", prefix]) == 0
+        capsys.readouterr()
+        design = optimal_design(3)
+        assert open(prefix + "_state.json").read() == json.dumps(
+            state_to_json(assemble_state(design.state)))
+        assert open(prefix + "_hamiltonian.json").read() == json.dumps(
+            matrix_to_json(design.hamiltonian))
+
+    def test_output_files_are_byte_identical_across_runs(self, tmp_path, capsys):
+        files = []
+        for run in ("a", "b"):
+            prefix = str(tmp_path / run)
+            assert main(["optimize", "--dim", "3", "--out", prefix]) == 0
+            files.append([open(prefix + suffix, "rb").read()
+                          for suffix in ("_state.json", "_hamiltonian.json")])
+        capsys.readouterr()
+        assert files[0] == files[1]
+
+    def test_output_files_never_build_the_entry_list(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def refuse(_):
+            raise AssertionError("--out built the full re_im list")
+
+        monkeypatch.setattr(entrate.cli, "matrix_to_json", refuse)
+        monkeypatch.setattr(entrate.cli, "state_to_json", refuse)
+        assert main(["optimize", "--dim", "3", "--out", str(tmp_path / "opt")]) == 0
+        capsys.readouterr()
+
     def test_monotone_in_dimension(self, capsys):
         main(["optimize", "--dim", "2"])
         r2 = json.loads(capsys.readouterr().out)["rate_nat"]
@@ -123,6 +180,14 @@ class TestOptimizeCommand:
         first = capsys.readouterr().out
         main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "2", "--seed", "4"])
         assert capsys.readouterr().out == first
+
+    def test_ancilla_without_converged_start_is_numeric_failure(self, capsys):
+        argv = ["optimize", "--dim", "4", "--ancilla", "2", "--max-iter", "1",
+                "--starts", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["converged_fraction"] == 0.0
+        assert "no start converged" in captured.err
 
     def test_dim_cap_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
@@ -179,6 +244,12 @@ class TestSweepCommand:
         assert main(["sweep", "--dim-range", "x..y"]) == 2
         assert main(["sweep", "--gamma-grid", "0"]) == 2
         capsys.readouterr()
+
+    def test_gamma_grid_needs_dimension_two(self, capsys):
+        assert main(["sweep", "--gamma-grid", "3", "--dim", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension must be >= 2" in captured.err
 
     def test_exactly_one_mode_required(self, capsys):
         assert main(["sweep"]) == 2

@@ -1,17 +1,23 @@
 """Foundation layer: states, Schmidt forms, entropy, expm, JSON codec."""
 
+import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrate.optimum import build_optimal_hamiltonian
 from entrate.qcore import (
     PureState,
     SchmidtState,
     ValidationError,
+    DUMP_CHUNK,
     assemble_state,
+    dump_json,
     herm_expm,
     hermiticity_defect,
     matrix_from_json,
@@ -213,3 +219,104 @@ class TestJsonCodec:
     def test_missing_dims(self):
         with pytest.raises(ValidationError):
             state_from_json({"re_im": [[1.0, 0.0]]})
+
+    def test_non_numeric_entries(self):
+        for bad in (None, "abc", [1.0], {}):
+            pairs = [[1.0, 0.0], [0.0, 1.0], [bad, 0.0], [0.0, 0.0]]
+            with pytest.raises(ValidationError,
+                               match=r"^entry 2 of 're_im' is not an \[re, im\] pair$"):
+                matrix_from_json({"rows": 2, "cols": 2, "re_im": pairs})
+
+
+def loop_decode(pairs) -> np.ndarray:
+    """Entry-by-entry reference for the bulk decoder."""
+    return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality, so -0.0 and 0.0 differ."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    b = np.ascontiguousarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, -1 / 3]
+
+
+def dumped(value) -> str:
+    fh = io.StringIO()
+    dump_json(value, fh)
+    return fh.getvalue()
+
+
+def edge_matrix(rows, cols):
+    rng = np.random.default_rng(rows * 100 + cols)
+    m = np.empty((rows, cols), dtype=complex)
+    m.real = rng.choice(EDGE_VALUES, size=(rows, cols))
+    m.imag = rng.choice(EDGE_VALUES, size=(rows, cols))
+    return m
+
+
+def edge_state(d_a, d_b):
+    """Unit norm from 0.6 and 0.8; every other entry is a signed zero with a
+    subnormal or the smallest normal float."""
+    amp = np.full(d_a * d_b, complex(-0.0, 5e-324))
+    amp[1::2] = complex(2.2250738585072014e-308, -0.0)
+    amp[0], amp[-1] = complex(0.6, -0.0), complex(-0.0, 0.8)
+    return PureState(d_a=d_a, d_b=d_b, amplitudes=amp)
+
+
+class TestJsonStreaming:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (2, DUMP_CHUNK + 3), (0, 4), (4, 0)])
+    def test_matrix_bytes_equal_json_dumps(self, shape):
+        m = edge_matrix(*shape)
+        assert dumped(m) == json.dumps(matrix_to_json(m))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 7), (4, 4)])
+    def test_state_bytes_equal_json_dumps(self, dims):
+        psi = edge_state(*dims)
+        assert dumped(psi) == json.dumps(state_to_json(psi))
+
+    def test_matrix_round_trip_is_bit_exact(self):
+        m = edge_matrix(7, 9)
+        back = matrix_from_json(json.loads(dumped(m)))
+        assert same_bits(back, m)
+        assert same_bits(matrix_from_json(matrix_to_json(m)), m)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 5)])
+    def test_state_round_trip_is_bit_exact(self, dims):
+        psi = edge_state(*dims)
+        back = state_from_json(json.loads(dumped(psi)))
+        assert (back.d_a, back.d_b) == dims
+        assert same_bits(back.amplitudes, psi.amplitudes)
+
+    def test_bulk_decode_matches_loop_reference(self):
+        rng = np.random.default_rng(4)
+        pairs = rng.choice(EDGE_VALUES, size=(50, 2)).tolist()
+        pairs += [[1, -2], [True, 0], ["1.5", "-0.0"], [float("inf"), -float("inf")]]
+        rng_vals = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-300, 300, size=(40, 2))
+        pairs += rng_vals.tolist()
+        n = len(pairs)
+        got = matrix_from_json({"rows": 1, "cols": n, "re_im": pairs})
+        assert same_bits(got.reshape(-1), loop_decode(pairs))
+
+    def test_nan_entries_decode_like_the_loop(self):
+        pairs = [[float("nan"), 1.0], [2.0, -0.0]]
+        got = matrix_from_json({"rows": 2, "cols": 1, "re_im": pairs}).reshape(-1)
+        assert math.isnan(got[0].real) and got[0].imag == 1.0
+        assert same_bits(got[1:], loop_decode(pairs[1:]))
+
+    def test_writer_never_builds_the_entry_list(self, tmp_path):
+        h = build_optimal_hamiltonian(32, 32)
+        path = tmp_path / "h.json"
+        tracemalloc.start()
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                dump_json(h, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # matrix_to_json's list for this matrix takes about 128 MB.
+        assert peak < 32 * 2**20
+        assert json.loads(path.read_text())["rows"] == 1024
