@@ -15,7 +15,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .qcore import SchmidtState, ValidationError
-from .rate import gamma_rate_k, schmidt_rotation
+from .rate import gamma_rate_k, schmidt_columns
 
 __all__ = [
     "LagrangeSolution",
@@ -314,8 +314,8 @@ def achieving_hamiltonian(
     """Hamiltonian attaining the maximal rate at unit imaginary variance.
 
     Embeds i times the minimal-norm antisymmetric block built from the
-    Lagrange k on the Schmidt-diagonal subspace, then rotates back to
-    the computational basis of the state.
+    Lagrange k on the Schmidt-diagonal subspace, in the computational
+    basis of the state: V (i M_I) V^H with V from :func:`schmidt_columns`.
     """
     if solution is None:
         solution = lagrange_solve(state)
@@ -325,9 +325,5 @@ def achieving_hamiltonian(
         if solution.degenerate
         else antisymmetric_from_k(state.coefficients, solution.k)
     )
-    n = state.d_a * state.d_b
-    h_tilde = np.zeros((n, n), dtype=complex)
-    idx = np.arange(d) * state.d_b + np.arange(d)
-    h_tilde[np.ix_(idx, idx)] = 1j * m_i
-    w = schmidt_rotation(state)
-    return w @ h_tilde @ w.conj().T
+    v = schmidt_columns(state)
+    return (v @ (1j * m_i)) @ v.conj().T

@@ -1,8 +1,9 @@
 """Finite-difference ground truth for entanglement rates and energy moments.
 
-Nothing here touches the closed-form rate expressions: entanglement is
-evolved exactly through the eigendecomposition of H and differentiated
-numerically, so agreement with the analytic modules is meaningful.
+Nothing here touches the closed-form rate expressions: the state is
+evolved by a truncated Taylor series of exp(-iHt) and its entanglement
+differentiated numerically, so agreement with the analytic modules is
+meaningful.
 """
 
 from __future__ import annotations
@@ -12,15 +13,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
+    HERM_BLOCK,
     HERM_TOL,
     PureState,
     ValidationError,
-    von_neumann_entropy,
+    hermiticity_defect,
+    spectrum_entropy,
 )
 
 __all__ = ["FDConfig", "fd_rate", "direct_stats"]
 
 _SCHEMES = ("central", "richardson")
+
+# Largest phase step * |H|_1 the oracle takes: the step is capped at
+# MAX_PHASE / |H|_1, so the finite-difference truncation error stays a
+# fixed fraction of the rate whatever the scale of H.  The Richardson error
+# grows as phase^4 and faster still as the smallest Schmidt coefficient
+# shrinks: on 60 random 4 x 4 pairs at H x 1e4 a cap of 1e-2 left 5 gaps
+# above 1e-8 (the worst 3.9e-6, C_min = 0.007), 2e-3 none (worst 6.2e-9).
+MAX_PHASE = 2e-3
+# Truncation target for the Taylor series: unit roundoff of float64.
+_TAYLOR_TOL = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -29,7 +42,8 @@ class FDConfig:
 
     ``central`` uses the two-point stencil with O(step^2) truncation
     error; ``richardson`` extrapolates a four-point stencil to O(step^4)
-    and is preferred near degenerate spectra.
+    and is preferred near degenerate spectra.  ``fd_rate`` caps the step
+    at MAX_PHASE / |H|_1.
     """
 
     step: float = 1e-5
@@ -43,30 +57,61 @@ class FDConfig:
             raise ValidationError(f"scheme must be one of {_SCHEMES}")
 
 
+def _norm_1(h: np.ndarray) -> float:
+    """Max absolute row sum of H (its 1-norm, as H is Hermitian), by row blocks."""
+    return max(
+        float(np.abs(h[start:start + HERM_BLOCK]).sum(axis=1).max())
+        for start in range(0, h.shape[0], HERM_BLOCK)
+    )
+
+
+def _scaled_taylor_terms(h: np.ndarray, psi: np.ndarray, step: float, theta: float):
+    """Terms q_k = (step H)^k psi / k! for k = 0..K.
+
+    K is the smallest integer with theta^(K+1) / (K+1)! <= 2^-53, which
+    bounds the truncation error of the series of exp(-iHt) psi for every
+    |t| with |t| |H|_1 <= theta (Al-Mohy & Higham, SIAM J. Sci. Comput.
+    33, 2011).
+    """
+    terms = [psi]
+    bound = theta
+    while bound > _TAYLOR_TOL:
+        k = len(terms)
+        terms.append((step / k) * (h @ terms[-1]))
+        bound *= theta / (k + 1)
+    return terms
+
+
 def fd_rate(psi: PureState, h: np.ndarray, cfg: FDConfig = FDConfig()) -> float:
-    """Numerical d/dt at t=0 of the reduced-state entropy under exp(-iHt)."""
+    """Numerical d/dt at t=0 of the reduced-state entropy under exp(-iHt).
+
+    The step is ``cfg.step`` capped at MAX_PHASE / |H|_1 (``cfg.step``
+    itself when H = 0); the entropy at each stencil point comes from the
+    singular values of the evolved d_a x d_b amplitude matrix.
+    """
     h = np.asarray(h, dtype=complex)
     n = psi.d_a * psi.d_b
     if h.shape != (n, n):
         raise ValidationError(f"expected a {n}x{n} Hamiltonian, got {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+    if hermiticity_defect(h) > HERM_TOL:
         raise ValidationError("Hamiltonian must be Hermitian")
 
-    evals, evecs = np.linalg.eigh(h)
-    coeff = evecs.conj().T @ psi.amplitudes
+    norm = _norm_1(h)
+    s = min(cfg.step, MAX_PHASE / norm) if norm > 0 else cfg.step
+    # Every stencil point is t = m s with |m| <= 2, a combination of the
+    # same terms: exp(-iHms) psi = sum_k (-im)^k q_k.
+    terms = _scaled_taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
 
-    def entropy_at(t: float) -> float:
-        phi = evecs @ (np.exp(-1j * evals * t) * coeff)
-        m = phi.reshape(psi.d_a, psi.d_b)
-        rho_a = m @ m.conj().T
-        return von_neumann_entropy(rho_a, log_base=cfg.entropy_log_base)
+    def entropy_at(m: int) -> float:
+        phi = sum((-1j * m) ** k * q for k, q in enumerate(terms))
+        sv = np.linalg.svd(phi.reshape(psi.d_a, psi.d_b), compute_uv=False)
+        return spectrum_entropy(sv**2, cfg.entropy_log_base)
 
-    s = cfg.step
     if cfg.scheme == "central":
-        return (entropy_at(s) - entropy_at(-s)) / (2 * s)
+        return (entropy_at(1) - entropy_at(-1)) / (2 * s)
     return (
-        8 * (entropy_at(s) - entropy_at(-s))
-        - (entropy_at(2 * s) - entropy_at(-2 * s))
+        8 * (entropy_at(1) - entropy_at(-1))
+        - (entropy_at(2) - entropy_at(-2))
     ) / (12 * s)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "assemble_state",
     "partial_trace_b",
     "von_neumann_entropy",
+    "spectrum_entropy",
     "herm_expm",
     "random_state",
     "random_hermitian",
@@ -56,9 +57,22 @@ class ValidationError(ValueError):
     """An input violated a documented precondition."""
 
 
+# Rows per block in hermiticity_defect: temporaries stay HERM_BLOCK x n.
+HERM_BLOCK = 128
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance of a square matrix from its conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max-norm distance of a square matrix from its conjugate transpose.
+
+    Row blocks are compared with the matching column blocks, so no n x n
+    temporary is built.
+    """
+    defect = 0.0
+    for start in range(0, m.shape[0], HERM_BLOCK):
+        rows = m[start:start + HERM_BLOCK]
+        cols = m[:, start:start + HERM_BLOCK]
+        defect = max(defect, float(np.max(np.abs(rows - cols.conj().T))))
+    return defect
 
 
 def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -195,7 +209,16 @@ def von_neumann_entropy(rho: np.ndarray, log_base: float | None = None) -> float
         raise ValidationError(
             f"eigenvalue {evals.min():.3e} below {NEG_EIGENVALUE_LIMIT:.0e}"
         )
-    p = evals[evals > ENTROPY_EIGEN_FLOOR]
+    return spectrum_entropy(evals, log_base)
+
+
+def spectrum_entropy(p: np.ndarray, log_base: float | None = None) -> float:
+    """Entropy -sum p log p of a probability spectrum.
+
+    Entries at or below ENTROPY_EIGEN_FLOOR contribute nothing.
+    ``log_base`` of None means natural log.
+    """
+    p = p[p > ENTROPY_EIGEN_FLOOR]
     s = float(-(p * np.log(p)).sum())
     if log_base is not None:
         s /= math.log(log_base)

@@ -16,6 +16,7 @@ from .qcore import (
     PureState,
     SchmidtState,
     ValidationError,
+    hermiticity_defect,
     schmidt_decompose,
 )
 
@@ -28,6 +29,7 @@ __all__ = [
     "mean_energy",
     "energy_stats",
     "schmidt_rotation",
+    "schmidt_columns",
 ]
 
 
@@ -91,42 +93,39 @@ def schmidt_rotation(state: SchmidtState) -> np.ndarray:
     return np.kron(state.basis_a, state.basis_b)
 
 
-def _diag_indices(state: SchmidtState) -> np.ndarray:
+def schmidt_columns(state: SchmidtState) -> np.ndarray:
+    """The n x d isometry V whose column i is basis_a[:, i] (x) basis_b[:, i].
+
+    These are the columns of :func:`schmidt_rotation` at the Schmidt-diagonal
+    indices, built in O(n d) without the n x n rotation.
+    """
     d = state.rank_dim
-    return np.arange(d) * state.d_b + np.arange(d)
+    v = np.einsum("ai,bi->abi", state.basis_a[:, :d], state.basis_b[:, :d])
+    return v.reshape(state.d_a * state.d_b, d)
 
 
 def schmidt_block(h: np.ndarray, state: SchmidtState) -> SchmidtBlock:
-    """Extract M_ij = <ii|H|jj> after rotating H into the Schmidt bases."""
+    """Extract M_ij = <ii|H|jj> as V^H (H V), an O(n^2 d) product."""
     h = np.asarray(h, dtype=complex)
     n = state.d_a * state.d_b
     if h.shape != (n, n):
         raise ValidationError(f"expected a {n}x{n} Hamiltonian, got {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+    if hermiticity_defect(h) > HERM_TOL:
         raise ValidationError("Hamiltonian must be Hermitian")
-    w = schmidt_rotation(state)
-    h_tilde = w.conj().T @ h @ w
-    idx = _diag_indices(state)
-    return SchmidtBlock(m=h_tilde[np.ix_(idx, idx)])
+    v = schmidt_columns(state)
+    return SchmidtBlock(m=v.conj().T @ (h @ v))
 
 
 def gamma_rate(state: SchmidtState, block: SchmidtBlock) -> float:
     """Rate 4 sum_{i>j} C_i C_j log(C_i/C_j) M_I[j, i] in natural-log units.
 
-    Terms with a vanishing coefficient or with C_i == C_j are exact
-    zeros and are skipped rather than evaluated.
+    Evaluated as :func:`gamma_rate_k` at k = M_I C; pairing the (i, j) and
+    (j, i) terms of that sum through M_I[i, j] = -M_I[j, i] gives this one.
     """
     c = state.coefficients
     if block.dim != c.size:
         raise ValidationError("block dimension does not match the state")
-    m_i = block.m_i
-    total = 0.0
-    for i in range(c.size):
-        for j in range(i):
-            if c[i] == 0.0 or c[j] == 0.0 or c[i] == c[j]:
-                continue
-            total += 4.0 * c[i] * c[j] * np.log(c[i] / c[j]) * m_i[j, i]
-    return float(total)
+    return gamma_rate_k(state, block.m_i @ c)
 
 
 def gamma_rate_k(state: SchmidtState, k: np.ndarray) -> float:
@@ -154,33 +153,32 @@ def mean_energy(state: SchmidtState, block: SchmidtBlock) -> float:
 def energy_stats(psi: PureState, h: np.ndarray) -> EnergyStats:
     """Energy mean and variance, split along the Schmidt-basis real/imag parts.
 
-    H is rotated into the full Schmidt product basis of psi, where the
-    state vector is real; the variance then decomposes exactly into the
-    real-part variance plus <psi|H_I H_I^T|psi>.
+    In the full Schmidt product basis W = basis_a (x) basis_b the state is
+    the real vector v = sum_i C_i e_ii, and the variance decomposes exactly
+    into the real-part variance plus <v|H_I H_I^T|v>.  Only y = W^H H psi =
+    H~ v is needed, one matvec plus a d_a x d_b rotation: the real part is
+    |Re y - mean v|^2, and since H~^T = conj(H~), H_I^T v = -Im y.
     """
     h = np.asarray(h, dtype=complex)
     n = psi.d_a * psi.d_b
     if h.shape != (n, n):
         raise ValidationError(f"expected a {n}x{n} Hamiltonian, got {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+    if hermiticity_defect(h) > HERM_TOL:
         raise ValidationError("Hamiltonian must be Hermitian")
     state = schmidt_decompose(psi)
-    w = schmidt_rotation(state)
-    h_tilde = w.conj().T @ h @ w
-    h_r = h_tilde.real
-    h_i = h_tilde.imag
+    c = state.coefficients
+    phi = (h @ psi.amplitudes).reshape(psi.d_a, psi.d_b)
+    y = state.basis_a.conj().T @ phi @ state.basis_b.conj()
 
-    # In this basis the state is exactly sum_i C_i e_{ii}, a real vector.
-    vec = np.zeros(n)
-    vec[_diag_indices(state)] = state.coefficients
-
-    mean = float(vec @ h_r @ vec)
-    dev = h_tilde @ vec - mean * vec
-    real_dev = h_r @ vec - mean * vec
-    imag_vec = h_i.T @ vec
+    diag = np.arange(c.size)
+    mean = float(c @ y.real[diag, diag])
+    real_dev = y.real.copy()
+    real_dev[diag, diag] -= mean * c
+    variance_real_part = float(np.sum(real_dev**2))
+    variance_imag_part = float(np.sum(y.imag**2))
     return EnergyStats(
         mean=mean,
-        variance=float(np.real(dev.conj() @ dev)),
-        variance_real_part=float(real_dev @ real_dev),
-        variance_imag_part=float(imag_vec @ imag_vec),
+        variance=variance_real_part + variance_imag_part,
+        variance_real_part=variance_real_part,
+        variance_imag_part=variance_imag_part,
     )

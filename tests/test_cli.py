@@ -14,6 +14,8 @@ from entrate.qcore import (
     assemble_state,
     matrix_from_json,
     matrix_to_json,
+    random_hermitian,
+    random_state,
     state_from_json,
     state_to_json,
 )
@@ -81,6 +83,17 @@ class TestRateCommand:
         state_file, ham_file = write_worked_pair(tmp_path)
         assert main(["rate", state_file, ham_file, "--tol", "1e-15"]) == 1
         capsys.readouterr()
+
+    def test_large_norm_pair_passes(self, tmp_path, capsys):
+        # An absolute oracle step left the difference above --tol here.
+        state_file = tmp_path / "s.json"
+        ham_file = tmp_path / "h.json"
+        state_file.write_text(json.dumps(state_to_json(random_state(4, 4, (0, 0)))))
+        h = 1e4 * random_hermitian(16, (0, 1))
+        ham_file.write_text(json.dumps(matrix_to_json(h)))
+        assert main(["rate", str(state_file), str(ham_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["difference"]) < 1e-5
 
     @pytest.mark.parametrize("bad", [None, "abc"])
     def test_non_numeric_entry_is_input_failure(self, tmp_path, capsys, bad):

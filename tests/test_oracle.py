@@ -1,17 +1,22 @@
 """Finite-difference ground truth: the oracle the rest of the suite leans on."""
 
+import ast
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entrate.oracle import FDConfig, direct_stats, fd_rate
+import entrate.oracle
+from entrate.oracle import MAX_PHASE, FDConfig, direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
     ValidationError,
     random_hermitian,
     random_state,
     schmidt_decompose,
+    von_neumann_entropy,
 )
 from entrate.rate import gamma_rate, schmidt_block
 
@@ -113,3 +118,80 @@ class TestDirectStats:
         psi = PureState(2, 2, evecs[:, 0])
         _, var = direct_stats(psi, h)
         assert var == pytest.approx(0.0, abs=1e-12)
+
+
+def eigh_fd_rate(psi, h, cfg):
+    """fd_rate's stencil on states evolved exactly through eigh(H)."""
+    norm = np.abs(h).sum(axis=1).max()
+    s = min(cfg.step, MAX_PHASE / norm) if norm > 0 else cfg.step
+    evals, evecs = np.linalg.eigh(h)
+    coeff = evecs.conj().T @ psi.amplitudes
+
+    def entropy_at(t):
+        m = (evecs @ (np.exp(-1j * evals * t) * coeff)).reshape(psi.d_a, psi.d_b)
+        return von_neumann_entropy(m @ m.conj().T)
+
+    if cfg.scheme == "central":
+        return (entropy_at(s) - entropy_at(-s)) / (2 * s)
+    return (8 * (entropy_at(s) - entropy_at(-s))
+            - (entropy_at(2 * s) - entropy_at(-2 * s))) / (12 * s)
+
+
+RICH = FDConfig(step=1e-5, scheme="richardson")
+
+
+class TestTaylorAction:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4), (3, 5)])
+    @pytest.mark.parametrize("scheme", ["central", "richardson"])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_matches_eigh_evolution(self, dims, scheme, scale):
+        # At H x 1e3 the step is capped, at H x 1 it is not.
+        cfg = FDConfig(step=1e-5, scheme=scheme)
+        for seed in range(3):
+            psi = random_state(*dims, (seed, 50))
+            h = scale * random_hermitian(dims[0] * dims[1], (seed, 51))
+            assert fd_rate(psi, h, cfg) == pytest.approx(
+                eigh_fd_rate(psi, h, cfg), rel=1e-9, abs=1e-9
+            )
+
+    def test_zero_hamiltonian_gives_zero(self):
+        psi = random_state(2, 3, 52)
+        assert fd_rate(psi, np.zeros((6, 6), dtype=complex), RICH) == 0.0
+
+    def test_no_n_by_n_temporaries_at_n_1024(self):
+        psi = random_state(32, 32, 53)
+        h = random_hermitian(1024, 54)
+        tracemalloc.start()
+        try:
+            fd_rate(psi, h, RICH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One complex n x n temporary is 16 MB.
+        assert peak <= 8 * 2**20
+
+    def test_imports_no_closed_form_module(self):
+        tree = ast.parse(Path(entrate.oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        names = {part for name in imported for part in name.split(".")}
+        assert not names & {"rate", "optimum", "ancilla"}
+
+
+class TestScaledHamiltonians:
+    """The step follows |H|_1, so the relative gap does not grow with the scale."""
+
+    @pytest.mark.parametrize("dims", [(4, 4), (3, 5)])
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_relative_gap(self, dims, scale):
+        for seed in range(20):
+            psi = random_state(*dims, (seed, 0))
+            h = scale * random_hermitian(dims[0] * dims[1], (seed, 1))
+            state = schmidt_decompose(psi)
+            closed = gamma_rate(state, schmidt_block(h, state))
+            assert abs(fd_rate(psi, h, RICH) - closed) <= 1e-8 * abs(closed)

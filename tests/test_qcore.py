@@ -194,6 +194,14 @@ class TestRandomGenerators:
         assert np.array_equal(a, random_hermitian(4, 123))
         assert hermiticity_defect(a) < 1e-14
 
+    @pytest.mark.parametrize("n", [1, 127, 128, 300])
+    def test_blocked_defect_equals_dense(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for m in (a, (a + a.conj().T) / 2):
+            dense = float(np.max(np.abs(m - m.conj().T)))
+            assert hermiticity_defect(m) == dense
+
 
 class TestJsonCodec:
     @given(seed=seeds)

@@ -1,6 +1,7 @@
 """Closed-form rate, Schmidt blocks, and the energy-variance split."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from entrate.rate import (
     gamma_rate_k,
     mean_energy,
     schmidt_block,
+    schmidt_columns,
     schmidt_rotation,
 )
 
@@ -291,3 +293,122 @@ class TestInvariances:
                 max(energy_stats(psi, h).variance, 0.0)
             )
             assert abs(rate) <= bound + 1e-9
+
+
+# --- factored Schmidt-basis algebra against the kron-rotation path ---------
+
+
+def kron_h_tilde(h, state):
+    """H rotated into the full Schmidt product basis by the n x n kron unitary."""
+    w = schmidt_rotation(state)
+    return w.conj().T @ h @ w
+
+
+def kron_diag_indices(state):
+    return np.arange(state.rank_dim) * state.d_b + np.arange(state.rank_dim)
+
+
+def kron_block(h, state):
+    idx = kron_diag_indices(state)
+    return kron_h_tilde(h, state)[np.ix_(idx, idx)]
+
+
+def kron_stats(psi, h):
+    """(mean, variance, real part, imaginary part) with every n x n product."""
+    state = schmidt_decompose(psi)
+    h_tilde = kron_h_tilde(h, state)
+    vec = np.zeros(h.shape[0])
+    vec[kron_diag_indices(state)] = state.coefficients
+    mean = float(vec @ h_tilde.real @ vec)
+    dev = h_tilde @ vec - mean * vec
+    real_dev = h_tilde.real @ vec - mean * vec
+    imag_vec = h_tilde.imag.T @ vec
+    return (mean, float(np.real(dev.conj() @ dev)), float(real_dev @ real_dev),
+            float(imag_vec @ imag_vec))
+
+
+def rank_two_state(d_a, d_b, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d_a, 2)) + 1j * rng.normal(size=(d_a, 2))
+    b = rng.normal(size=(2, d_b)) + 1j * rng.normal(size=(2, d_b))
+    m = a @ b
+    return PureState(d_a, d_b, (m / np.linalg.norm(m)).reshape(-1))
+
+
+FACTORED_CASES = [
+    ("3x5", lambda: random_state(3, 5, 40)),
+    ("5x3", lambda: random_state(5, 3, 41)),
+    ("rank-deficient 4x4", lambda: rank_two_state(4, 4, 42)),
+    ("rank-deficient 3x5", lambda: rank_two_state(3, 5, 43)),
+]
+
+
+class TestFactoredAlgebra:
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("name,make", FACTORED_CASES)
+    def test_block_matches_kron_path(self, name, make, scale):
+        psi = make()
+        state = schmidt_decompose(psi)
+        h = scale * random_hermitian(psi.d_a * psi.d_b, 44)
+        ref = kron_block(h, state)
+        got = schmidt_block(h, state).m
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("name,make", FACTORED_CASES)
+    def test_stats_match_kron_path(self, name, make, scale):
+        psi = make()
+        h = scale * random_hermitian(psi.d_a * psi.d_b, 45)
+        mean, variance, real_part, imag_part = kron_stats(psi, h)
+        stats = energy_stats(psi, h)
+        assert abs(stats.mean - mean) <= 1e-12 * abs(mean)
+        for got, want in ((stats.variance, variance),
+                          (stats.variance_real_part, real_part),
+                          (stats.variance_imag_part, imag_part)):
+            assert abs(got - want) <= 1e-12 * variance
+
+    def test_schmidt_columns_are_kron_columns(self):
+        state = schmidt_decompose(random_state(3, 5, 46))
+        w = schmidt_rotation(state)
+        ref = w[:, kron_diag_indices(state)]
+        assert np.max(np.abs(schmidt_columns(state) - ref)) < 1e-15
+
+    @pytest.mark.parametrize("fn", ["schmidt_block", "energy_stats"])
+    def test_no_n_by_n_temporaries_at_n_1024(self, fn):
+        psi = random_state(32, 32, 47)
+        state = schmidt_decompose(psi)
+        h = random_hermitian(1024, 48)
+        call = {
+            "schmidt_block": lambda: schmidt_block(h, state),
+            "energy_stats": lambda: energy_stats(psi, h),
+        }[fn]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One complex n x n temporary is 16 MB.
+        assert peak <= 8 * 2**20
+
+
+def loop_gamma_rate(state, block):
+    """The pair sum 4 sum_{i>j} C_i C_j log(C_i/C_j) M_I[j, i], term by term."""
+    c = state.coefficients
+    total = 0.0
+    for i in range(c.size):
+        for j in range(i):
+            if c[i] == 0.0 or c[j] == 0.0 or c[i] == c[j]:
+                continue
+            total += 4.0 * c[i] * c[j] * np.log(c[i] / c[j]) * block.m_i[j, i]
+    return total
+
+
+class TestOneRateFormula:
+    @pytest.mark.parametrize("name,make", FACTORED_CASES)
+    def test_matches_the_pair_loop(self, name, make):
+        psi = make()
+        state = schmidt_decompose(psi)
+        block = schmidt_block(random_hermitian(psi.d_a * psi.d_b, 49), state)
+        want = loop_gamma_rate(state, block)
+        assert gamma_rate(state, block) == pytest.approx(want, rel=1e-12, abs=1e-15)
