@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate.ancilla import (
+    _lambda_sq_raw,
+    _pair_data,
+    _value_and_grad,
     AncillaCoeffs,
     DimensionCapError,
     GBlock,
@@ -44,6 +47,36 @@ def random_gblock(d, seed) -> GBlock:
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(d, d))
     return GBlock.from_matrix(m - m.T)
+
+
+def loop_lambda_sq(c, eps):
+    """Reference: sum_{i<j} 4 A'_ij^2 / (b_i + b_j + 2 eps) by an explicit loop."""
+    _, evals, _, a_rot = _pair_data(c)
+    total = 0.0
+    for i in range(evals.size):
+        for j in range(i + 1, evals.size):
+            den = evals[i] + evals[j] + 2.0 * eps
+            if den > 1e-300:
+                total += 4.0 * a_rot[i, j] ** 2 / den
+    return total
+
+
+def loop_recover_g(c, lambda1, eps):
+    """Reference: G'_ij = 2 A'_ij / ((b_i + b_j + 2 eps) lambda1), rotated back."""
+    evals, evecs, a_rot = _pair_data(c)[1:]
+    d = evals.size
+    g_rot = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            den = evals[i] + evals[j] + 2.0 * eps
+            if i != j and den > 1e-300:
+                g_rot[i, j] = 2.0 * a_rot[i, j] / (den * lambda1)
+    raw = evecs @ g_rot @ evecs.T
+    return (raw - raw.T) / 2.0
+
+
+GRAD_SHAPES = [(2, 2), (3, 3), (4, 5), (6, 6), (2, 4)]
+GRAD_EPS = [1e-4, 1e-7, 1e-10]
 
 
 class TestAncillaCoeffs:
@@ -218,6 +251,68 @@ class TestRecoverG:
         )
 
 
+class TestVectorizedPairs:
+    @pytest.mark.parametrize("shape", GRAD_SHAPES + [(1, 3), (3, 1)])
+    def test_pair_data_diagonalizes_c_transpose_c(self, shape):
+        c = random_coeffs(shape, (shape, 60)).c
+        k, evals, evecs, a_rot = _pair_data(c)
+        a = c.T @ k - k.T @ c
+        d = shape[1]
+        assert np.max(np.abs(evecs.T @ evecs - np.eye(d))) <= 1e-14
+        assert np.max(np.abs(evecs.T @ c.T @ c @ evecs - np.diag(evals))) <= 1e-14
+        assert np.max(np.abs(a_rot - evecs.T @ a @ evecs)) <= 1e-14 * np.max(np.abs(a))
+        # A' vanishes identically on pairs of null directions of C.
+        assert not a_rot[shape[0]:, shape[0]:].any()
+
+    @pytest.mark.parametrize("shape", GRAD_SHAPES + [(1, 3), (3, 1)])
+    @pytest.mark.parametrize("eps", GRAD_EPS + [1e-9])
+    def test_lambda_sq_matches_pair_loop(self, shape, eps):
+        c = random_coeffs(shape, (shape, 61)).c
+        expected = loop_lambda_sq(c, eps)
+        assert abs(_lambda_sq_raw(c, eps) - expected) <= 1e-14 * max(expected, 1.0)
+
+    def test_lambda_sq_matches_pair_loop_on_singular_support(self):
+        c = AncillaCoeffs.normalized(np.array([[0.8, 0.0, 0.3], [0.1, 0.0, 0.5]])).c
+        for eps in (1e-4, 1e-10):
+            expected = loop_lambda_sq(c, eps)
+            assert abs(_lambda_sq_raw(c, eps) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("shape", GRAD_SHAPES)
+    @pytest.mark.parametrize("eps", GRAD_EPS)
+    def test_recover_g_matches_pair_loop(self, shape, eps):
+        coeffs = random_coeffs(shape, (shape, 62))
+        lam1 = math.sqrt(lambda_sq(coeffs, eps))
+        expected = loop_recover_g(coeffs.c, lam1, eps)
+        got = recover_g(coeffs, lam1, eps).g
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+class TestValueAndGrad:
+    @pytest.mark.parametrize("shape", GRAD_SHAPES)
+    @pytest.mark.parametrize("eps", GRAD_EPS)
+    def test_matches_central_differences(self, shape, eps):
+        c = random_coeffs(shape, (shape, 63)).c
+        h = 1e-6
+
+        def value(m):
+            return 2.0 * math.sqrt(loop_lambda_sq(m, eps))
+
+        fd = np.zeros(shape)
+        for idx in np.ndindex(*shape):
+            probe = np.zeros(shape)
+            probe[idx] = h
+            fd[idx] = (value(c + probe) - value(c - probe)) / (2.0 * h)
+        got_value, grad = _value_and_grad(c, eps)
+        assert got_value == pytest.approx(value(c), rel=1e-14)
+        assert np.max(np.abs(grad - fd)) <= 1e-8 * np.max(np.abs(fd))
+
+    def test_zero_objective_has_zero_gradient(self):
+        c = np.diag([math.sqrt(0.9), math.sqrt(0.1)])
+        value, grad = _value_and_grad(c, 1e-7)
+        assert value == 0.0
+        assert not grad.any()
+
+
 class TestInnerOpt:
     def test_worked_row_matches_no_ancilla_closed_form(self):
         value, block = inner_opt_over_g(worked_coeffs(), starts=6, seed=0)
@@ -272,6 +367,26 @@ class TestSupSearch:
         )
         assert 0.0 <= report["converged_fraction"] <= 1.0
         assert report["diagnostics"]["iterations"] > 0
+
+    @pytest.mark.parametrize(
+        "d_a, d_ancilla, expected",
+        [
+            (4, 2, 2.0233541995229687),
+            (4, 4, 2.0233541995142987),
+            (5, 3, 2.232888007973513),
+            (6, 6, 2.4017751028940046),
+        ],
+    )
+    def test_benchmark_cases_keep_their_values(self, d_a, d_ancilla, expected):
+        # Values of the finite-difference ascent this search replaced.
+        result = sup_search(d_a, d_ancilla, starts=4)
+        assert result.value == pytest.approx(expected, abs=1e-9)
+        assert result.converged_fraction == 1.0
+        diagnostics = result.diagnostics
+        assert "fd_grad_step" not in diagnostics
+        assert diagnostics["gap_vs_no_ancilla"] == (
+            result.value - optimal_gamma(d_a).rate
+        )
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):

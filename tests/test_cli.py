@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import math
 
@@ -32,6 +33,15 @@ def write_worked_pair(tmp_path):
     state_file = tmp_path / "state.json"
     ham_file = tmp_path / "ham.json"
     state_file.write_text(json.dumps(state_to_json(PureState(2, 2, amp))))
+    ham_file.write_text(json.dumps(matrix_to_json(h)))
+    return str(state_file), str(ham_file)
+
+
+def write_scaled_pair(tmp_path, norm):
+    state_file = tmp_path / "s.json"
+    ham_file = tmp_path / "h.json"
+    state_file.write_text(json.dumps(state_to_json(random_state(4, 4, (0, 0)))))
+    h = norm * random_hermitian(16, (0, 1))
     ham_file.write_text(json.dumps(matrix_to_json(h)))
     return str(state_file), str(ham_file)
 
@@ -94,6 +104,28 @@ class TestRateCommand:
         assert main(["rate", str(state_file), str(ham_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["difference"]) < 1e-5
+
+    @pytest.mark.parametrize("norm", [1e-4, 1e4])
+    def test_tolerance_is_relative_to_the_rate_scale(self, tmp_path, capsys, norm):
+        state_file, ham_file = write_scaled_pair(tmp_path, norm)
+        assert main(["rate", state_file, ham_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        scale = max(abs(report["gamma_rate"]),
+                    math.sqrt(report["energy_stats"]["variance"]))
+        assert abs(report["difference"]) <= 1e-5 * scale
+
+    def test_small_norm_wrong_closed_form_is_numeric_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A 1e-3 relative error is about 1e-7 absolute here, below the
+        # absolute --tol that was used before.
+        state_file, ham_file = write_scaled_pair(tmp_path, 1e-4)
+        exact = entrate.cli.gamma_rate
+        monkeypatch.setattr(
+            entrate.cli, "gamma_rate", lambda state, block: 1.001 * exact(state, block)
+        )
+        assert main(["rate", state_file, ham_file]) == 1
+        capsys.readouterr()
 
     @pytest.mark.parametrize("bad", [None, "abc"])
     def test_non_numeric_entry_is_input_failure(self, tmp_path, capsys, bad):
@@ -202,6 +234,19 @@ class TestOptimizeCommand:
         assert json.loads(captured.out)["converged_fraction"] == 0.0
         assert "no start converged" in captured.err
 
+    def test_ancilla_report_is_byte_identical_with_diagnostics(self, capsys):
+        argv = ["optimize", "--dim", "4", "--ancilla", "3"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        report = json.loads(first)
+        diagnostics = report["diagnostics"]
+        assert "fd_grad_step" not in diagnostics
+        assert diagnostics["gap_vs_no_ancilla"] == (
+            report["value_nat"] - optimal_gamma(4).rate
+        )
+
     def test_dim_cap_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
         assert main(["optimize", "--dim", "4"]) == 2
@@ -283,6 +328,24 @@ class TestVerifyCommand:
                      "--inject-sign-flip"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_wrong_variance_split_fails(self, capsys, monkeypatch):
+        exact = entrate.cli.energy_stats
+
+        def wrong_imag_part(psi, h):
+            stats = exact(psi, h)
+            return dataclasses.replace(
+                stats,
+                variance=stats.variance + 1e-6,
+                variance_imag_part=stats.variance_imag_part + 1e-6,
+            )
+
+        monkeypatch.setattr(entrate.cli, "energy_stats", wrong_imag_part)
+        assert main(["verify", "--seed", "3", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            next(line for line in lines if "variance_decomposition" in line)
+        ]
 
     def test_seed_changes_but_still_passes(self, capsys):
         assert main(["verify", "--seed", "11", "--trials", "3"]) == 0
