@@ -62,7 +62,6 @@ from .rate import (
     gamma_rate_k,
     mean_energy,
     schmidt_block,
-    schmidt_rotation,
 )
 
 __version__ = "0.1.0"
@@ -104,7 +103,6 @@ __all__ = [
     "recover_g",
     "schmidt_block",
     "schmidt_decompose",
-    "schmidt_rotation",
     "von_neumann_entropy",
     "surprisal_variance",
     "sup_search",

@@ -29,7 +29,6 @@ __all__ = [
     "ConvergenceError",
     "DimensionCapError",
     "build_structured_hamiltonian",
-    "structure_defect",
     "ancilla_objective",
     "variance_constraint",
     "lambda_sq",
@@ -181,27 +180,6 @@ def build_structured_hamiltonian(
     return np.kron(np.eye(d_ancilla_a), np.kron(h_ab, np.eye(d_ancilla_b)))
 
 
-def structure_defect(
-    h: np.ndarray, d_ancilla_a: int, d_a: int, d_b: int, d_ancilla_b: int
-) -> float:
-    """Largest matrix element connecting different ancilla labels.
-
-    Zero exactly when H acts as identity on both ancilla factors of the
-    ordering A' x A x B x B'.
-    """
-    h = np.asarray(h, dtype=complex)
-    n = d_ancilla_a * d_a * d_b * d_ancilla_b
-    if h.shape != (n, n):
-        raise ValidationError(f"expected a {n}x{n} matrix, got {h.shape}")
-    t = h.reshape(
-        d_ancilla_a, d_a * d_b, d_ancilla_b, d_ancilla_a, d_a * d_b, d_ancilla_b
-    ).copy()
-    for a_p in range(d_ancilla_a):
-        for b_p in range(d_ancilla_b):
-            t[a_p, :, b_p, a_p, :, b_p] = 0.0
-    return float(np.max(np.abs(t)))
-
-
 # --- objective, constraint, and the fixed-C inner maximum ------------------
 
 
@@ -350,106 +328,35 @@ def inner_opt_over_g(
     seed: Any = 0,
     max_iter: int = 2000,
 ) -> tuple[float, GBlock]:
-    """Maximize the objective over antisymmetric G at |CG|_F = 1 by ascent.
+    """Maximize the objective over antisymmetric G at |CG|_F = 1 by a solve.
 
-    Independent of the closed form: parameterizes G by its strict upper
-    triangle and ascends the scale-invariant ratio objective/|CG|_F with
-    tangent-projected gradients and exact line searches, from ``starts``
-    random seeds.  Deterministic per (seed, start); ties go to the
-    lowest start index.
+    Independent of the closed form: in the coordinates g of G's strict
+    upper triangle the objective is obj.g with obj = 4 (C^T K - K^T C)
+    there, and |CG|_F^2 = g.Q g with Q the Gram matrix of C times each
+    basis block.  The maximizer of obj.g on that ellipsoid is pinv(Q) obj,
+    rescaled to |CG|_F = 1; no eigenbasis of C^T C is used.  When the
+    objective vanishes (as for a uniform row) the result is
+    (0.0, zero block).  ``starts`` must be >= 1; the result no longer
+    depends on ``starts``, ``seed`` or ``max_iter``.
     """
     if starts < 1:
         raise ValidationError("starts must be >= 1")
     c = coeffs.c
     d = coeffs.d_a
     iu = np.triu_indices(d, 1)
-    a_full = c.T @ coeffs.k - coeffs.k.T @ c
-    b_full = c.T @ c
-    obj_vec = 4.0 * a_full[iu]
-
-    def quad_map(g_vec: np.ndarray) -> np.ndarray:
-        # Represents the constraint quadratic form: q(g) = g . quad_map(g).
-        m = np.zeros((d, d))
-        m[iu] = g_vec
-        m = m - m.T
-        bm = b_full @ m
-        return (bm - bm.T)[iu]
-
-    def block_of(g_vec: np.ndarray) -> np.ndarray:
-        m = np.zeros((d, d))
-        m[iu] = g_vec
-        return m - m.T
-
-    best = -math.inf
-    best_g: np.ndarray | None = None
-    converged = 0
-    for start in range(starts):
-        rng = np.random.default_rng((seed, start))
-        g_vec = None
-        for _ in range(20):
-            cand = rng.normal(size=iu[0].size)
-            q = float(cand @ quad_map(cand))
-            if q > 1e-280:
-                g_vec = cand / math.sqrt(q)
-                break
-        if g_vec is None:
-            continue
-        if float(obj_vec @ g_vec) < 0:
-            g_vec = -g_vec
-        ok = False
-        for _ in range(max_iter):
-            mg = quad_map(g_vec)
-            q = float(g_vec @ mg)
-            value = float(obj_vec @ g_vec) / math.sqrt(q)
-            denom = float(mg @ mg)
-            u = obj_vec - (float(obj_vec @ mg) / denom) * mg if denom > 0 else obj_vec
-            if np.linalg.norm(u) < 1e-14 * max(np.linalg.norm(obj_vec), 1.0):
-                ok = True
-                break
-            # Along g + t u the ratio has a single stationary t; also try
-            # the asymptotic direction, which wins when that root is the
-            # one-dimensional minimum.
-            alpha = float(obj_vec @ g_vec)
-            beta = float(obj_vec @ u)
-            cross = float(u @ mg)
-            curv = float(u @ quad_map(u))
-            candidates = []
-            den_t = beta * cross - alpha * curv
-            if abs(den_t) > 1e-300:
-                t = (alpha * cross - beta * q) / den_t
-                candidates.append(g_vec + t * u)
-            if curv > 0 and beta != 0:
-                candidates.append(math.copysign(1.0, beta) * u)
-            improved = False
-            for cand in candidates:
-                qc = float(cand @ quad_map(cand))
-                if qc <= 1e-280:
-                    continue
-                cand = cand / math.sqrt(qc)
-                if float(obj_vec @ cand) < 0:
-                    cand = -cand
-                if float(obj_vec @ cand) > value + 1e-14 * max(abs(value), 1.0):
-                    g_vec = cand
-                    improved = True
-                    break
-            if not improved:
-                ok = True
-                break
-        converged += ok
-        g_mat = block_of(g_vec)
-        norm = float(np.linalg.norm(c @ g_mat, "fro"))
-        if norm <= 0:
-            continue
-        g_mat = g_mat / norm
-        value = float(2.0 * np.trace((coeffs.k.T @ c - c.T @ coeffs.k) @ g_mat))
-        if value > best:
-            best = value
-            best_g = g_mat
-    if best_g is None or converged == 0:
-        raise ConvergenceError(
-            f"no start converged (starts={starts}, max_iter={max_iter})"
-        )
-    return best, GBlock.from_matrix(best_g)
+    obj = 4.0 * (c.T @ coeffs.k - coeffs.k.T @ c)[iu]
+    pairs = np.arange(iu[0].size)
+    basis = np.zeros((pairs.size, d, d))
+    basis[pairs, iu[0], iu[1]] = 1.0
+    basis[pairs, iu[1], iu[0]] = -1.0
+    # Row p of cg is C times the p-th basis block, flattened: Q = cg cg^T.
+    cg = (c @ basis).reshape(pairs.size, c.size)
+    g = GBlock(upper=np.linalg.pinv(cg @ cg.T) @ obj, d=d)
+    norm = math.sqrt(variance_constraint(coeffs, g))
+    if norm == 0.0:
+        return 0.0, GBlock.zeros(d)
+    g = GBlock(upper=g.upper / norm, d=d)
+    return ancilla_objective(coeffs, g), g
 
 
 # --- supremum over coefficient matrices ------------------------------------
@@ -540,8 +447,14 @@ def sup_search(
     lambda1 = best_value / 2.0
     if lambda1 > 0:
         g_star = recover_g(coeffs, lambda1, final_eps)
+        # G* rescaled to |C G|_F = 1 is feasible at eps = 0.
+        scale = math.sqrt(variance_constraint(coeffs, g_star))
+        unregularized = ancilla_objective(
+            coeffs, GBlock(upper=g_star.upper / scale, d=d_a)
+        )
     else:
         g_star = GBlock.zeros(d_a)
+        unregularized = 0.0
     return AncillaOptimum(
         value=best_value,
         lambda1=lambda1,
@@ -553,7 +466,8 @@ def sup_search(
         diagnostics={
             "iterations": total_iterations,
             "anneal_schedule": [list(pair) for pair in ANNEAL_SCHEDULE],
-            "gap_vs_no_ancilla": best_value - no_ancilla.rate,
+            "value_unregularized": unregularized,
+            "gap_vs_no_ancilla": unregularized - no_ancilla.rate,
         },
     )
 

@@ -3,7 +3,7 @@
 Covers the constrained maximization of the rate over unit-variance
 Hamiltonians at a fixed state (a Lagrange system with an explicit
 solution), the surprisal-variance formula for the maximum, the optimal
-one-parameter state family, and the 1-D search over that parameter.
+one-parameter state family, and the root of its stationarity condition.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "achieving_hamiltonian",
 ]
 
-GRID_POINTS = 10_000
 # Uniform coefficient vectors make the multiplier lambda1 vanish; below
 # this threshold on its square the system is reported as degenerate.
 DEGENERACY_TOL = 1e-24
@@ -162,9 +161,8 @@ def build_optimal_hamiltonian(d_a: int, d_b: int) -> np.ndarray:
 
     phi is the uniform superposition of |ii> for i >= 1; the sign is
     chosen so entropy grows (rather than shrinks) at the paired optimal
-    state.  The matrix is rescaled so its energy variance equals 1 at
-    that state; the family is built so the variance is already 1 there,
-    which makes the rescaling a numerical no-op kept for exactness.
+    state.  At every state sqrt(g)|00> + sqrt(1-g) phi of that family
+    <H> = 0 and <H^2> = g + (1 - g) = 1, so no rescaling is needed.
     """
     if d_a != d_b:
         raise ValidationError("optimal construction requires d_a == d_b")
@@ -177,17 +175,7 @@ def build_optimal_hamiltonian(d_a: int, d_b: int) -> np.ndarray:
         phi[i * d + i] = 1.0 / math.sqrt(d - 1)
     e00 = np.zeros(n, dtype=complex)
     e00[0] = 1.0
-    h = 1j * (np.outer(phi, e00.conj()) - np.outer(e00, phi.conj()))
-
-    gamma_star = optimal_gamma(d).gamma
-    paired = np.zeros(n, dtype=complex)
-    paired[0] = math.sqrt(gamma_star)
-    for i in range(1, d):
-        paired[i * d + i] = math.sqrt((1.0 - gamma_star) / (d - 1))
-    hp = h @ paired
-    mean = float(np.real(paired.conj() @ hp))
-    variance = float(np.real(hp.conj() @ hp)) - mean**2
-    return h / math.sqrt(variance)
+    return 1j * (np.outer(phi, e00.conj()) - np.outer(e00, phi.conj()))
 
 
 def gamma_curve(gamma: np.ndarray, d: int) -> np.ndarray:
@@ -208,33 +196,24 @@ def gamma_curve(gamma: np.ndarray, d: int) -> np.ndarray:
 def optimal_gamma(d: int) -> GammaOptimum:
     """Maximize 2 sqrt(g(1-g)) log(g(d-1)/(1-g)) over g in (0, 1).
 
-    A 10^4-point grid locates the basin and golden-section iterations
-    refine the bracket well below the reporting precision.
+    The curve peaks where its derivative vanishes, at the root of
+    (2g - 1) log(g(d-1)/(1-g)) = 2.  On (1/2, 1) the left side rises from
+    0 to +inf, so that root is unique there, and bisection runs until the
+    bracket stops shrinking.  ``gamma_star`` in perfbench/reference.py
+    bisects the same condition: it is independent of this code, not of
+    this derivation.
     """
     if d < 2:
         raise ValidationError("dimension must be >= 2")
-    grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
-    values = gamma_curve(grid, d)
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1 = float(gamma_curve(np.array([c1]), d)[0])
-    f2 = float(gamma_curve(np.array([c2]), d)[0])
-    for _ in range(100):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = float(gamma_curve(np.array([c2]), d)[0])
+    lo, hi = 0.5, 1.0
+    while True:
+        gamma = 0.5 * (lo + hi)
+        if gamma in (lo, hi):
+            break
+        if (2.0 * gamma - 1.0) * math.log(gamma * (d - 1) / (1.0 - gamma)) < 2.0:
+            lo = gamma
         else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = float(gamma_curve(np.array([c1]), d)[0])
-    gamma = (a + b) / 2.0
+            hi = gamma
     return GammaOptimum(gamma=gamma, rate=float(gamma_curve(np.array([gamma]), d)[0]))
 
 
@@ -251,11 +230,14 @@ def optimal_design(d: int) -> OptimalDesign:
 
 
 def brute_force_max_k(state: SchmidtState, trials: int, seed: Any) -> float:
-    """Maximize the k-form rate on {|k| = 1, C.k = 0} by projected ascent.
+    """Maximize the k-form rate on {|k| = 1, C.k = 0} by a projection.
 
-    Independent check on the closed form: ascends the linear objective
-    from ``trials`` random starts with tangent projection and
-    renormalization each step, deterministic per (seed, start).
+    The k-form rate is a.k with a = -4 C log C, so by Cauchy-Schwarz its
+    maximizer on that set is the normalized projection of a orthogonal to
+    C.  The value is read through :func:`gamma_rate_k`, not through the
+    surprisal variance, so it still checks :func:`max_rate` by another
+    derivation.  ``trials`` must be >= 1; the result no longer depends on
+    ``trials`` or ``seed``.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -263,31 +245,9 @@ def brute_force_max_k(state: SchmidtState, trials: int, seed: Any) -> float:
     a = np.zeros_like(c)
     mask = c > 0
     a[mask] = -4.0 * c[mask] * np.log(c[mask])
-
-    def project(k: np.ndarray) -> np.ndarray | None:
-        k = k - (c @ k) * c
-        norm = np.linalg.norm(k)
-        return k / norm if norm > 1e-300 else None
-
-    best = -math.inf
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        k = project(rng.normal(size=c.size))
-        if k is None:
-            continue
-        value = float(a @ k)
-        for _ in range(200):
-            k2 = project(k + 0.5 * a)
-            if k2 is None:
-                break
-            v2 = float(a @ k2)
-            if v2 <= value + 1e-15 * max(abs(value), 1.0):
-                break
-            k, value = k2, v2
-        value = gamma_rate_k(state, k)
-        if value > best:
-            best = value
-    return 0.0 if best == -math.inf else best
+    k = a - (c @ a) * c
+    norm = float(np.linalg.norm(k))
+    return gamma_rate_k(state, k / norm) if norm > 1e-300 else 0.0
 
 
 def antisymmetric_from_k(c: np.ndarray, k: np.ndarray) -> np.ndarray:

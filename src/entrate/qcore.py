@@ -29,7 +29,6 @@ __all__ = [
     "partial_trace_b",
     "von_neumann_entropy",
     "spectrum_entropy",
-    "herm_expm",
     "random_state",
     "random_hermitian",
     "matrix_to_json",
@@ -223,13 +222,6 @@ def spectrum_entropy(p: np.ndarray, log_base: float | None = None) -> float:
     if log_base is not None:
         s /= math.log(log_base)
     return s
-
-
-def herm_expm(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) for Hermitian H via eigendecomposition."""
-    h = _require_hermitian(np.asarray(h, dtype=complex), "Hamiltonian")
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
 def random_state(d_a: int, d_b: int, seed: Any) -> PureState:

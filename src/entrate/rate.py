@@ -28,7 +28,6 @@ __all__ = [
     "gamma_rate_k",
     "mean_energy",
     "energy_stats",
-    "schmidt_rotation",
     "schmidt_columns",
 ]
 
@@ -88,16 +87,10 @@ class EnergyStats:
         }
 
 
-def schmidt_rotation(state: SchmidtState) -> np.ndarray:
-    """Unitary basis_a (x) basis_b mapping Schmidt products to the computational basis."""
-    return np.kron(state.basis_a, state.basis_b)
-
-
 def schmidt_columns(state: SchmidtState) -> np.ndarray:
     """The n x d isometry V whose column i is basis_a[:, i] (x) basis_b[:, i].
 
-    These are the columns of :func:`schmidt_rotation` at the Schmidt-diagonal
-    indices, built in O(n d) without the n x n rotation.
+    Built in O(n d), without the n x n rotation basis_a (x) basis_b.
     """
     d = state.rank_dim
     v = np.einsum("ai,bi->abi", state.basis_a[:, :d], state.basis_b[:, :d])

@@ -1,4 +1,4 @@
-"""Ancilla-assisted optimization: closed form, ascent oracle, arbitration."""
+"""Ancilla-assisted optimization: closed form, exact inner solve, arbitration."""
 
 import math
 
@@ -21,7 +21,6 @@ from entrate.ancilla import (
     inner_opt_over_g,
     lambda_sq,
     recover_g,
-    structure_defect,
     sup_search,
     variance_constraint,
 )
@@ -36,6 +35,24 @@ WORKED_RATE = 1.3183347464017314
 def worked_coeffs() -> AncillaCoeffs:
     """The no-ancilla example embedded as a single-row coefficient matrix."""
     return AncillaCoeffs(c=np.array([[math.sqrt(0.9), math.sqrt(0.1)]]))
+
+
+def structure_defect(h, d_ancilla_a, d_a, d_b, d_ancilla_b) -> float:
+    """Reference: largest matrix element connecting different ancilla labels.
+
+    Zero exactly when H acts as identity on both ancilla factors of the
+    ordering A' x A x B x B'.
+    """
+    h = np.asarray(h, dtype=complex)
+    n = d_ancilla_a * d_a * d_b * d_ancilla_b
+    assert h.shape == (n, n)
+    t = h.reshape(
+        d_ancilla_a, d_a * d_b, d_ancilla_b, d_ancilla_a, d_a * d_b, d_ancilla_b
+    ).copy()
+    for a_p in range(d_ancilla_a):
+        for b_p in range(d_ancilla_b):
+            t[a_p, :, b_p, a_p, :, b_p] = 0.0
+    return float(np.max(np.abs(t)))
 
 
 def random_coeffs(shape, seed, floor=0.05) -> AncillaCoeffs:
@@ -344,6 +361,26 @@ class TestInnerOpt:
         with pytest.raises(ValidationError):
             inner_opt_over_g(worked_coeffs(), starts=0)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 3), (4, 4), (6, 6), (8, 2)])
+    def test_solve_is_exact_on_full_rank(self, shape):
+        for seed in range(3):
+            coeffs = random_coeffs(shape, (seed, 31))
+            value, block = inner_opt_over_g(coeffs)
+            closed = 2.0 * math.sqrt(lambda_sq(coeffs, 0.0))
+            assert value == pytest.approx(closed, rel=1e-12)
+            assert variance_constraint(coeffs, block) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 6)])
+    def test_solve_is_exact_on_rank_deficient(self, shape):
+        # C^T C is singular; the pseudo-inverse drops its null directions,
+        # on which the objective vanishes.
+        for seed in range(3):
+            coeffs = random_coeffs(shape, (seed, 32))
+            value, block = inner_opt_over_g(coeffs)
+            closed = 2.0 * math.sqrt(lambda_sq(coeffs, 1e-14))
+            assert value == pytest.approx(closed, rel=1e-12)
+            assert variance_constraint(coeffs, block) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestSupSearch:
     def test_reduces_to_no_ancilla_case(self):
@@ -385,8 +422,16 @@ class TestSupSearch:
         diagnostics = result.diagnostics
         assert "fd_grad_step" not in diagnostics
         assert diagnostics["gap_vs_no_ancilla"] == (
-            result.value - optimal_gamma(d_a).rate
+            diagnostics["value_unregularized"] - optimal_gamma(d_a).rate
         )
+
+    @pytest.mark.parametrize("d_a, d_ancilla", [(4, 2), (4, 4), (5, 3), (6, 6)])
+    def test_unregularized_value_closes_the_gap(self, d_a, d_ancilla):
+        # Start 0 embeds the no-ancilla optimum; at eps = 0 its value is exact.
+        result = sup_search(d_a, d_ancilla, starts=4)
+        diagnostics = result.diagnostics
+        assert abs(diagnostics["gap_vs_no_ancilla"]) <= 1e-12
+        assert diagnostics["value_unregularized"] >= result.value
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):

@@ -244,7 +244,7 @@ class TestOptimizeCommand:
         diagnostics = report["diagnostics"]
         assert "fd_grad_step" not in diagnostics
         assert diagnostics["gap_vs_no_ancilla"] == (
-            report["value_nat"] - optimal_gamma(4).rate
+            diagnostics["value_unregularized"] - optimal_gamma(4).rate
         )
 
     def test_dim_cap_from_environment(self, capsys, monkeypatch):
@@ -345,6 +345,18 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [
             next(line for line in lines if "variance_decomposition" in line)
+        ]
+
+    def test_perturbed_max_rate_fails_lagrange_check(self, capsys, monkeypatch):
+        # The projection in brute_force_max_k must referee max_rate at 1e-5.
+        exact = entrate.optimum.max_rate
+        monkeypatch.setattr(
+            entrate.optimum, "max_rate", lambda state: exact(state) * (1 + 1e-5)
+        )
+        assert main(["verify", "--seed", "3", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            next(line for line in lines if "lagrange_vs_bruteforce" in line)
         ]
 
     def test_seed_changes_but_still_passes(self, capsys):

@@ -35,7 +35,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 RICH = FDConfig(step=1e-5, scheme="richardson")
 
 WORKED_RATE = 1.3183347464017314
-GAMMA2 = (0.9167782781338101, 1.3254868386983631)
+GAMMA2 = (0.9167782798004823, 1.3254868386983631)
 
 
 def identity_schmidt(c) -> SchmidtState:
@@ -179,6 +179,16 @@ class TestOptimalGamma:
         assert gamma == pytest.approx(GAMMA2[0], abs=1e-9)
         assert rate == pytest.approx(GAMMA2[1], abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 32, 10_000])
+    def test_root_of_stationarity_to_one_ulp(self, d):
+        def residual(g):
+            return (2.0 * g - 1.0) * math.log(g * (d - 1) / (1.0 - g)) - 2.0
+
+        gamma = optimal_gamma(d).gamma
+        below = residual(math.nextafter(gamma, 0.0))
+        above = residual(math.nextafter(gamma, 1.0))
+        assert (below <= 0.0 <= above) or abs(residual(gamma)) <= 1e-14
+
     def test_symmetric_point_is_zero(self):
         assert max_rate(build_optimal_state(0.5, 2)) == pytest.approx(0.0, abs=1e-12)
 
@@ -235,6 +245,18 @@ class TestBruteForce:
     def test_deterministic(self):
         state = schmidt_decompose(random_state(4, 4, 9))
         assert brute_force_max_k(state, 6, 3) == brute_force_max_k(state, 6, 3)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_projection_is_exact(self, d):
+        for seed in range(3):
+            state = schmidt_decompose(random_state(d, d, (d, seed, 45)))
+            assert brute_force_max_k(state, 1, seed) == pytest.approx(
+                max_rate(state), abs=1e-12
+            )
+
+    def test_rejects_bad_trials(self):
+        with pytest.raises(ValidationError):
+            brute_force_max_k(identity_schmidt([0.6, 0.8]), 0, 0)
 
 
 class TestAchievingHamiltonian:

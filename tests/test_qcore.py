@@ -1,4 +1,4 @@
-"""Foundation layer: states, Schmidt forms, entropy, expm, JSON codec."""
+"""Foundation layer: states, Schmidt forms, entropy, JSON codec."""
 
 import io
 import json
@@ -18,7 +18,6 @@ from entrate.qcore import (
     DUMP_CHUNK,
     assemble_state,
     dump_json,
-    herm_expm,
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
@@ -161,25 +160,6 @@ class TestEntropy:
         assert von_neumann_entropy(q @ rho @ q.conj().T) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-10
         )
-
-
-class TestHermExpm:
-    def test_zero_hamiltonian(self):
-        assert herm_expm(np.zeros((3, 3)), 1.7) == pytest.approx(np.eye(3), abs=1e-14)
-
-    def test_diagonal_at_pi(self):
-        u = herm_expm(np.diag([1.0, -1.0]), math.pi)
-        assert u == pytest.approx(-np.eye(2), abs=1e-12)
-
-    def test_unitarity_and_group_property(self):
-        h = random_hermitian(4, 99)
-        u = herm_expm(h, 0.3)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-        assert u @ herm_expm(h, -0.3) == pytest.approx(np.eye(4), abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestRandomGenerators:

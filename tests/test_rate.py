@@ -27,11 +27,15 @@ from entrate.rate import (
     mean_energy,
     schmidt_block,
     schmidt_columns,
-    schmidt_rotation,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 RICH = FDConfig(step=1e-5, scheme="richardson")
+
+
+def schmidt_rotation(state: SchmidtState) -> np.ndarray:
+    """Reference: the n x n unitary basis_a (x) basis_b, columns the Schmidt products."""
+    return np.kron(state.basis_a, state.basis_b)
 
 
 def identity_schmidt(c) -> SchmidtState:
