@@ -26,7 +26,6 @@ __all__ = [
     "GBlock",
     "AncillaOptimum",
     "SingularityError",
-    "ConvergenceError",
     "DimensionCapError",
     "build_structured_hamiltonian",
     "ancilla_objective",
@@ -46,10 +45,6 @@ SINGULARITY_COND_LIMIT = 1e12
 
 class SingularityError(ValidationError):
     """Unregularized evaluation hit a numerically singular C^T C."""
-
-
-class ConvergenceError(RuntimeError):
-    """No optimizer start converged."""
 
 
 class DimensionCapError(ValidationError):
@@ -336,8 +331,9 @@ def inner_opt_over_g(
     basis block.  The maximizer of obj.g on that ellipsoid is pinv(Q) obj,
     rescaled to |CG|_F = 1; no eigenbasis of C^T C is used.  When the
     objective vanishes (as for a uniform row) the result is
-    (0.0, zero block).  ``starts`` must be >= 1; the result no longer
-    depends on ``starts``, ``seed`` or ``max_iter``.
+    (0.0, zero block).  ``starts``, ``seed`` and ``max_iter`` are accepted
+    so existing calls stay valid (``starts`` must be >= 1); the result
+    depends on none of them.
     """
     if starts < 1:
         raise ValidationError("starts must be >= 1")

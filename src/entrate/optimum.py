@@ -229,15 +229,25 @@ def optimal_design(d: int) -> OptimalDesign:
     )
 
 
-def brute_force_max_k(state: SchmidtState, trials: int, seed: Any) -> float:
+def brute_force_max_k(
+    state: SchmidtState, trials: int = 1, seed: Any = None
+) -> float:
     """Maximize the k-form rate on {|k| = 1, C.k = 0} by a projection.
 
     The k-form rate is a.k with a = -4 C log C, so by Cauchy-Schwarz its
-    maximizer on that set is the normalized projection of a orthogonal to
-    C.  The value is read through :func:`gamma_rate_k`, not through the
-    surprisal variance, so it still checks :func:`max_rate` by another
-    derivation.  ``trials`` must be >= 1; the result no longer depends on
-    ``trials`` or ``seed``.
+    maximizer on that set is the normalized projection k of a orthogonal
+    to C, and the maximum is |k|.  The value is read through
+    :func:`gamma_rate_k`, not through the surprisal variance, so it still
+    checks :func:`max_rate` by another derivation.
+
+    Rounding leaves about eps |a| of k along C; a second projection cuts
+    that to eps |k|.  At equal Schmidt weights a is parallel to C and k is
+    pure rounding noise, itself parallel to C, so normalizing it would read
+    +-2 log d; 0.0 is returned once |k| <= 1e-14 |a|, which is off by at
+    most that bound.
+
+    ``trials`` and ``seed`` are accepted so existing calls stay valid
+    (``trials`` must be >= 1); the result depends on neither.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -246,8 +256,11 @@ def brute_force_max_k(state: SchmidtState, trials: int, seed: Any) -> float:
     mask = c > 0
     a[mask] = -4.0 * c[mask] * np.log(c[mask])
     k = a - (c @ a) * c
+    k -= (c @ k) * c
     norm = float(np.linalg.norm(k))
-    return gamma_rate_k(state, k / norm) if norm > 1e-300 else 0.0
+    if norm <= 1e-14 * float(np.linalg.norm(a)):
+        return 0.0
+    return gamma_rate_k(state, k / norm)
 
 
 def antisymmetric_from_k(c: np.ndarray, k: np.ndarray) -> np.ndarray:

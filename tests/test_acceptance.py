@@ -138,6 +138,40 @@ def test_two_level_optimum_constants_against_inline_grid_oracle():
     assert found.gamma == pytest.approx(0.9168, abs=1e-3)
 
 
+@pytest.mark.parametrize("d", [3, 32])
+def test_optimal_gamma_maximizes_the_family_rate_by_direct_search(d):
+    # oracle independent of the stationarity condition: the surprisal
+    # variance of p = (gamma, (1 - gamma)/(d - 1) x (d - 1)), maximized by
+    # a dense grid on [1/2, 1) plus golden refinement of the best cell
+    def family_rate(g):
+        g = np.asarray(g, dtype=float)
+        l1, l2 = np.log(g), np.log((1.0 - g) / (d - 1))
+        mean = g * l1 + (1.0 - g) * l2
+        f = g * (l1 - mean) ** 2 + (1.0 - g) * (l2 - mean) ** 2
+        return 2.0 * np.sqrt(f)
+
+    grid = np.linspace(0.5, 1.0 - 1e-9, 200_001)
+    best = int(np.argmax(family_rate(grid)))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo + (1 - ratio) * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = family_rate(a), family_rate(b)
+    for _ in range(120):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = family_rate(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = lo + (1 - ratio) * (hi - lo)
+            fa = family_rate(a)
+    gamma_oracle = 0.5 * (lo + hi)
+
+    found = optimal_gamma(d)
+    assert found.gamma == pytest.approx(gamma_oracle, abs=1e-6)
+    assert found.rate == pytest.approx(float(family_rate(gamma_oracle)), abs=1e-12)
+
+
 def test_rate_scales_linearly_while_mean_energy_stays_put():
     # adding (s-1) times the paired antisymmetric piece multiplies the
     # imaginary block by s and leaves the diagonal real part untouched

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 
 from entrate.oracle import FDConfig, fd_rate
 from entrate.qcore import (
+    PureState,
     SchmidtState,
     ValidationError,
     assemble_state,
@@ -257,6 +258,30 @@ class TestBruteForce:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValidationError):
             brute_force_max_k(identity_schmidt([0.6, 0.8]), 0, 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_equal_weights_read_zero(self, d):
+        # [0.5] * 4 sums to exactly 1; 1/sqrt(d) for these d does not, so
+        # the projection is rounding noise lying along C itself
+        state = identity_schmidt([1.0 / math.sqrt(d)] * d)
+        assert brute_force_max_k(state) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_maximally_entangled_state_reads_zero(self, d):
+        amps = np.zeros(d * d, dtype=complex)
+        amps[:: d + 1] = 1.0 / math.sqrt(d)
+        state = schmidt_decompose(PureState(d_a=d, d_b=d, amplitudes=amps))
+        assert brute_force_max_k(state) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("spread", [1e-4, 1e-8, 1e-12])
+    def test_near_equal_weights_stay_exact(self, spread):
+        rng = np.random.default_rng(46)
+        for d in range(2, 9):
+            c = 1.0 + spread * rng.normal(size=d)
+            state = identity_schmidt(np.sort(c / np.linalg.norm(c))[::-1])
+            assert brute_force_max_k(state) == pytest.approx(
+                max_rate(state), abs=1e-12
+            )
 
 
 class TestAchievingHamiltonian:
