@@ -72,14 +72,6 @@ class OptimalDesign:
     hamiltonian: np.ndarray
     rate: float
 
-    def __post_init__(self) -> None:
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > 1e-10:
-            raise ValidationError("optimal Hamiltonian must be Hermitian")
-        if abs(np.trace(h)) > 1e-10:
-            raise ValidationError("optimal Hamiltonian must be traceless")
-        object.__setattr__(self, "hamiltonian", h)
-
 
 def surprisal_variance(p: np.ndarray) -> float:
     """Variance of -log p_i under p: sum p log^2 p - (sum p log p)^2.
@@ -163,19 +155,23 @@ def build_optimal_hamiltonian(d_a: int, d_b: int) -> np.ndarray:
     chosen so entropy grows (rather than shrinks) at the paired optimal
     state.  At every state sqrt(g)|00> + sqrt(1-g) phi of that family
     <H> = 0 and <H^2> = g + (1 - g) = 1, so no rescaling is needed.
+
+    Only the 2(d - 1) entries at (|ii>, |00>) and (|00>, |ii>) are set, in
+    place: column 0 holds i/sqrt(d-1) and row 0 its conjugate, with the
+    real part -0.0 that the product i * (0 - phi) gives.  H is Hermitian and
+    traceless by construction.
     """
     if d_a != d_b:
         raise ValidationError("optimal construction requires d_a == d_b")
     d = d_a
     if d < 2:
         raise ValidationError("dimension must be >= 2")
-    n = d * d
-    phi = np.zeros(n, dtype=complex)
-    for i in range(1, d):
-        phi[i * d + i] = 1.0 / math.sqrt(d - 1)
-    e00 = np.zeros(n, dtype=complex)
-    e00[0] = 1.0
-    return 1j * (np.outer(phi, e00.conj()) - np.outer(e00, phi.conj()))
+    amp = 1.0 / math.sqrt(d - 1)
+    ii = np.arange(1, d) * (d + 1)
+    h = np.zeros((d * d, d * d), dtype=complex)
+    h[ii, 0] = complex(0.0, amp)
+    h[0, ii] = complex(-0.0, -amp)
+    return h
 
 
 def gamma_curve(gamma: np.ndarray, d: int) -> np.ndarray:

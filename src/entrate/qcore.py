@@ -64,13 +64,19 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """Max-norm distance of a square matrix from its conjugate transpose.
 
     Row blocks are compared with the matching column blocks, so no n x n
-    temporary is built.
+    temporary is built.  A matrix with a NaN or infinite entry reads inf:
+    its difference holds NaN (inf - inf) or inf there, and max(0.0, nan)
+    would silently drop the NaN.
     """
     defect = 0.0
     for start in range(0, m.shape[0], HERM_BLOCK):
         rows = m[start:start + HERM_BLOCK]
         cols = m[:, start:start + HERM_BLOCK]
-        defect = max(defect, float(np.max(np.abs(rows - cols.conj().T))))
+        with np.errstate(invalid="ignore"):
+            block = float(np.max(np.abs(rows - cols.conj().T)))
+        if math.isnan(block):
+            return math.inf
+        defect = max(defect, block)
     return defect
 
 
@@ -101,7 +107,8 @@ class PureState:
                 f"expected {self.d_a * self.d_b} amplitudes, got {amp.size}"
             )
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
+        # Written so that a NaN norm fails too.
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -136,7 +143,7 @@ class SchmidtState:
             raise ValidationError(f"expected {d} coefficients, got {c.size}")
         if np.any(c < 0):
             raise ValidationError("Schmidt coefficients must be nonnegative")
-        if abs(float(c @ c) - 1.0) > NORM_TOL:
+        if not abs(float(c @ c) - 1.0) <= NORM_TOL:
             raise ValidationError("squared Schmidt coefficients must sum to 1")
         if np.any(np.diff(c) > 1e-14):
             raise ValidationError("Schmidt coefficients must be sorted nonincreasing")
@@ -251,6 +258,9 @@ def random_hermitian(n: int, seed: Any) -> np.ndarray:
 # Entries per json.dumps call when dump_json streams a file.
 DUMP_CHUNK = 4096
 
+# An entry whose bits are all zero, as json.dumps writes it.
+ZERO_PAIR = "[0.0, 0.0]"
+
 
 # The layouts return the header fields and the entries as one contiguous
 # complex vector in row-major order.
@@ -281,12 +291,34 @@ def state_to_json(psi: PureState) -> dict:
     return {**head, "re_im": _pairs(flat)}
 
 
+def _chunk_text(flat: np.ndarray) -> str:
+    """``json.dumps(_pairs(flat))`` without its outer brackets.
+
+    Entries whose two words are both zero are written as the constant
+    ZERO_PAIR and only the others go through the C encoder.  The test is on
+    bits, not values: -0.0 is not zero here, since its text differs.
+    """
+    words = flat.view(np.uint64).reshape(-1, 2)
+    nonzero = (words[:, 0] | words[:, 1]) != 0
+    if nonzero.all():
+        return json.dumps(_pairs(flat))[1:-1]
+    if not nonzero.any():
+        return ZERO_PAIR + (", " + ZERO_PAIR) * (flat.size - 1)
+    # Encode the nonzero entries in one call and splice them in between the
+    # zeros; a pair's text holds no bracket, so the list splits at "], [".
+    texts = np.empty(flat.size, dtype=object)
+    texts.fill(ZERO_PAIR[1:-1])
+    texts[nonzero] = json.dumps(_pairs(flat[nonzero]))[2:-2].split("], [")
+    return "[" + "], [".join(texts.tolist()) + "]"
+
+
 def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
     """Write ``json.dumps`` of ``state_to_json(value)`` for a state, else of
     ``matrix_to_json(value)``, to a text file, byte for byte.
 
-    The entries go out DUMP_CHUNK at a time, each chunk through the C
-    encoder, so the full list of [re, im] pairs is never built.
+    The entries go out DUMP_CHUNK at a time through :func:`_chunk_text`,
+    so the full list of [re, im] pairs is never built and zero entries are
+    never formatted.
     """
     if isinstance(value, PureState):
         head, flat = _state_layout(value)
@@ -297,7 +329,7 @@ def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
     for start in range(0, flat.size, DUMP_CHUNK):
         if start:
             fh.write(", ")
-        fh.write(json.dumps(_pairs(flat[start:start + DUMP_CHUNK]))[1:-1])
+        fh.write(_chunk_text(flat[start:start + DUMP_CHUNK]))
     fh.write("]}")
 
 

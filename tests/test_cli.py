@@ -137,6 +137,22 @@ class TestRateCommand:
         err = capsys.readouterr().err
         assert "entry 5 of 're_im' is not an [re, im] pair" in err
 
+    @pytest.mark.parametrize("which, token", [
+        ("hamiltonian", "NaN"), ("hamiltonian", "Infinity"), ("state", "NaN")])
+    def test_non_finite_entry_is_input_failure(self, tmp_path, capsys, which, token):
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        obj = json.loads(open(files[which]).read())
+        obj["re_im"][0] = [float(token), 0.0]
+        text = json.dumps(obj)
+        assert token in text
+        files[which] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(text)
+        assert main(["rate", files["state"], files["hamiltonian"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     def test_dim_cap_checked_before_entries(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ENTRATE_DIM_CAP", "16")
         amp = [[0.125, 0.0]] * 64

@@ -158,6 +158,19 @@ class TestOptimalFamily:
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
             assert abs(np.trace(h)) < 1e-14
 
+    @pytest.mark.parametrize("d", [2, 3, 32])
+    def test_hamiltonian_bits_equal_outer_product_formula(self, d):
+        n = d * d
+        phi = np.zeros(n, dtype=complex)
+        for i in range(1, d):
+            phi[i * d + i] = 1.0 / math.sqrt(d - 1)
+        e00 = np.zeros(n, dtype=complex)
+        e00[0] = 1.0
+        reference = 1j * (np.outer(phi, e00.conj()) - np.outer(e00, phi.conj()))
+        h = build_optimal_hamiltonian(d, d)
+        assert h.dtype == complex and h.shape == (n, n)
+        assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
+
     def test_unit_variance_at_paired_state(self):
         for d in (2, 3, 4):
             gamma = optimal_gamma(d).gamma

@@ -44,6 +44,11 @@ class TestPureState:
         with pytest.raises(ValidationError):
             PureState(d_a=2, d_b=2, amplitudes=np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_nan_amplitude_is_rejected(self):
+        amp = np.array([math.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(ValidationError, match="state norm nan"):
+            PureState(d_a=2, d_b=2, amplitudes=amp)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValidationError):
             PureState(d_a=2, d_b=3, amplitudes=np.zeros(4))
@@ -174,6 +179,16 @@ class TestRandomGenerators:
         assert np.array_equal(a, random_hermitian(4, 123))
         assert hermiticity_defect(a) < 1e-14
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan), complex(math.inf, 1.0)])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (200, 200)])
+    def test_non_finite_entry_reads_infinite_defect(self, bad, where):
+        # (200, 200) lies only in the second row block, after a finite first.
+        m = random_hermitian(300, 5)
+        m[where] = bad
+        m[where[::-1]] = np.conj(bad)
+        assert hermiticity_defect(m) == math.inf
+
     @pytest.mark.parametrize("n", [1, 127, 128, 300])
     def test_blocked_defect_equals_dense(self, n):
         rng = np.random.default_rng(n)
@@ -294,6 +309,30 @@ class TestJsonStreaming:
         got = matrix_from_json({"rows": 2, "cols": 1, "re_im": pairs}).reshape(-1)
         assert math.isnan(got[0].real) and got[0].imag == 1.0
         assert same_bits(got[1:], loop_decode(pairs[1:]))
+
+    @pytest.mark.parametrize("case", [
+        "zero_head_and_tail", "zeros_across_chunks", "all_zero", "one_nonzero",
+        "signed_zero_and_subnormal_in_zero_runs", "random_sparse",
+    ])
+    def test_zero_runs_bytes_equal_json_dumps(self, case):
+        rows, cols = (40, 100) if case == "random_sparse" else (3, DUMP_CHUNK)
+        m = np.zeros((rows, cols), dtype=complex)
+        flat = m.reshape(-1)
+        if case == "zero_head_and_tail":
+            flat[5:9] = [1.5, -2j, 0.25 + 0.5j, -1.0]
+        elif case == "zeros_across_chunks":
+            flat[[3, DUMP_CHUNK - 1, 2 * DUMP_CHUNK + 7]] = [1j, 2.0, -3.0 - 4j]
+        elif case == "one_nonzero":
+            flat[DUMP_CHUNK + 11] = complex(0.1, -1 / 3)
+        elif case == "signed_zero_and_subnormal_in_zero_runs":
+            flat[[1, DUMP_CHUNK + 2, 2 * DUMP_CHUNK + 3]] = [
+                complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, 0.0)]
+        elif case == "random_sparse":
+            rng = np.random.default_rng(40)
+            mask = rng.random(m.shape) < 0.1
+            m[mask] = rng.choice(EDGE_VALUES, size=mask.sum()) + 1j * rng.choice(
+                EDGE_VALUES, size=mask.sum())
+        assert dumped(m) == json.dumps(matrix_to_json(m))
 
     def test_writer_never_builds_the_entry_list(self, tmp_path):
         h = build_optimal_hamiltonian(32, 32)
