@@ -300,8 +300,6 @@ def _chunk_text(flat: np.ndarray) -> str:
     """
     words = flat.view(np.uint64).reshape(-1, 2)
     nonzero = (words[:, 0] | words[:, 1]) != 0
-    if nonzero.all():
-        return json.dumps(_pairs(flat))[1:-1]
     if not nonzero.any():
         return ZERO_PAIR + (", " + ZERO_PAIR) * (flat.size - 1)
     # Encode the nonzero entries in one call and splice them in between the

@@ -48,10 +48,17 @@ def test_merges_medians_quartiles_and_counts(tmp_path):
     design = merged["workloads"]["design-export"]
     ops = design["end_to_end"]["ops_per_s"]
     assert ops["better"] == "higher" and ops["unit"] == "1/s"
-    assert ops["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "runs": 5}
-    assert ops["child"] == {"median": 30.0, "q1": 20.0, "q3": 40.0, "runs": 5}
+    assert ops["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "runs": 5,
+                             "values": {"1": 1.0, "2": 2.0, "3": 3.0, "4": 4.0, "5": 5.0}}
+    assert ops["child"] == {"median": 30.0, "q1": 20.0, "q3": 40.0, "runs": 5,
+                            "values": {"1": 10.0, "2": 20.0, "3": 30.0, "4": 40.0, "5": 50.0}}
     assert ops["child_over_parent"] == pytest.approx(10.0)
-    assert design["end_to_end"]["peak_rss_mb"]["child"]["median"] == 53.0
+    assert ops["pairs"] == {"child_better": 5, "pairs": 5}
+    rss = design["end_to_end"]["peak_rss_mb"]
+    assert rss["child"]["median"] == 53.0
+    # Lower is better here; and a tie is no win.
+    assert rss["pairs"] == {"child_better": 5, "pairs": 5}
+    assert design["end_to_end"]["setup_s"]["pairs"] == {"child_better": 0, "pairs": 5}
     assert design["failed"] == {"parent": 0, "child": 3}
     assert design["attempted"] == {"parent": 20, "child": 20}
 
@@ -65,6 +72,7 @@ def test_merges_medians_quartiles_and_counts(tmp_path):
     assert rate["end_to_end"]["ops_per_s"]["parent"]["runs"] == 1
     assert rate["end_to_end"]["ops_per_s"]["child"] is None
     assert "child_over_parent" not in rate["end_to_end"]["ops_per_s"]
+    assert "pairs" not in rate["end_to_end"]["ops_per_s"]
     assert rate["failed"] == {"parent": 1, "child": 0}
     assert "per_layer" not in rate
     assert set(merged["workloads"]) == {"design-export", "rate-check"}
@@ -73,3 +81,10 @@ def test_merges_medians_quartiles_and_counts(tmp_path):
     assert info["nproc"] == os.cpu_count()
     assert info["blas_threads"] == "1"
     assert info["python"] and info["platform"]
+
+
+def test_pairs_count_only_seeds_run_on_both_sides():
+    parent = {1: 5.0, 2: 5.0, 3: 5.0}
+    child = {2: 6.0, 3: 4.0, 4: 9.0}
+    assert bench_json.pair_wins(parent, child, "higher") == {"child_better": 1, "pairs": 2}
+    assert bench_json.pair_wins(parent, child, "lower") == {"child_better": 1, "pairs": 2}

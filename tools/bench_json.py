@@ -7,13 +7,16 @@ Each directory holds the files ``perfbench/run.py`` writes to
 version of the program.  The output gives, for each workload:
 
 * each end-to-end metric of the root's ``BENCHMARK.json``: the median, first and
-  third quartile and run count of the untraced (trace-0) runs, for the
-  parent and the child, and the child median over the parent median;
+  third quartile, run count and per-seed values of the untraced (trace-0)
+  runs, for the parent and the child; the child median over the parent
+  median; and, over the seeds run on both sides, in how many pairs the
+  child is better;
 * ``failed`` and ``attempted`` summed over those runs;
 * with trace-1 files, each per-layer metric's median over the traced runs.
 
 It also records the machine it runs on, so run it on the machine that
-produced the result files.  Standard library only.
+produced the result files; the result files do not record it.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_NAME = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json$")
+BLAS_SETTING = re.compile(r'"OPENBLAS_NUM_THREADS":\s*"(\d+)"')
 
 
 def load_runs(directory: str) -> dict:
-    """{(workload, trace): [result, ...]} from the result files in a directory."""
+    """{(workload, trace): {seed: result}} from the result files in a directory."""
     runs: dict = {}
     for name in sorted(os.listdir(directory)):
         match = RESULT_NAME.match(name)
@@ -41,36 +45,50 @@ def load_runs(directory: str) -> dict:
         with open(os.path.join(directory, name), encoding="utf-8") as fh:
             result = json.load(fh)
         key = (match["workload"], int(match["trace"]))
-        runs.setdefault(key, []).append(result)
+        runs.setdefault(key, {})[int(match["seed"])] = result
     return runs
 
 
-def summary(values: list[float]) -> dict:
-    """Median, quartiles (inclusive method) and count of a list of values."""
-    if len(values) > 1:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+def summary(values: dict[int, float]) -> dict:
+    """Median, quartiles (inclusive method), count and the values by seed."""
+    ordered = list(values.values())
+    if len(ordered) > 1:
+        q1, median, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
     else:
-        q1 = median = q3 = values[0]
-    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+        q1 = median = q3 = ordered[0]
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(ordered),
+            "values": {str(seed): values[seed] for seed in sorted(values)}}
 
 
-def metric_values(results: list[dict], name: str) -> list[float]:
-    return [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+def metric_values(results: dict[int, dict], name: str) -> dict[int, float]:
+    return {seed: r["metrics"][name]["value"]
+            for seed, r in results.items() if name in r["metrics"]}
+
+
+def pair_wins(parent: dict[int, float], child: dict[int, float], better: str) -> dict:
+    """Over the seeds run on both sides, how often the child is strictly better."""
+    seeds = sorted(parent.keys() & child.keys())
+    if better == "higher":
+        wins = sum(child[s] > parent[s] for s in seeds)
+    else:
+        wins = sum(child[s] < parent[s] for s in seeds)
+    return {"child_better": wins, "pairs": len(seeds)}
 
 
 def blas_threads() -> str | None:
-    """The BLAS thread count perfbench/run.py fixes for its processes."""
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    """The OpenBLAS thread count perfbench/run.py sets for the processes it
+    runs, read from its source text: the result files do not record it."""
     try:
-        from run import BLAS_ENV
-    except ImportError:
+        with open(os.path.join(ROOT, "perfbench", "run.py"), encoding="utf-8") as fh:
+            match = BLAS_SETTING.search(fh.read())
+    except OSError:
         return None
-    finally:
-        sys.path.pop(0)
-    return BLAS_ENV.get("OPENBLAS_NUM_THREADS")
+    return match[1] if match else None
 
 
 def machine() -> dict:
+    """The host that runs this merge, which should be the one that ran the
+    benchmark."""
     try:
         numpy_version = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
@@ -86,20 +104,22 @@ def machine() -> dict:
 
 def workload_entry(benchmark: dict, parent: dict, child: dict, workload: str) -> dict:
     sides = {"parent": parent, "child": child}
-    untraced = {side: runs.get((workload, 0), []) for side, runs in sides.items()}
-    traced = {side: runs.get((workload, 1), []) for side, runs in sides.items()}
+    untraced = {side: runs.get((workload, 0), {}) for side, runs in sides.items()}
+    traced = {side: runs.get((workload, 1), {}) for side, runs in sides.items()}
     entry: dict = {"end_to_end": {}}
     for metric in benchmark["end_to_end"]:
         name = metric["name"]
         row = {"unit": metric["unit"], "better": metric["better"]}
-        for side, results in untraced.items():
-            values = metric_values(results, name)
-            row[side] = summary(values) if values else None
-        if row["parent"] and row["child"] and row["parent"]["median"]:
-            row["child_over_parent"] = row["child"]["median"] / row["parent"]["median"]
+        values = {side: metric_values(results, name) for side, results in untraced.items()}
+        for side, side_values in values.items():
+            row[side] = summary(side_values) if side_values else None
+        if row["parent"] and row["child"]:
+            if row["parent"]["median"]:
+                row["child_over_parent"] = row["child"]["median"] / row["parent"]["median"]
+            row["pairs"] = pair_wins(values["parent"], values["child"], metric["better"])
         entry["end_to_end"][name] = row
     for count in ("failed", "attempted"):
-        entry[count] = {side: sum(r[count] for r in results)
+        entry[count] = {side: sum(r[count] for r in results.values())
                         for side, results in untraced.items()}
     if any(traced.values()):
         entry["per_layer"] = {}
@@ -107,7 +127,7 @@ def workload_entry(benchmark: dict, parent: dict, child: dict, workload: str) ->
             name = metric["name"]
             row = {"unit": metric["unit"], "better": metric["better"]}
             for side, results in traced.items():
-                values = metric_values(results, name)
+                values = list(metric_values(results, name).values())
                 row[side] = statistics.median(values) if values else None
                 row[side + "_runs"] = len(values)
             entry["per_layer"][name] = row
