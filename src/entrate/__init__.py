@@ -5,8 +5,8 @@ entropy for a pure state evolving under a Hamiltonian, and optimizes
 that rate over states and interactions subject to a unit bound on the
 energy variance.  Core objects:
 
-- :mod:`entrate.qcore` -- states, Schmidt decompositions, entropies,
-  (de)serialization.
+- :mod:`entrate.qcore` -- states, Schmidt decompositions, spectrum
+  entropies, (de)serialization.
 - :mod:`entrate.rate` -- the closed-form rate and energy statistics in
   the Schmidt frame.
 - :mod:`entrate.optimum` -- exact optimizers at fixed and free Schmidt
@@ -42,17 +42,15 @@ from .optimum import (
     optimal_gamma,
     surprisal_variance,
 )
-from .oracle import FDConfig, direct_stats, fd_rate
+from .oracle import direct_stats, fd_rate
 from .qcore import (
     PureState,
     SchmidtState,
     ValidationError,
     assemble_state,
-    partial_trace_b,
     random_hermitian,
     random_state,
     schmidt_decompose,
-    von_neumann_entropy,
 )
 from .rate import (
     EnergyStats,
@@ -70,7 +68,6 @@ __all__ = [
     "AncillaCoeffs",
     "AncillaOptimum",
     "EnergyStats",
-    "FDConfig",
     "GBlock",
     "LagrangeSolution",
     "OptimalDesign",
@@ -97,13 +94,11 @@ __all__ = [
     "mean_energy",
     "optimal_design",
     "optimal_gamma",
-    "partial_trace_b",
     "random_hermitian",
     "random_state",
     "recover_g",
     "schmidt_block",
     "schmidt_decompose",
-    "von_neumann_entropy",
     "surprisal_variance",
     "sup_search",
     "__version__",

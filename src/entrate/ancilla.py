@@ -18,8 +18,8 @@ from typing import Any
 import numpy as np
 
 from .optimum import optimal_gamma
-from .oracle import FDConfig, fd_rate
-from .qcore import PureState, ValidationError, hermiticity_defect
+from .oracle import fd_rate
+from .qcore import HERM_TOL, PureState, ValidationError, hermiticity_defect
 
 __all__ = [
     "AncillaCoeffs",
@@ -119,11 +119,12 @@ class GBlock:
         return m - m.T
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-10) -> "GBlock":
+    def from_matrix(cls, m: np.ndarray) -> "GBlock":
+        """Block of a real matrix antisymmetric to within HERM_TOL."""
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("block must be a square matrix")
-        if m.size and np.max(np.abs(m + m.T)) > tol:
+        if m.size and np.max(np.abs(m + m.T)) > HERM_TOL:
             raise ValidationError("block must be antisymmetric")
         sym = (m - m.T) / 2.0
         return cls(upper=sym[np.triu_indices(m.shape[0], 1)], d=m.shape[0])
@@ -317,12 +318,7 @@ def recover_g(
     return (block, defect) if return_defect else block
 
 
-def inner_opt_over_g(
-    coeffs: AncillaCoeffs,
-    starts: int = 8,
-    seed: Any = 0,
-    max_iter: int = 2000,
-) -> tuple[float, GBlock]:
+def inner_opt_over_g(coeffs: AncillaCoeffs) -> tuple[float, GBlock]:
     """Maximize the objective over antisymmetric G at |CG|_F = 1 by a solve.
 
     Independent of the closed form: in the coordinates g of G's strict
@@ -331,12 +327,8 @@ def inner_opt_over_g(
     basis block.  The maximizer of obj.g on that ellipsoid is pinv(Q) obj,
     rescaled to |CG|_F = 1; no eigenbasis of C^T C is used.  When the
     objective vanishes (as for a uniform row) the result is
-    (0.0, zero block).  ``starts``, ``seed`` and ``max_iter`` are accepted
-    so existing calls stay valid (``starts`` must be >= 1); the result
-    depends on none of them.
+    (0.0, zero block).
     """
-    if starts < 1:
-        raise ValidationError("starts must be >= 1")
     c = coeffs.c
     d = coeffs.d_a
     iu = np.triu_indices(d, 1)
@@ -471,28 +463,24 @@ def sup_search(
 # --- oracle arbitration -----------------------------------------------------
 
 
-def assemble_and_arbitrate(
-    coeffs: AncillaCoeffs,
-    g: GBlock,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    fd: FDConfig = FDConfig(scheme="richardson"),
-) -> float:
+def assemble_and_arbitrate(coeffs: AncillaCoeffs, g: GBlock) -> float:
     """Finite-difference rate of the fully assembled ancilla system.
 
     Builds the global pure state sum_ab C_ab |ab>(A'A) |ab>(BB') on the
     ordering A' x A x B x B' with mirrored dimensions, extends the
     Schmidt-diagonal block Hamiltonian with identity ancilla factors,
     and differentiates the evolved entanglement numerically.  The result
-    arbitrates every sign and factor convention of the matrix forms.
+    arbitrates every sign and factor convention of the matrix forms.  An
+    assembled dimension above DEFAULT_DIM_CAP raises DimensionCapError.
     """
     if g.d != coeffs.d_a:
         raise ValidationError("block dimension does not match the coefficients")
     d_ancilla, d_a = coeffs.c.shape
     d_b, d_ancilla_b = d_a, d_ancilla
     total = d_ancilla * d_a * d_b * d_ancilla_b
-    if total > dim_cap:
+    if total > DEFAULT_DIM_CAP:
         raise DimensionCapError(
-            f"assembled dimension {total} exceeds the cap {dim_cap}"
+            f"assembled dimension {total} exceeds the cap {DEFAULT_DIM_CAP}"
         )
 
     amplitudes = np.zeros(total, dtype=complex)
@@ -510,4 +498,4 @@ def assemble_and_arbitrate(
         for j in range(d_a):
             h_ab[i * d_b + i, j * d_b + j] = 1j * g_mat[i, j]
     h = build_structured_hamiltonian(h_ab, d_ancilla, d_ancilla_b)
-    return fd_rate(psi, h, fd)
+    return fd_rate(psi, h)

@@ -11,13 +11,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ancilla as anc
 from . import optimum as opt
-from .oracle import FDConfig, direct_stats, fd_rate
+from .oracle import direct_stats, fd_rate
 from .qcore import (
     PureState,
     ValidationError,
@@ -35,57 +34,36 @@ from .qcore import (
 )
 from .rate import energy_stats, gamma_rate, mean_energy, schmidt_block
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 LN2 = math.log(2.0)
 
 
-def _dim_cap() -> int:
+def _check_cap(product: int) -> None:
+    """Reject a product dimension above ENTRATE_DIM_CAP, or above
+    DEFAULT_DIM_CAP when that variable is unset or empty."""
     raw = os.environ.get("ENTRATE_DIM_CAP", "")
     try:
-        return int(raw) if raw else anc.DEFAULT_DIM_CAP
+        cap = int(raw) if raw else anc.DEFAULT_DIM_CAP
     except ValueError:
         raise ValidationError(f"ENTRATE_DIM_CAP must be an integer, got {raw!r}")
+    if product > cap:
+        raise ValidationError(f"product dimension {product} exceeds cap {cap}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    d_a: int = 2
-    d_b: int = 2
-    d_ancilla_a: int = 1
-    d_ancilla_b: int = 1
-    seed: int = 0
-    log_base: str = "nat"
-    tolerance: float = 1e-5
-    starts: int = 8
-    max_iter: int = 300
-    fd_step: float = 1e-5
-    output_path: str | None = None
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        dims = (self.d_a, self.d_b, self.d_ancilla_a, self.d_ancilla_b)
-        if any(d < 1 for d in dims):
-            raise ValidationError("all dimensions must be >= 1")
-        product = self.d_a * self.d_b * self.d_ancilla_a * self.d_ancilla_b
-        cap = _dim_cap()
-        if product > cap:
-            raise ValidationError(f"product dimension {product} exceeds cap {cap}")
-        if self.starts < 1:
-            raise ValidationError("starts must be >= 1")
-        if self.log_base not in ("nat", "2"):
-            raise ValidationError("log base must be 'nat' or '2'")
-        if self.format not in ("json", "csv"):
-            raise ValidationError("format must be 'json' or 'csv'")
+def _check_dims(*dims: int) -> None:
+    """Reject a local dimension below 1 or a product above the cap."""
+    if min(dims) < 1:
+        raise ValidationError("all dimensions must be >= 1")
+    _check_cap(math.prod(dims))
 
 
-def _scale(cfg: RunConfig) -> float:
-    return 1.0 / LN2 if cfg.log_base == "2" else 1.0
+def _scale(log_base: str) -> float:
+    return 1.0 / LN2 if log_base == "2" else 1.0
 
 
-def _emit(report: dict, cfg: RunConfig, out) -> None:
-    if cfg.format == "csv":
+def _emit(report: dict, fmt: str, out) -> None:
+    if fmt == "csv":
         for key, value in report.items():
             if isinstance(value, (dict, list)):
                 value = json.dumps(value, sort_keys=True)
@@ -105,51 +83,50 @@ def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
     state_obj = _load_json(state_path)
     ham_obj = _load_json(ham_path)
     d_a, d_b = state_json_dims(state_obj)
-    product = max(d_a * d_b, *matrix_json_shape(ham_obj))
-    cap = _dim_cap()
-    if product > cap:
-        raise ValidationError(f"product dimension {product} exceeds cap {cap}")
+    _check_cap(max(d_a * d_b, *matrix_json_shape(ham_obj)))
     return state_from_json(state_obj), matrix_from_json(ham_obj)
 
 
-def cmd_rate(cfg: RunConfig, state_path: str, ham_path: str, out) -> int:
-    psi, h = _load_pair(state_path, ham_path)
+def cmd_rate(args: argparse.Namespace, out) -> int:
+    psi, h = _load_pair(args.state, args.hamiltonian)
 
     state = schmidt_decompose(psi)
     block = schmidt_block(h, state)
     closed = gamma_rate(state, block)
-    oracle = fd_rate(psi, h, FDConfig(step=cfg.fd_step, scheme="richardson"))
+    oracle = fd_rate(psi, h)
     stats = energy_stats(psi, h)
-    scale = _scale(cfg)
+    scale = _scale(args.log_base)
 
     report = {
         "gamma_rate": closed * scale,
         "fd_rate": oracle * scale,
         "difference": (closed - oracle) * scale,
-        "log_base": cfg.log_base,
-        "tolerance": cfg.tolerance,
+        "log_base": args.log_base,
+        "tolerance": args.tol,
         "energy_stats": stats.as_dict(),
     }
-    _emit(report, cfg, out)
+    _emit(report, args.format, out)
     # The rate is bounded by a multiple of Delta H, so the tolerance is
     # relative to that scale; an eigenstate (scale 0) keeps it absolute.
     rate_scale = max(abs(closed), math.sqrt(stats.variance)) or 1.0
-    return 0 if abs(closed - oracle) <= cfg.tolerance * rate_scale else 1
+    return 0 if abs(closed - oracle) <= args.tol * rate_scale else 1
 
 
-def cmd_optimize(cfg: RunConfig, out) -> int:
-    if cfg.d_ancilla_a > 1 or cfg.command == "optimize-ancilla":
+def cmd_optimize(args: argparse.Namespace, out) -> int:
+    if args.dim_b is not None and args.dim_b != args.dim:
+        raise ValidationError("the optimal construction needs --dim-b == --dim")
+    if args.ancilla is not None:
         result = anc.sup_search(
-            cfg.d_a, cfg.d_ancilla_a, starts=cfg.starts, seed=cfg.seed,
-            max_iter=cfg.max_iter,
+            args.dim, args.ancilla, starts=args.starts, seed=args.seed,
+            max_iter=args.max_iter,
         )
-        _emit(result.as_dict(), cfg, out)
+        _emit(result.as_dict(), args.format, out)
         if result.converged_fraction == 0:
             print("numeric failure: no start converged", file=sys.stderr)
             return 1
         return 0
 
-    design = opt.optimal_design(cfg.d_a)
+    design = opt.optimal_design(args.dim)
     psi = assemble_state(design.state)
     report = {
         "gamma_star": design.gamma,
@@ -157,20 +134,21 @@ def cmd_optimize(cfg: RunConfig, out) -> int:
         "rate_bits": design.rate / LN2,
         "dim": design.d,
     }
-    if cfg.output_path:
+    if args.out:
         for key, value in (("state", psi), ("hamiltonian", design.hamiltonian)):
-            path = f"{cfg.output_path}_{key}.json"
+            path = f"{args.out}_{key}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 dump_json(value, fh)
             report[key] = path
     else:
         report["state"] = state_to_json(psi)
         report["hamiltonian"] = matrix_to_json(design.hamiltonian)
-    _emit(report, cfg, out)
+    _emit(report, args.format, out)
     return 0
 
 
-def _sweep_rows(cfg: RunConfig, dim_range: str | None, gamma_grid: int | None):
+def _sweep_rows(args: argparse.Namespace):
+    dim_range, gamma_grid = args.dim_range, args.gamma_grid
     if dim_range is not None:
         try:
             lo, hi = (int(part) for part in dim_range.split(".."))
@@ -181,20 +159,20 @@ def _sweep_rows(cfg: RunConfig, dim_range: str | None, gamma_grid: int | None):
         for d in range(lo, hi + 1):
             yield d, opt.optimal_gamma(d).rate
     else:
-        if gamma_grid is None or gamma_grid < 1:
+        if gamma_grid < 1:
             raise ValidationError("gamma grid size must be >= 1")
         for i in range(gamma_grid):
             gamma = (i + 1) / (gamma_grid + 1)
-            yield gamma, float(opt.gamma_curve(np.array([gamma]), cfg.d_a)[0])
+            yield gamma, float(opt.gamma_curve(np.array([gamma]), args.dim)[0])
 
 
-def cmd_sweep(
-    cfg: RunConfig, dim_range: str | None, gamma_grid: int | None, out
-) -> int:
-    rows = list(_sweep_rows(cfg, dim_range, gamma_grid))
-    sink = open(cfg.output_path, "w", encoding="utf-8") if cfg.output_path else out
+def cmd_sweep(args: argparse.Namespace, out) -> int:
+    if (args.dim_range is None) == (args.gamma_grid is None):
+        raise ValidationError("pass exactly one of --dim-range/--gamma-grid")
+    rows = list(_sweep_rows(args))
+    sink = open(args.out, "w", encoding="utf-8") if args.out else out
     try:
-        if cfg.format == "json":
+        if args.format == "json":
             payload = [
                 {"param": p, "rate_nat": r, "rate_bits": r / LN2} for p, r in rows
             ]
@@ -209,16 +187,15 @@ def cmd_sweep(
     return 0
 
 
-def _verify_checks(cfg: RunConfig, trials: int, sign: float):
-    rng_dims = np.random.default_rng((cfg.seed, 101))
-    fd_cfg = FDConfig(step=cfg.fd_step, scheme="richardson")
+def _verify_checks(seed: int, trials: int, sign: float):
+    rng_dims = np.random.default_rng((seed, 101))
 
     def instances():
         for t in range(trials):
             d_a = int(rng_dims.integers(2, 4))
             d_b = int(rng_dims.integers(2, 4))
-            psi = random_state(d_a, d_b, (cfg.seed, t, 0))
-            h = random_hermitian(d_a * d_b, (cfg.seed, t, 1))
+            psi = random_state(d_a, d_b, (seed, t, 0))
+            h = random_hermitian(d_a * d_b, (seed, t, 1))
             yield psi, h
 
     err_rate = 0.0
@@ -230,7 +207,7 @@ def _verify_checks(cfg: RunConfig, trials: int, sign: float):
         state = schmidt_decompose(psi)
         block = schmidt_block(h, state)
         closed = sign * gamma_rate(state, block)
-        err_rate = max(err_rate, abs(closed - fd_rate(psi, h, fd_cfg)))
+        err_rate = max(err_rate, abs(closed - fd_rate(psi, h)))
         stats = energy_stats(psi, h)
         mean_direct, var_direct = direct_stats(psi, h)
         err_var = max(
@@ -250,17 +227,17 @@ def _verify_checks(cfg: RunConfig, trials: int, sign: float):
 
     err_lu = 0.0
     for t in range(trials):
-        psi = random_state(2, 3, (cfg.seed, t, 2))
-        h = random_hermitian(6, (cfg.seed, t, 3))
+        psi = random_state(2, 3, (seed, t, 2))
+        h = random_hermitian(6, (seed, t, 3))
         state = schmidt_decompose(psi)
         base = sign * gamma_rate(state, schmidt_block(h, state))
         ru = np.linalg.qr(
-            np.random.default_rng((cfg.seed, t, 4)).normal(size=(2, 2))
-            + 1j * np.random.default_rng((cfg.seed, t, 5)).normal(size=(2, 2))
+            np.random.default_rng((seed, t, 4)).normal(size=(2, 2))
+            + 1j * np.random.default_rng((seed, t, 5)).normal(size=(2, 2))
         )[0]
         rv = np.linalg.qr(
-            np.random.default_rng((cfg.seed, t, 6)).normal(size=(3, 3))
-            + 1j * np.random.default_rng((cfg.seed, t, 7)).normal(size=(3, 3))
+            np.random.default_rng((seed, t, 6)).normal(size=(3, 3))
+            + 1j * np.random.default_rng((seed, t, 7)).normal(size=(3, 3))
         )[0]
         u = np.kron(ru, rv)
         psi2 = PureState(d_a=2, d_b=3, amplitudes=u @ psi.amplitudes)
@@ -272,7 +249,7 @@ def _verify_checks(cfg: RunConfig, trials: int, sign: float):
 
     err_lagr = 0.0
     for t in range(trials):
-        psi = random_state(3, 3, (cfg.seed, t, 8))
+        psi = random_state(3, 3, (seed, t, 8))
         state = schmidt_decompose(psi)
         err_lagr = max(
             err_lagr,
@@ -283,7 +260,7 @@ def _verify_checks(cfg: RunConfig, trials: int, sign: float):
     err_id = 0.0
     err_arb = 0.0
     for t in range(trials):
-        rng = np.random.default_rng((cfg.seed, t, 9))
+        rng = np.random.default_rng((seed, t, 9))
         coeffs = anc.AncillaCoeffs.normalized(np.abs(rng.normal(size=(2, 2))) + 0.05)
         raw = rng.normal(size=(2, 2))
         g = anc.GBlock.from_matrix(raw - raw.T)
@@ -307,11 +284,13 @@ def _verify_checks(cfg: RunConfig, trials: int, sign: float):
     yield "ancilla_arbitration", err_arb, 2e-6
 
 
-def cmd_verify(cfg: RunConfig, trials: int, inject_sign_flip: bool, out) -> int:
-    sign = -1.0 if inject_sign_flip else 1.0
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    if args.trials < 1:
+        raise ValidationError("trials must be >= 1")
+    sign = -1.0 if args.inject_sign_flip else 1.0
     failures = 0
     lines = []
-    for name, err, tol in _verify_checks(cfg, trials, sign):
+    for name, err, tol in _verify_checks(args.seed, args.trials, sign):
         ok = err < tol
         failures += 0 if ok else 1
         lines.append(
@@ -321,92 +300,71 @@ def cmd_verify(cfg: RunConfig, trials: int, inject_sign_flip: bool, out) -> int:
         print(line, file=out)
     print(
         f"{len(lines) - failures}/{len(lines)} checks passed "
-        f"(seed={cfg.seed}, trials={trials})",
+        f"(seed={args.seed}, trials={args.trials})",
         file=out,
     )
     return 0 if failures == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--log-base", choices=("nat", "2"), default="nat")
-    common.add_argument("--tol", type=float, default=1e-5)
-    common.add_argument("--starts", type=int, default=8)
-    common.add_argument("--max-iter", type=int, default=300)
-    common.add_argument("--fd-step", type=float, default=1e-5)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
+def _add_shared_flags(p: argparse.ArgumentParser, default_format: str) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--log-base", choices=("nat", "2"), default="nat")
+    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrate",
         description="Entanglement rates of bipartite dynamics at unit energy variance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rate = sub.add_parser("rate", parents=[common],
-                            help="closed-form vs finite-difference rate of a pair")
+    p_rate = sub.add_parser("rate", help="closed-form vs finite-difference rate of a pair")
+    _add_shared_flags(p_rate, "json")
     p_rate.add_argument("state", help="pure-state JSON file")
     p_rate.add_argument("hamiltonian", help="Hamiltonian JSON file")
+    p_rate.set_defaults(run=cmd_rate)
 
-    p_optimize = sub.add_parser("optimize", parents=[common],
+    p_optimize = sub.add_parser("optimize",
                                 help="optimal state and Hamiltonian for a dimension")
+    _add_shared_flags(p_optimize, "json")
     p_optimize.add_argument("--dim", type=int, required=True)
     p_optimize.add_argument("--dim-b", type=int, default=None)
     p_optimize.add_argument("--ancilla", type=int, default=None)
+    p_optimize.set_defaults(run=cmd_optimize)
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="CSV sweep over dimension or gamma")
+    p_sweep = sub.add_parser("sweep", help="CSV sweep over dimension or gamma")
+    _add_shared_flags(p_sweep, "csv")
     p_sweep.add_argument("--dim", type=int, default=2)
     p_sweep.add_argument("--dim-range", default=None, help="inclusive range 'a..b'")
     p_sweep.add_argument("--gamma-grid", type=int, default=None)
+    p_sweep.set_defaults(run=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="cross-module invariant suite")
+    p_verify = sub.add_parser("verify", help="cross-module invariant suite")
+    _add_shared_flags(p_verify, "json")
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--inject-sign-flip", action="store_true",
                           help="negate the closed-form rate (mutation check)")
+    p_verify.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out = sys.stdout
+    args = _build_parser().parse_args(argv)
     try:
-        d_a = getattr(args, "dim", 2) or 2
-        d_b = getattr(args, "dim_b", None) or d_a
-        ancilla_dim = getattr(args, "ancilla", None) or 1
-        default_format = "csv" if args.command == "sweep" else "json"
-        command = args.command
-        if command == "optimize" and args.ancilla is not None:
-            command = "optimize-ancilla"
-        cfg = RunConfig(
-            command=command,
-            d_a=d_a,
-            d_b=d_b,
-            d_ancilla_a=ancilla_dim,
-            d_ancilla_b=ancilla_dim,
-            seed=args.seed,
-            log_base=args.log_base,
-            tolerance=args.tol,
-            starts=args.starts,
-            max_iter=args.max_iter,
-            fd_step=args.fd_step,
-            output_path=args.out,
-            format=args.format or default_format,
-        )
-        if args.command == "rate":
-            return cmd_rate(cfg, args.state, args.hamiltonian, out)
         if args.command == "optimize":
-            if args.dim_b is not None and args.dim_b != args.dim:
-                raise ValidationError("the optimal construction needs --dim-b == --dim")
-            return cmd_optimize(cfg, out)
-        if args.command == "sweep":
-            if (args.dim_range is None) == (args.gamma_grid is None):
-                raise ValidationError("pass exactly one of --dim-range/--gamma-grid")
-            return cmd_sweep(cfg, args.dim_range, args.gamma_grid, out)
-        return cmd_verify(cfg, args.trials, args.inject_sign_flip, out)
+            ancilla = 1 if args.ancilla is None else args.ancilla
+            d_b = args.dim if args.dim_b is None else args.dim_b
+            _check_dims(args.dim, d_b, ancilla, ancilla)
+        elif args.command == "sweep":
+            _check_dims(args.dim, args.dim)
+        if args.starts < 1:
+            raise ValidationError("starts must be >= 1")
+        return args.run(args, sys.stdout)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,9 +225,7 @@ def optimal_design(d: int) -> OptimalDesign:
     )
 
 
-def brute_force_max_k(
-    state: SchmidtState, trials: int = 1, seed: Any = None
-) -> float:
+def brute_force_max_k(state: SchmidtState) -> float:
     """Maximize the k-form rate on {|k| = 1, C.k = 0} by a projection.
 
     The k-form rate is a.k with a = -4 C log C, so by Cauchy-Schwarz its
@@ -241,12 +239,7 @@ def brute_force_max_k(
     pure rounding noise, itself parallel to C, so normalizing it would read
     +-2 log d; 0.0 is returned once |k| <= 1e-14 |a|, which is off by at
     most that bound.
-
-    ``trials`` and ``seed`` are accepted so existing calls stay valid
-    (``trials`` must be >= 1); the result depends on neither.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
     c = state.coefficients
     a = np.zeros_like(c)
     mask = c > 0
@@ -277,17 +270,14 @@ def antisymmetric_from_k(c: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.outer(k, c) - np.outer(c, k)
 
 
-def achieving_hamiltonian(
-    state: SchmidtState, solution: LagrangeSolution | None = None
-) -> np.ndarray:
+def achieving_hamiltonian(state: SchmidtState) -> np.ndarray:
     """Hamiltonian attaining the maximal rate at unit imaginary variance.
 
     Embeds i times the minimal-norm antisymmetric block built from the
     Lagrange k on the Schmidt-diagonal subspace, in the computational
     basis of the state: V (i M_I) V^H with V from :func:`schmidt_columns`.
     """
-    if solution is None:
-        solution = lagrange_solve(state)
+    solution = lagrange_solve(state)
     d = state.rank_dim
     m_i = (
         np.zeros((d, d))

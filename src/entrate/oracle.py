@@ -8,8 +8,6 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qcore import (
@@ -21,10 +19,10 @@ from .qcore import (
     spectrum_entropy,
 )
 
-__all__ = ["FDConfig", "fd_rate", "direct_stats"]
+__all__ = ["fd_rate", "direct_stats"]
 
-_SCHEMES = ("central", "richardson")
-
+# Largest step of the finite-difference stencil.
+STEP = 1e-5
 # Largest phase step * |H|_1 the oracle takes: the step is capped at
 # MAX_PHASE / |H|_1, so the finite-difference truncation error stays a
 # fixed fraction of the rate whatever the scale of H.  The Richardson error
@@ -34,27 +32,6 @@ _SCHEMES = ("central", "richardson")
 MAX_PHASE = 2e-3
 # Truncation target for the Taylor series: unit roundoff of float64.
 _TAYLOR_TOL = 2.0**-53
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """Finite-difference settings.
-
-    ``central`` uses the two-point stencil with O(step^2) truncation
-    error; ``richardson`` extrapolates a four-point stencil to O(step^4)
-    and is preferred near degenerate spectra.  ``fd_rate`` caps the step
-    at MAX_PHASE / |H|_1.
-    """
-
-    step: float = 1e-5
-    scheme: str = "central"
-    entropy_log_base: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 1e-8 <= self.step <= 1e-2:
-            raise ValidationError(f"step {self.step!r} outside [1e-8, 1e-2]")
-        if self.scheme not in _SCHEMES:
-            raise ValidationError(f"scheme must be one of {_SCHEMES}")
 
 
 def _norm_1(h: np.ndarray) -> float:
@@ -82,12 +59,13 @@ def _scaled_taylor_terms(h: np.ndarray, psi: np.ndarray, step: float, theta: flo
     return terms
 
 
-def fd_rate(psi: PureState, h: np.ndarray, cfg: FDConfig = FDConfig()) -> float:
+def fd_rate(psi: PureState, h: np.ndarray) -> float:
     """Numerical d/dt at t=0 of the reduced-state entropy under exp(-iHt).
 
-    The step is ``cfg.step`` capped at MAX_PHASE / |H|_1 (``cfg.step``
-    itself when H = 0); the entropy at each stencil point comes from the
-    singular values of the evolved d_a x d_b amplitude matrix.
+    Richardson's four-point stencil at +-s, +-2s, whose truncation error is
+    O(s^4), with the step s = STEP capped at MAX_PHASE / |H|_1 (STEP itself
+    when H = 0); the entropy at each stencil point comes from the singular
+    values of the evolved d_a x d_b amplitude matrix.
     """
     h = np.asarray(h, dtype=complex)
     n = psi.d_a * psi.d_b
@@ -97,7 +75,7 @@ def fd_rate(psi: PureState, h: np.ndarray, cfg: FDConfig = FDConfig()) -> float:
         raise ValidationError("Hamiltonian must be Hermitian")
 
     norm = _norm_1(h)
-    s = min(cfg.step, MAX_PHASE / norm) if norm > 0 else cfg.step
+    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k.
     terms = _scaled_taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
@@ -105,10 +83,8 @@ def fd_rate(psi: PureState, h: np.ndarray, cfg: FDConfig = FDConfig()) -> float:
     def entropy_at(m: int) -> float:
         phi = sum((-1j * m) ** k * q for k, q in enumerate(terms))
         sv = np.linalg.svd(phi.reshape(psi.d_a, psi.d_b), compute_uv=False)
-        return spectrum_entropy(sv**2, cfg.entropy_log_base)
+        return spectrum_entropy(sv**2)
 
-    if cfg.scheme == "central":
-        return (entropy_at(1) - entropy_at(-1)) / (2 * s)
     return (
         8 * (entropy_at(1) - entropy_at(-1))
         - (entropy_at(2) - entropy_at(-2))

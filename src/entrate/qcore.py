@@ -26,8 +26,6 @@ __all__ = [
     "SchmidtState",
     "schmidt_decompose",
     "assemble_state",
-    "partial_trace_b",
-    "von_neumann_entropy",
     "spectrum_entropy",
     "random_state",
     "random_hermitian",
@@ -47,9 +45,8 @@ HERM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
 # Eigenvalues below this floor contribute nothing to entropies (the
-# x log x -> 0 limit); values below NEG_EIGENVALUE_LIMIT are rejected.
+# x log x -> 0 limit).
 ENTROPY_EIGEN_FLOOR = 1e-12
-NEG_EIGENVALUE_LIMIT = -1e-8
 
 
 class ValidationError(ValueError):
@@ -80,16 +77,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return defect
 
 
-def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    defect = hermiticity_defect(m)
-    if defect > HERM_TOL:
-        raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})")
-    return m
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state of a d_a x d_b bipartite system."""
@@ -115,9 +102,6 @@ class PureState:
     def as_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to d_a x d_b (rows index subsystem A)."""
         return self.amplitudes.reshape(self.d_a, self.d_b)
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -188,47 +172,13 @@ def assemble_state(state: SchmidtState) -> PureState:
     return PureState(d_a=state.d_a, d_b=state.d_b, amplitudes=m.reshape(-1))
 
 
-def partial_trace_b(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Trace out subsystem B of a density matrix on A x B."""
-    rho = np.asarray(rho, dtype=complex)
-    n = d_a * d_b
-    if rho.shape != (n, n):
-        raise ValidationError(f"expected a {n}x{n} matrix, got shape {rho.shape}")
-    _require_hermitian(rho, "density matrix")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ValidationError("density matrix must have unit trace")
-    return np.einsum("abcb->ac", rho.reshape(d_a, d_b, d_a, d_b))
-
-
-def von_neumann_entropy(rho: np.ndarray, log_base: float | None = None) -> float:
-    """Entropy -sum lambda log lambda of a density matrix.
-
-    Eigenvalues at or below the floor are clamped to zero; anything
-    below -1e-8 is rejected as non-positive-semidefinite.  ``log_base``
-    of None means natural log.
-    """
-    rho = _require_hermitian(np.asarray(rho, dtype=complex), "density matrix")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValidationError("density matrix must have unit trace")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < NEG_EIGENVALUE_LIMIT:
-        raise ValidationError(
-            f"eigenvalue {evals.min():.3e} below {NEG_EIGENVALUE_LIMIT:.0e}"
-        )
-    return spectrum_entropy(evals, log_base)
-
-
-def spectrum_entropy(p: np.ndarray, log_base: float | None = None) -> float:
-    """Entropy -sum p log p of a probability spectrum.
+def spectrum_entropy(p: np.ndarray) -> float:
+    """Entropy -sum p log p of a probability spectrum, in nats.
 
     Entries at or below ENTROPY_EIGEN_FLOOR contribute nothing.
-    ``log_base`` of None means natural log.
     """
     p = p[p > ENTROPY_EIGEN_FLOOR]
-    s = float(-(p * np.log(p)).sum())
-    if log_base is not None:
-        s /= math.log(log_base)
-    return s
+    return float(-(p * np.log(p)).sum())
 
 
 def random_state(d_a: int, d_b: int, seed: Any) -> PureState:

@@ -62,12 +62,6 @@ class SchmidtBlock:
     def dim(self) -> int:
         return int(self.m.shape[0])
 
-    @classmethod
-    def from_imag(cls, m_i: np.ndarray) -> "SchmidtBlock":
-        """Block with zero real part from a real antisymmetric matrix."""
-        m_i = np.asarray(m_i, dtype=float)
-        return cls(m=1j * m_i)
-
 
 @dataclass(frozen=True)
 class EnergyStats:

@@ -380,6 +380,55 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
+class TestInputFailures:
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["optimize", "--dim", "0"], "all dimensions must be >= 1",
+                     id="optimize-dim-0"),
+        pytest.param(["sweep", "--gamma-grid", "3", "--dim", "0"],
+                     "all dimensions must be >= 1", id="sweep-dim-0"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "0"],
+                     "all dimensions must be >= 1", id="ancilla-0"),
+        pytest.param(["optimize", "--dim", "1"], "dimension must be >= 2",
+                     id="optimize-dim-1"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "-1"],
+                     "all dimensions must be >= 1", id="ancilla-negative"),
+        pytest.param(["verify", "--trials", "0"], "trials must be >= 1",
+                     id="trials-0"),
+        pytest.param(["verify", "--trials", "-3"], "trials must be >= 1",
+                     id="trials-negative"),
+        pytest.param(["optimize", "--dim", "7", "--ancilla", "10"],
+                     "product dimension 4900 exceeds cap 4096", id="over-cap"),
+        pytest.param(["optimize", "--dim", "2", "--starts", "0"],
+                     "starts must be >= 1", id="optimize-starts-0"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "0"],
+                     "starts must be >= 1", id="ancilla-starts-0"),
+        pytest.param(["verify", "--starts", "0"], "starts must be >= 1",
+                     id="verify-starts-0"),
+    ])
+    def test_exit_2_with_an_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["rate", "optimize", "sweep"])
+    def test_non_integer_dim_cap_is_input_failure(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "abc")
+        argv = {"rate": ["rate", *write_worked_pair(tmp_path)],
+                "optimize": ["optimize", "--dim", "2"],
+                "sweep": ["sweep", "--dim-range", "2..3"]}[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: ENTRATE_DIM_CAP must be an integer, got 'abc'\n")
+
+    def test_fd_step_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", *write_worked_pair(tmp_path), "--fd-step", "1e-4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
+
+
 class TestConsistency:
     def test_optimize_matches_library(self, capsys):
         main(["optimize", "--dim", "4"])

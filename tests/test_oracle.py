@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 import entrate.oracle
-from entrate.oracle import MAX_PHASE, FDConfig, direct_stats, fd_rate
+from entrate.oracle import MAX_PHASE, STEP, direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
     ValidationError,
     random_hermitian,
     random_state,
     schmidt_decompose,
-    von_neumann_entropy,
 )
 from entrate.rate import gamma_rate, schmidt_block
+
+from test_qcore import von_neumann_entropy
 
 WORKED_RATE = 1.3183347464017314
 
@@ -34,23 +35,12 @@ def worked_pair():
     return psi, h
 
 
-class TestFDConfig:
-    def test_step_window(self):
-        with pytest.raises(ValidationError):
-            FDConfig(step=1e-9)
-        with pytest.raises(ValidationError):
-            FDConfig(step=0.1)
-
-    def test_scheme_names(self):
-        with pytest.raises(ValidationError):
-            FDConfig(scheme="forward")
-
-
 class TestFDRate:
     def test_worked_example_two_steps(self):
+        # |H|_1 = 1: the step is STEP, and at H x 400 it is capped at 5e-6.
         psi, h = worked_pair()
-        for step in (1e-5, 2e-5):
-            got = fd_rate(psi, h, FDConfig(step=step, scheme="central"))
+        for scale in (1.0, 400.0):
+            got = fd_rate(psi, scale * h) / scale
             assert got == pytest.approx(WORKED_RATE, abs=1e-6)
 
     def test_real_hamiltonian_in_schmidt_basis(self):
@@ -65,25 +55,10 @@ class TestFDRate:
         h = random_hermitian(4, 7)
         assert fd_rate(psi, h) == pytest.approx(0.0, abs=1e-6)
 
-    def test_step_halving_is_second_order(self):
-        psi, h = worked_pair()
-        err = [
-            abs(fd_rate(psi, h, FDConfig(step=s, scheme="central")) - WORKED_RATE)
-            for s in (2e-3, 1e-3)
-        ]
-        ratio = err[0] / err[1]
-        assert 3.0 < ratio < 5.0  # O(h^2) truncation
-
     def test_sign_symmetry(self):
         psi = random_state(2, 3, 8)
         h = random_hermitian(6, 9)
         assert fd_rate(psi, h) == pytest.approx(-fd_rate(psi, -h), abs=2e-6)
-
-    def test_richardson_beats_central_on_worked_example(self):
-        psi, h = worked_pair()
-        central = abs(fd_rate(psi, h, FDConfig(step=1e-4, scheme="central")) - WORKED_RATE)
-        rich = abs(fd_rate(psi, h, FDConfig(step=1e-4, scheme="richardson")) - WORKED_RATE)
-        assert rich < central
 
     def test_near_degenerate_coefficients_relaxed_tolerance(self):
         # two Schmidt coefficients 1e-8 apart flatten the entropy curve;
@@ -96,7 +71,7 @@ class TestFDRate:
         h = random_hermitian(4, 77)
         state = schmidt_decompose(psi)
         closed = gamma_rate(state, schmidt_block(h, state))
-        got = fd_rate(psi, h, FDConfig(step=1e-5, scheme="richardson"))
+        got = fd_rate(psi, h)
         assert got == pytest.approx(closed, abs=1e-5)
 
     def test_rejects_non_hermitian(self):
@@ -120,10 +95,10 @@ class TestDirectStats:
         assert var == pytest.approx(0.0, abs=1e-12)
 
 
-def eigh_fd_rate(psi, h, cfg):
+def eigh_fd_rate(psi, h):
     """fd_rate's stencil on states evolved exactly through eigh(H)."""
     norm = np.abs(h).sum(axis=1).max()
-    s = min(cfg.step, MAX_PHASE / norm) if norm > 0 else cfg.step
+    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi.amplitudes
 
@@ -131,39 +106,33 @@ def eigh_fd_rate(psi, h, cfg):
         m = (evecs @ (np.exp(-1j * evals * t) * coeff)).reshape(psi.d_a, psi.d_b)
         return von_neumann_entropy(m @ m.conj().T)
 
-    if cfg.scheme == "central":
-        return (entropy_at(s) - entropy_at(-s)) / (2 * s)
     return (8 * (entropy_at(s) - entropy_at(-s))
             - (entropy_at(2 * s) - entropy_at(-2 * s))) / (12 * s)
 
 
-RICH = FDConfig(step=1e-5, scheme="richardson")
-
-
 class TestTaylorAction:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4), (3, 5)])
-    @pytest.mark.parametrize("scheme", ["central", "richardson"])
+    @pytest.mark.parametrize("scheme", ["richardson"])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_matches_eigh_evolution(self, dims, scheme, scale):
         # At H x 1e3 the step is capped, at H x 1 it is not.
-        cfg = FDConfig(step=1e-5, scheme=scheme)
         for seed in range(3):
             psi = random_state(*dims, (seed, 50))
             h = scale * random_hermitian(dims[0] * dims[1], (seed, 51))
-            assert fd_rate(psi, h, cfg) == pytest.approx(
-                eigh_fd_rate(psi, h, cfg), rel=1e-9, abs=1e-9
+            assert fd_rate(psi, h) == pytest.approx(
+                eigh_fd_rate(psi, h), rel=1e-9, abs=1e-9
             )
 
     def test_zero_hamiltonian_gives_zero(self):
         psi = random_state(2, 3, 52)
-        assert fd_rate(psi, np.zeros((6, 6), dtype=complex), RICH) == 0.0
+        assert fd_rate(psi, np.zeros((6, 6), dtype=complex)) == 0.0
 
     def test_no_n_by_n_temporaries_at_n_1024(self):
         psi = random_state(32, 32, 53)
         h = random_hermitian(1024, 54)
         tracemalloc.start()
         try:
-            fd_rate(psi, h, RICH)
+            fd_rate(psi, h)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,4 +163,4 @@ class TestScaledHamiltonians:
             h = scale * random_hermitian(dims[0] * dims[1], (seed, 1))
             state = schmidt_decompose(psi)
             closed = gamma_rate(state, schmidt_block(h, state))
-            assert abs(fd_rate(psi, h, RICH) - closed) <= 1e-8 * abs(closed)
+            assert abs(fd_rate(psi, h) - closed) <= 1e-8 * abs(closed)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from entrate.optimum import build_optimal_hamiltonian
 from entrate.qcore import (
+    HERM_TOL,
     PureState,
     SchmidtState,
     ValidationError,
@@ -21,16 +22,64 @@ from entrate.qcore import (
     hermiticity_defect,
     matrix_from_json,
     matrix_to_json,
-    partial_trace_b,
     random_hermitian,
     random_state,
     schmidt_decompose,
+    spectrum_entropy,
     state_from_json,
     state_to_json,
-    von_neumann_entropy,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# Density-matrix references, also used by test_oracle's exact-evolution
+# stencil; von_neumann_entropy rejects eigenvalues below this limit.
+NEG_EIGENVALUE_LIMIT = -1e-8
+
+
+def density(psi: PureState) -> np.ndarray:
+    return np.outer(psi.amplitudes, psi.amplitudes.conj())
+
+
+def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {m.shape}")
+    defect = hermiticity_defect(m)
+    if defect > HERM_TOL:
+        raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})")
+    return m
+
+
+def partial_trace_b(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Trace out subsystem B of a density matrix on A x B."""
+    rho = np.asarray(rho, dtype=complex)
+    n = d_a * d_b
+    if rho.shape != (n, n):
+        raise ValidationError(f"expected a {n}x{n} matrix, got shape {rho.shape}")
+    _require_hermitian(rho, "density matrix")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise ValidationError("density matrix must have unit trace")
+    return np.einsum("abcb->ac", rho.reshape(d_a, d_b, d_a, d_b))
+
+
+def von_neumann_entropy(rho: np.ndarray, log_base: float | None = None) -> float:
+    """Entropy -sum lambda log lambda of a density matrix.
+
+    Eigenvalues at or below the floor are clamped to zero; anything
+    below NEG_EIGENVALUE_LIMIT is rejected as non-positive-semidefinite.
+    ``log_base`` of None means natural log.
+    """
+    rho = _require_hermitian(np.asarray(rho, dtype=complex), "density matrix")
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValidationError("density matrix must have unit trace")
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < NEG_EIGENVALUE_LIMIT:
+        raise ValidationError(
+            f"eigenvalue {evals.min():.3e} below {NEG_EIGENVALUE_LIMIT:.0e}"
+        )
+    s = spectrum_entropy(evals)
+    return s / math.log(log_base) if log_base is not None else s
 
 
 def bell_state() -> PureState:
@@ -115,21 +164,21 @@ class TestPartialTrace:
     def test_pure_product(self):
         amp = np.zeros(4, dtype=complex)
         amp[0] = 1.0
-        rho_a = partial_trace_b(PureState(2, 2, amp).density(), 2, 2)
+        rho_a = partial_trace_b(density(PureState(2, 2, amp)), 2, 2)
         assert rho_a == pytest.approx(np.diag([1.0, 0.0]), abs=1e-14)
 
     def test_maximally_entangled_gives_maximally_mixed(self):
-        rho_a = partial_trace_b(bell_state().density(), 2, 2)
+        rho_a = partial_trace_b(density(bell_state()), 2, 2)
         assert rho_a == pytest.approx(np.eye(2) / 2, abs=1e-14)
 
     def test_schmidt_squares_on_diagonal(self):
         amp = np.zeros(4, dtype=complex)
         amp[0], amp[3] = math.sqrt(0.9), math.sqrt(0.1)
-        rho_a = partial_trace_b(PureState(2, 2, amp).density(), 2, 2)
+        rho_a = partial_trace_b(density(PureState(2, 2, amp)), 2, 2)
         assert rho_a == pytest.approx(np.diag([0.9, 0.1]), abs=1e-14)
 
     def test_trace_preserved(self):
-        rho = random_state(3, 4, 5).density()
+        rho = density(random_state(3, 4, 5))
         rho_a = partial_trace_b(rho, 3, 4)
         assert np.trace(rho_a).real == pytest.approx(1.0, abs=1e-12)
 
@@ -160,7 +209,7 @@ class TestEntropy:
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(11)
-        rho = random_state(2, 2, 3).density()
+        rho = density(random_state(2, 2, 3))
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         assert von_neumann_entropy(q @ rho @ q.conj().T) == pytest.approx(
             von_neumann_entropy(rho), abs=1e-10

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrate.oracle import FDConfig, direct_stats, fd_rate
+from entrate.oracle import direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
     SchmidtState,
@@ -30,7 +30,6 @@ from entrate.rate import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-RICH = FDConfig(step=1e-5, scheme="richardson")
 
 
 def schmidt_rotation(state: SchmidtState) -> np.ndarray:
@@ -243,7 +242,7 @@ class TestBlockSufficiency:
         state = schmidt_decompose(psi)
         h = random_hermitian(4, 32)
         base_rate = gamma_rate(state, schmidt_block(h, state))
-        base_fd = fd_rate(psi, h, RICH)
+        base_fd = fd_rate(psi, h)
 
         w = schmidt_rotation(state)
         extra = np.zeros((4, 4), dtype=complex)
@@ -258,7 +257,7 @@ class TestBlockSufficiency:
             assert gamma_rate(state, schmidt_block(h2, state)) == pytest.approx(
                 base_rate, abs=1e-10
             )
-            assert fd_rate(psi, h2, RICH) == pytest.approx(base_fd, abs=2e-6)
+            assert fd_rate(psi, h2) == pytest.approx(base_fd, abs=2e-6)
 
 
 class TestInvariances:
