@@ -384,6 +384,8 @@ def sup_search(
         raise ValidationError("d_ancilla must be >= 1")
     if starts < 1:
         raise ValidationError("starts must be >= 1")
+    if max_iter < 1:
+        raise ValidationError("max_iter must be >= 1")
 
     shape = (d_ancilla, d_a)
     no_ancilla = optimal_gamma(d_a)

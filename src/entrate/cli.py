@@ -58,6 +58,11 @@ def _check_dims(*dims: int) -> None:
     _check_cap(math.prod(dims))
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValidationError("seed must be >= 0")
+
+
 def _scale(log_base: str) -> float:
     return 1.0 / LN2 if log_base == "2" else 1.0
 
@@ -88,6 +93,8 @@ def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
 
 
 def cmd_rate(args: argparse.Namespace, out) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValidationError("tol must be finite and >= 0")
     psi, h = _load_pair(args.state, args.hamiltonian)
 
     state = schmidt_decompose(psi)
@@ -113,19 +120,25 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace, out) -> int:
-    if args.dim_b is not None and args.dim_b != args.dim:
-        raise ValidationError("the optimal construction needs --dim-b == --dim")
+    ancilla = 1 if args.ancilla is None else args.ancilla
+    _check_dims(args.dim, args.dim, ancilla, ancilla)
+    # Flags of the ancilla search; an unset one takes sup_search's default.
+    search = {name: getattr(args, name) for name in ("starts", "max_iter", "seed")
+              if getattr(args, name) is not None}
     if args.ancilla is not None:
-        result = anc.sup_search(
-            args.dim, args.ancilla, starts=args.starts, seed=args.seed,
-            max_iter=args.max_iter,
-        )
+        if args.out is not None:
+            raise ValidationError("--out cannot be used with --ancilla")
+        _check_seed(args.seed)
+        result = anc.sup_search(args.dim, args.ancilla, **search)
         _emit(result.as_dict(), args.format, out)
         if result.converged_fraction == 0:
             print("numeric failure: no start converged", file=sys.stderr)
             return 1
         return 0
 
+    if search:
+        flag = "--" + next(iter(search)).replace("_", "-")
+        raise ValidationError(f"{flag} needs --ancilla")
     design = opt.optimal_design(args.dim)
     psi = assemble_state(design.state)
     report = {
@@ -147,8 +160,7 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _sweep_rows(args: argparse.Namespace):
-    dim_range, gamma_grid = args.dim_range, args.gamma_grid
+def _sweep_rows(dim_range: str | None, gamma_grid: int | None, dim: int):
     if dim_range is not None:
         try:
             lo, hi = (int(part) for part in dim_range.split(".."))
@@ -163,13 +175,17 @@ def _sweep_rows(args: argparse.Namespace):
             raise ValidationError("gamma grid size must be >= 1")
         for i in range(gamma_grid):
             gamma = (i + 1) / (gamma_grid + 1)
-            yield gamma, float(opt.gamma_curve(np.array([gamma]), args.dim)[0])
+            yield gamma, float(opt.gamma_curve(np.array([gamma]), dim)[0])
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
+    if args.dim is not None and args.dim_range is not None:
+        raise ValidationError("--dim cannot be used with --dim-range")
+    dim = 2 if args.dim is None else args.dim
+    _check_dims(dim, dim)
     if (args.dim_range is None) == (args.gamma_grid is None):
         raise ValidationError("pass exactly one of --dim-range/--gamma-grid")
-    rows = list(_sweep_rows(args))
+    rows = list(_sweep_rows(args.dim_range, args.gamma_grid, dim))
     sink = open(args.out, "w", encoding="utf-8") if args.out else out
     try:
         if args.format == "json":
@@ -287,6 +303,7 @@ def _verify_checks(seed: int, trials: int, sign: float):
 def cmd_verify(args: argparse.Namespace, out) -> int:
     if args.trials < 1:
         raise ValidationError("trials must be >= 1")
+    _check_seed(args.seed)
     sign = -1.0 if args.inject_sign_flip else 1.0
     failures = 0
     lines = []
@@ -306,46 +323,43 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_shared_flags(p: argparse.ArgumentParser, default_format: str) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log-base", choices=("nat", "2"), default="nat")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrate",
         description="Entanglement rates of bipartite dynamics at unit energy variance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = ("json", "csv")
 
     p_rate = sub.add_parser("rate", help="closed-form vs finite-difference rate of a pair")
-    _add_shared_flags(p_rate, "json")
     p_rate.add_argument("state", help="pure-state JSON file")
     p_rate.add_argument("hamiltonian", help="Hamiltonian JSON file")
+    p_rate.add_argument("--tol", type=float, default=1e-5)
+    p_rate.add_argument("--log-base", choices=("nat", "2"), default="nat")
+    p_rate.add_argument("--format", choices=formats, default="json")
     p_rate.set_defaults(run=cmd_rate)
 
     p_optimize = sub.add_parser("optimize",
                                 help="optimal state and Hamiltonian for a dimension")
-    _add_shared_flags(p_optimize, "json")
     p_optimize.add_argument("--dim", type=int, required=True)
-    p_optimize.add_argument("--dim-b", type=int, default=None)
     p_optimize.add_argument("--ancilla", type=int, default=None)
+    p_optimize.add_argument("--out", default=None, help="file prefix; not with --ancilla")
+    p_optimize.add_argument("--format", choices=formats, default="json")
+    p_optimize.add_argument("--starts", type=int, help="with --ancilla only")
+    p_optimize.add_argument("--max-iter", type=int, help="with --ancilla only")
+    p_optimize.add_argument("--seed", type=int, help="with --ancilla only")
     p_optimize.set_defaults(run=cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over dimension or gamma")
-    _add_shared_flags(p_sweep, "csv")
-    p_sweep.add_argument("--dim", type=int, default=2)
+    p_sweep.add_argument("--dim", type=int, help="with --gamma-grid only (default 2)")
     p_sweep.add_argument("--dim-range", default=None, help="inclusive range 'a..b'")
     p_sweep.add_argument("--gamma-grid", type=int, default=None)
+    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--format", choices=formats, default="csv")
     p_sweep.set_defaults(run=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="cross-module invariant suite")
-    _add_shared_flags(p_verify, "json")
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--inject-sign-flip", action="store_true",
                           help="negate the closed-form rate (mutation check)")
@@ -356,14 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "optimize":
-            ancilla = 1 if args.ancilla is None else args.ancilla
-            d_b = args.dim if args.dim_b is None else args.dim_b
-            _check_dims(args.dim, d_b, ancilla, ancilla)
-        elif args.command == "sweep":
-            _check_dims(args.dim, args.dim)
-        if args.starts < 1:
-            raise ValidationError("starts must be >= 1")
         return args.run(args, sys.stdout)
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

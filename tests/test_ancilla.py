@@ -435,6 +435,12 @@ class TestSupSearch:
         with pytest.raises(ValidationError):
             sup_search(2, 0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        # With no ascent step no start can converge: that is bad input.
+        with pytest.raises(ValidationError, match="max_iter must be >= 1"):
+            sup_search(2, 2, starts=2, max_iter=max_iter)
+
 
 class TestArbitration:
     def test_zero_block(self):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -93,6 +94,20 @@ class TestRateCommand:
         state_file, ham_file = write_worked_pair(tmp_path)
         assert main(["rate", state_file, ham_file, "--tol", "1e-15"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_out_of_range_is_input_failure(self, tmp_path, capsys, tol):
+        # No difference can satisfy a negative or NaN bound; all would exit 1.
+        state_file, ham_file = write_worked_pair(tmp_path)
+        assert main(["rate", state_file, ham_file, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be finite and >= 0\n"
+
+    def test_zero_tolerance_is_valid_input(self, tmp_path, capsys):
+        state_file, ham_file = write_worked_pair(tmp_path)
+        assert main(["rate", state_file, ham_file, "--tol", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
 
     def test_large_norm_pair_passes(self, tmp_path, capsys):
         # An absolute oracle step left the difference above --tol here.
@@ -242,6 +257,14 @@ class TestOptimizeCommand:
         main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "2", "--seed", "4"])
         assert capsys.readouterr().out == first
 
+    def test_unset_search_flags_take_sup_search_defaults(self, capsys):
+        assert main(["optimize", "--dim", "2", "--ancilla", "2"]) == 0
+        first = capsys.readouterr().out
+        argv = ["optimize", "--dim", "2", "--ancilla", "2",
+                "--starts", "8", "--max-iter", "300", "--seed", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_ancilla_without_converged_start_is_numeric_failure(self, capsys):
         argv = ["optimize", "--dim", "4", "--ancilla", "2", "--max-iter", "1",
                 "--starts", "2"]
@@ -269,8 +292,11 @@ class TestOptimizeCommand:
         capsys.readouterr()
 
     def test_mismatched_dim_b_rejected(self, capsys):
-        assert main(["optimize", "--dim", "2", "--dim-b", "3"]) == 2
-        capsys.readouterr()
+        # The optimal construction has d_B = d_A, so there is no --dim-b.
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--dim", "2", "--dim-b", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dim-b 3" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -380,6 +406,32 @@ class TestVerifyCommand:
         capsys.readouterr()
 
 
+PAIR = object()          # stands for the two files of the worked pair
+UNRECOGNIZED = object()  # argparse's rejection of an undeclared flag
+
+# The flags each subcommand reads, and no others.
+PARSER_SURFACE = {
+    "rate": {"--tol", "--log-base", "--format"},
+    "optimize": {"--dim", "--ancilla", "--out", "--format", "--starts", "--max-iter",
+                 "--seed"},
+    "sweep": {"--dim", "--dim-range", "--gamma-grid", "--out", "--format"},
+    "verify": {"--seed", "--trials", "--inject-sign-flip"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    parser = entrate.cli._build_parser()
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    surface = {
+        name: {flag for action in sub._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == PARSER_SURFACE
+    assert sum(map(len, surface.values())) == 18
+
+
 class TestInputFailures:
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["optimize", "--dim", "0"], "all dimensions must be >= 1",
@@ -399,11 +451,17 @@ class TestInputFailures:
         pytest.param(["optimize", "--dim", "7", "--ancilla", "10"],
                      "product dimension 4900 exceeds cap 4096", id="over-cap"),
         pytest.param(["optimize", "--dim", "2", "--starts", "0"],
-                     "starts must be >= 1", id="optimize-starts-0"),
+                     "--starts needs --ancilla", id="optimize-starts-0"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "0"],
                      "starts must be >= 1", id="ancilla-starts-0"),
-        pytest.param(["verify", "--starts", "0"], "starts must be >= 1",
-                     id="verify-starts-0"),
+        pytest.param(["verify", "--trials", "2", "--seed", "-1"],
+                     "seed must be >= 0", id="verify-seed-negative"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--seed", "-1",
+                      "--starts", "2"], "seed must be >= 0", id="ancilla-seed-negative"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--max-iter", "0",
+                      "--starts", "2"], "max_iter must be >= 1", id="max-iter-0"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--max-iter", "-3",
+                      "--starts", "2"], "max_iter must be >= 1", id="max-iter-negative"),
     ])
     def test_exit_2_with_an_error_line(self, capsys, argv, message):
         assert main(argv) == 2
@@ -421,6 +479,69 @@ class TestInputFailures:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: ENTRATE_DIM_CAP must be an integer, got 'abc'\n")
+
+    @pytest.mark.parametrize("argv, rejection", [
+        # Flags the subcommand does not declare: argparse exits 2.
+        pytest.param(["rate", PAIR, "--out", "r.txt"], UNRECOGNIZED, id="rate-out"),
+        pytest.param(["rate", PAIR, "--starts", "3"], UNRECOGNIZED, id="rate-starts"),
+        pytest.param(["rate", PAIR, "--max-iter", "1"], UNRECOGNIZED,
+                     id="rate-max-iter"),
+        pytest.param(["rate", PAIR, "--seed", "9"], UNRECOGNIZED, id="rate-seed"),
+        pytest.param(["optimize", "--dim", "3", "--dim-b", "3"], UNRECOGNIZED,
+                     id="optimize-dim-b"),
+        pytest.param(["optimize", "--dim", "2", "--tol", "1e-30"], UNRECOGNIZED,
+                     id="optimize-tol"),
+        pytest.param(["optimize", "--dim", "2", "--log-base", "2"], UNRECOGNIZED,
+                     id="optimize-log-base"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--log-base", "2"],
+                     UNRECOGNIZED, id="sweep-log-base"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--seed", "4"], UNRECOGNIZED,
+                     id="sweep-seed"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--tol", "1e-30"], UNRECOGNIZED,
+                     id="sweep-tol"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--starts", "3"], UNRECOGNIZED,
+                     id="sweep-starts"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--max-iter", "1"],
+                     UNRECOGNIZED, id="sweep-max-iter"),
+        pytest.param(["verify", "--trials", "1", "--out", "v.txt"], UNRECOGNIZED,
+                     id="verify-out"),
+        pytest.param(["verify", "--trials", "1", "--tol", "1e-30"], UNRECOGNIZED,
+                     id="verify-tol"),
+        pytest.param(["verify", "--trials", "1", "--log-base", "2"], UNRECOGNIZED,
+                     id="verify-log-base"),
+        pytest.param(["verify", "--trials", "1", "--format", "csv"], UNRECOGNIZED,
+                     id="verify-format"),
+        pytest.param(["verify", "--starts", "0"], UNRECOGNIZED, id="verify-starts-0"),
+        pytest.param(["verify", "--trials", "1", "--max-iter", "1"], UNRECOGNIZED,
+                     id="verify-max-iter"),
+        # Flags read in only one mode of the subcommand: exit 2 in the other.
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--out", "P"],
+                     "--out cannot be used with --ancilla", id="ancilla-out"),
+        pytest.param(["optimize", "--dim", "2", "--starts", "3"],
+                     "--starts needs --ancilla", id="optimize-starts"),
+        pytest.param(["optimize", "--dim", "2", "--max-iter", "5"],
+                     "--max-iter needs --ancilla", id="optimize-max-iter"),
+        pytest.param(["optimize", "--dim", "2", "--seed", "4"],
+                     "--seed needs --ancilla", id="optimize-seed"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--dim", "3"],
+                     "--dim cannot be used with --dim-range", id="sweep-range-dim"),
+    ])
+    def test_unread_flag_is_rejected(self, tmp_path, capsys, monkeypatch, argv,
+                                     rejection):
+        monkeypatch.chdir(tmp_path)
+        pair = write_worked_pair(tmp_path)
+        argv = [arg for item in argv for arg in (pair if item is PAIR else [item])]
+        if rejection is UNRECOGNIZED:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: " in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {rejection}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ham.json", "state.json"]
 
     def test_fd_step_flag_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
