@@ -21,6 +21,7 @@ from .qcore import (
     PureState,
     ValidationError,
     assemble_state,
+    compact_entries,
     dump_json,
     matrix_from_json,
     matrix_json_shape,
@@ -28,6 +29,7 @@ from .qcore import (
     random_hermitian,
     random_state,
     schmidt_decompose,
+    split_compact,
     state_from_json,
     state_json_dims,
     state_to_json,
@@ -63,6 +65,15 @@ def _check_seed(seed: int | None) -> None:
         raise ValidationError("seed must be >= 0")
 
 
+def _check_out(out: str | None) -> None:
+    if out == "":
+        raise ValidationError("--out must not be empty")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _scale(log_base: str) -> float:
     return 1.0 / LN2 if log_base == "2" else 1.0
 
@@ -79,17 +90,48 @@ def _emit(report: dict, fmt: str, out) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # Not JSON, not UTF-8, an integer with more digits than int()
+            # reads, or lists nested deeper than the recursion limit.
+            raise ValidationError(str(exc)) from None
+
+
+def _read_json(path: str) -> tuple[dict, str | None]:
+    """The header and flat entry text of a compact file (see split_compact),
+    or any other file parsed whole by json.load, with None for the text.
+    The file is read as json.load reads it, so both see the same text."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            parts = split_compact(fh.read())
+        except UnicodeDecodeError:
+            parts = None
+    return parts if parts is not None else (_load_json(path), None)
+
+
+def _with_entries(path: str, obj: dict, text: str | None,
+                  expected: int) -> tuple[dict, np.ndarray | None]:
+    """obj and the entries parsed from its flat text, if it has one.  Text
+    that does not parse sends the file through json.load after all, so that
+    it fails as it would there."""
+    if text is None:
+        return obj, None
+    entries = compact_entries(text, expected)
+    return (obj, entries) if entries is not None else (_load_json(path), None)
 
 
 def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
     """Decode a (state, Hamiltonian) pair, checking the dimension cap on both
-    before any entry is decoded; the parsed JSON is dropped on return."""
-    state_obj = _load_json(state_path)
-    ham_obj = _load_json(ham_path)
+    before any entry of a compact file is parsed, or any entry is decoded."""
+    state_obj, state_text = _read_json(state_path)
+    ham_obj, ham_text = _read_json(ham_path)
     d_a, d_b = state_json_dims(state_obj)
-    _check_cap(max(d_a * d_b, *matrix_json_shape(ham_obj)))
-    return state_from_json(state_obj), matrix_from_json(ham_obj)
+    rows, cols = matrix_json_shape(ham_obj)
+    _check_cap(max(d_a * d_b, rows, cols))
+    psi = state_from_json(*_with_entries(state_path, state_obj, state_text, d_a * d_b))
+    h = matrix_from_json(*_with_entries(ham_path, ham_obj, ham_text, rows * cols))
+    return psi, h
 
 
 def cmd_rate(args: argparse.Namespace, out) -> int:
@@ -120,6 +162,7 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace, out) -> int:
+    _check_out(args.out)
     ancilla = 1 if args.ancilla is None else args.ancilla
     _check_dims(args.dim, args.dim, ancilla, ancilla)
     # Flags of the ancilla search; an unset one takes sup_search's default.
@@ -129,6 +172,12 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
         if args.out is not None:
             raise ValidationError("--out cannot be used with --ancilla")
         _check_seed(args.seed)
+        # sup_search checks these too, but names its own parameters.
+        if args.dim < 2:
+            raise ValidationError("dimension must be >= 2")
+        for name in ("starts", "max_iter"):
+            if search.get(name, 1) < 1:
+                raise ValidationError(f"{_flag(name)} must be >= 1")
         result = anc.sup_search(args.dim, args.ancilla, **search)
         _emit(result.as_dict(), args.format, out)
         if result.converged_fraction == 0:
@@ -137,8 +186,7 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
         return 0
 
     if search:
-        flag = "--" + next(iter(search)).replace("_", "-")
-        raise ValidationError(f"{flag} needs --ancilla")
+        raise ValidationError(f"{_flag(next(iter(search)))} needs --ancilla")
     design = opt.optimal_design(args.dim)
     psi = assemble_state(design.state)
     report = {
@@ -147,7 +195,7 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
         "rate_bits": design.rate / LN2,
         "dim": design.d,
     }
-    if args.out:
+    if args.out is not None:
         for key, value in (("state", psi), ("hamiltonian", design.hamiltonian)):
             path = f"{args.out}_{key}.json"
             with open(path, "w", encoding="utf-8") as fh:
@@ -179,6 +227,7 @@ def _sweep_rows(dim_range: str | None, gamma_grid: int | None, dim: int):
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
+    _check_out(args.out)
     if args.dim is not None and args.dim_range is not None:
         raise ValidationError("--dim cannot be used with --dim-range")
     dim = 2 if args.dim is None else args.dim
@@ -186,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     if (args.dim_range is None) == (args.gamma_grid is None):
         raise ValidationError("pass exactly one of --dim-range/--gamma-grid")
     rows = list(_sweep_rows(args.dim_range, args.gamma_grid, dim))
-    sink = open(args.out, "w", encoding="utf-8") if args.out else out
+    sink = out if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         if args.format == "json":
             payload = [
@@ -371,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args, sys.stdout)
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

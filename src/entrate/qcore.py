@@ -36,6 +36,8 @@ __all__ = [
     "state_from_json",
     "state_json_dims",
     "dump_json",
+    "split_compact",
+    "compact_entries",
     "hermiticity_defect",
 ]
 
@@ -291,7 +293,7 @@ def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
     if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
         try:
             flat = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * expected)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             flat = None
         if flat is not None and not np.isnan(flat).any():
             return flat.view(complex)
@@ -301,9 +303,70 @@ def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise TypeError
             out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
+        # OverflowError: an integer too large for a float.
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"entry {i} of '{key}' is not an [re, im] pair") from None
     return out
+
+
+# --- Bulk reader for the compact layout -------------------------------------
+#
+# json.load of a 1024 x 1024 matrix builds a million [re, im] lists, and that,
+# not the number parsing, is most of its cost.  A file in the layout that
+# json.dumps writes (and dump_json, byte for byte) is read instead as one flat
+# list of numbers: its pair structure is checked on the text, and json's own
+# scanner checks the number grammar and gives the floats.
+
+# The entry key as json.dumps writes it; the entries must be the last key.
+ENTRIES_KEY = '"re_im": ['
+# Deletes the characters of a JSON number.  From the entry text of k pairs
+# that must leave exactly "[, ], [, ], ..., [, ]".
+DELETE_NUMBERS = str.maketrans("", "", "0123456789.-+eE")
+
+
+def split_compact(text: str) -> tuple[dict, str] | None:
+    """Header and entry text of a JSON text in json.dumps' compact layout.
+
+    The header is the object parsed with an empty "re_im" list, so its
+    dimensions can be checked before any number is read.  The entry text is
+    "[re, im], [re, im], ..." turned into one flat JSON list "[re, im, re,
+    im, ...]", for :func:`compact_entries`.  Returns None when the entries are
+    not the last key, or not pairs separated by ", " and nothing else, or the
+    header does not parse; the text is then for json.loads to read whole.
+    """
+    start = text.find(ENTRIES_KEY)
+    if start < 0 or not text.endswith("]}"):
+        return None
+    try:
+        head = json.loads(text[:start] + ENTRIES_KEY + "]}")
+    except (ValueError, RecursionError):
+        return None
+    body = text[start + len(ENTRIES_KEY):-2]
+    # The caller hands the text over: free it before the copies below.
+    del text
+    skeleton = body.translate(DELETE_NUMBERS)
+    pairs = (len(skeleton) + 2) // 6
+    if pairs < 1 or skeleton != "[, ]" + ", [, ]" * (pairs - 1):
+        return None
+    return head, body.replace("], [", ", ")
+
+
+def compact_entries(text: str, expected: int) -> np.ndarray | None:
+    """The complex entries in the flat list text of :func:`split_compact`.
+
+    json.loads parses the numbers, so the same text is accepted and gives
+    the same float bits as json.loads of the whole file.  Returns None when
+    json rejects a number, an integer is too large for a float, or the list
+    does not hold ``expected`` pairs; the file is then read whole, so that
+    its failure reads as it would without this reader.
+    """
+    try:
+        values = json.loads(text)
+        if len(values) != 2 * expected:
+            return None
+        return np.array(values, dtype=float).view(complex)
+    except (ValueError, OverflowError):
+        return None
 
 
 def _json_dims(obj: Any, kind: str, keys: tuple[str, str]) -> tuple[int, int]:
@@ -327,14 +390,19 @@ def state_json_dims(obj: Any) -> tuple[int, int]:
     return _json_dims(obj, "state", ("d_a", "d_b"))
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+# ``entries``, when given, are the object's entries already decoded (by
+# compact_entries) and its "re_im" list is not read.
+def matrix_from_json(obj: dict, entries: np.ndarray | None = None) -> np.ndarray:
     rows, cols = matrix_json_shape(obj)
     if rows < 1 or cols < 1:
         raise ValidationError("matrix dimensions must be >= 1")
-    return _entries_from_json(obj, "re_im", rows * cols).reshape(rows, cols)
+    if entries is None:
+        entries = _entries_from_json(obj, "re_im", rows * cols)
+    return entries.reshape(rows, cols)
 
 
-def state_from_json(obj: dict) -> PureState:
+def state_from_json(obj: dict, entries: np.ndarray | None = None) -> PureState:
     d_a, d_b = state_json_dims(obj)
-    amp = _entries_from_json(obj, "re_im", d_a * d_b)
-    return PureState(d_a=d_a, d_b=d_b, amplitudes=amp)
+    if entries is None:
+        entries = _entries_from_json(obj, "re_im", d_a * d_b)
+    return PureState(d_a=d_a, d_b=d_b, amplitudes=entries)

@@ -184,6 +184,191 @@ class TestRateCommand:
         assert "entry" not in err
 
 
+def rate_both_ways(monkeypatch, capsys, state_file, ham_file):
+    """(exit code, stdout, stderr) of entrate rate on a pair, with the bulk
+    reader and with json.load alone (the reader declining every file)."""
+    results = []
+    for bulk in (True, False):
+        with monkeypatch.context() as m:
+            if not bulk:
+                m.setattr(entrate.cli, "split_compact", lambda text: None)
+            rc = main(["rate", str(state_file), str(ham_file)])
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+def with_first_number(text: str, token: str) -> str:
+    """text with the first number of its re_im list replaced by token."""
+    first = text.index("[[") + 2
+    return text[:first] + token + text[text.index(",", first):]
+
+
+def json_error(text: str) -> str:
+    """The error line of a text that json.load rejects."""
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    return f"error: {exc.value}\n"
+
+
+class TestBulkReaderCommand:
+    """entrate rate reads a compact file as one flat list of numbers; every
+    other file, and every file whose list does not parse, goes through
+    json.load, with the same exit code, stdout and stderr."""
+
+    def test_compact_pair_takes_the_bulk_reader(self, tmp_path, capsys, monkeypatch):
+        read = []
+        bulk = entrate.cli.compact_entries
+
+        def spy(text, expected):
+            read.append(bulk(text, expected))
+            return read[-1]
+
+        monkeypatch.setattr(entrate.cli, "compact_entries", spy)
+        monkeypatch.setattr(entrate.cli, "_load_json", None)
+        assert main(["rate", *write_worked_pair(tmp_path)]) == 0
+        assert [entries.size for entries in read] == [4, 16]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_report_matches_json_load(self, tmp_path, capsys, monkeypatch, dim):
+        if dim == 2:
+            state_file, ham_file = write_worked_pair(tmp_path)
+        else:
+            assert main(["optimize", "--dim", str(dim), "--out", str(tmp_path / "d")]) == 0
+            capsys.readouterr()
+            state_file, ham_file = tmp_path / "d_state.json", tmp_path / "d_hamiltonian.json"
+        fast, slow = rate_both_ways(monkeypatch, capsys, state_file, ham_file)
+        assert fast == slow
+        assert fast[0] == 0 and fast[2] == ""
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("case", ["indent-2", "reordered-header", "duplicate-key"])
+    def test_other_layouts_give_the_same_report(self, tmp_path, capsys, monkeypatch,
+                                                which, case):
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        assert main(["rate", files["state"], files["hamiltonian"]]) == 0
+        want = capsys.readouterr().out
+        text = open(files[which]).read()
+        obj = json.loads(text)
+        if case == "indent-2":
+            text = json.dumps(obj, indent=2)
+        elif case == "reordered-header":
+            text = json.dumps({"re_im": obj["re_im"], **obj})
+        else:
+            # json keeps the last of two equal keys.
+            text = text.replace('"re_im": ', '"re_im": [[7.0, 7.0]], "re_im": ', 1)
+        files[which] = str(tmp_path / "other.json")
+        (tmp_path / "other.json").write_text(text)
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow == (0, want, "")
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("case", [
+        "NaN", "Infinity", "-Infinity", "null", '"abc"', "truncated", "duplicate-key",
+        "+1", "01", ".5", "5.", "1.e5", "1 2", "", "1e", "--1"])
+    def test_malformed_file_fails_as_json_load_does(self, tmp_path, capsys, monkeypatch,
+                                                    which, case):
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        text = open(files[which]).read()
+        if case == "truncated":
+            text = text[:-7]
+        elif case == "duplicate-key":
+            text = text[:-1] + ', "re_im": [[0.5, 0.5]]}'
+        else:
+            text = with_first_number(text, case)
+        files[which] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(text)
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow
+        rc, out, err = fast
+        assert (rc, out) == (2, "")
+        if case in ("NaN", "Infinity", "-Infinity"):
+            assert err.startswith("error: ") and "Traceback" not in err
+        elif case in ("null", '"abc"'):
+            assert err == "error: entry 0 of 're_im' is not an [re, im] pair\n"
+        elif case == "duplicate-key":
+            size = 4 if which == "state" else 16
+            assert err == f"error: 're_im' must be a list of {size} [re, im] pairs\n"
+        else:
+            assert err == json_error(text)
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("where", ["header", "entries"])
+    def test_text_that_is_not_utf8_is_input_failure(self, tmp_path, capsys, monkeypatch,
+                                                    which, where):
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        data = open(files[which], "rb").read()
+        at = data.index(b"re_im") if where == "header" else data.index(b"[[") + 2
+        files[which] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_bytes(data[:at] + b"\xff" + data[at:])
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow == (
+            2, "", f"error: 'utf-8' codec can't decode byte 0xff in position {at}: "
+                   "invalid start byte\n")
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("digits, message", [
+        # 10**400 does not fit a float.
+        (400, "entry 0 of 're_im' is not an [re, im] pair\n"),
+        # More digits than int() reads.
+        (5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+    ])
+    def test_integer_too_large_is_input_failure(self, tmp_path, capsys, monkeypatch,
+                                                which, digits, message):
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        text = with_first_number(open(files[which]).read(), "1" + "0" * digits)
+        files[which] = str(tmp_path / "big.json")
+        (tmp_path / "big.json").write_text(text)
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow
+        rc, out, err = fast
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("where", ["header", "entries"])
+    def test_deeply_nested_file_is_input_failure(self, tmp_path, capsys, monkeypatch,
+                                                 which, where):
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        deep = "[" * 100000 + "]" * 100000
+        entries = "[[1.0, 0.0]]" if where == "header" else deep
+        header = deep if where == "header" else "1"
+        files[which] = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text(
+            f'{{"rows": 1, "cols": 1, "d_a": 1, "d_b": 1, "x": {header}, "re_im": {entries}}}')
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow == (
+            2, "", "error: maximum recursion depth exceeded while decoding a JSON array "
+                   "from a unicode string\n")
+
+    @pytest.mark.parametrize("token", ["0.0", "+1"])
+    def test_dim_cap_checked_before_any_number_is_parsed(self, tmp_path, capsys,
+                                                          monkeypatch, token):
+        # Over the cap, neither file's entries are parsed: not even a number
+        # json would reject is reached.
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "16")
+        state_file = tmp_path / "s.json"
+        ham_file = tmp_path / "h.json"
+        state_file.write_text(json.dumps({"d_a": 8, "d_b": 8, "re_im": [[0.125, 0.0]] * 64}))
+        ham_file.write_text(with_first_number(
+            json.dumps({"rows": 64, "cols": 64, "re_im": [[0.0, 0.0]] * 4096}), token))
+
+        def never(*args):
+            raise AssertionError("an entry was parsed")
+
+        monkeypatch.setattr(entrate.cli, "compact_entries", never)
+        monkeypatch.setattr(entrate.cli, "_load_json", never)
+        parsed = []
+        loads = entrate.qcore.json.loads
+        monkeypatch.setattr(entrate.qcore.json, "loads",
+                            lambda text, **kw: parsed.append(text) or loads(text, **kw))
+        assert main(["rate", str(state_file), str(ham_file)]) == 2
+        assert capsys.readouterr().err == "error: product dimension 64 exceeds cap 16\n"
+        assert parsed == ['{"d_a": 8, "d_b": 8, "re_im": []}',
+                          '{"rows": 64, "cols": 64, "re_im": []}']
+
+
 class TestOptimizeCommand:
     def test_dim_two_report(self, capsys):
         assert main(["optimize", "--dim", "2"]) == 0
@@ -453,15 +638,34 @@ class TestInputFailures:
         pytest.param(["optimize", "--dim", "2", "--starts", "0"],
                      "--starts needs --ancilla", id="optimize-starts-0"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "0"],
-                     "starts must be >= 1", id="ancilla-starts-0"),
+                     "--starts must be >= 1", id="ancilla-starts-0"),
         pytest.param(["verify", "--trials", "2", "--seed", "-1"],
                      "seed must be >= 0", id="verify-seed-negative"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--seed", "-1",
                       "--starts", "2"], "seed must be >= 0", id="ancilla-seed-negative"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--max-iter", "0",
-                      "--starts", "2"], "max_iter must be >= 1", id="max-iter-0"),
+                      "--starts", "2"], "--max-iter must be >= 1", id="max-iter-0"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--max-iter", "-3",
-                      "--starts", "2"], "max_iter must be >= 1", id="max-iter-negative"),
+                      "--starts", "2"], "--max-iter must be >= 1", id="max-iter-negative"),
+        # Checked in the command, so the message names the flag, not the
+        # library parameter, and reads as without --ancilla.
+        pytest.param(["optimize", "--dim", "1", "--ancilla", "2"],
+                     "dimension must be >= 2", id="ancilla-dim-1"),
+        pytest.param(["optimize", "--dim", "1", "--ancilla", "2", "--max-iter", "0"],
+                     "dimension must be >= 2", id="ancilla-dim-1-max-iter-0"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "3", "--starts", "-1"],
+                     "--starts must be >= 1", id="ancilla-starts-negative"),
+        pytest.param(["optimize", "--dim", "3", "--ancilla", "1", "--max-iter", "0"],
+                     "--max-iter must be >= 1", id="ancilla-one-max-iter-0"),
+        # An empty --out is an input failure, not a missing --out.
+        pytest.param(["optimize", "--dim", "2", "--out", ""], "--out must not be empty",
+                     id="optimize-out-empty"),
+        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--out", ""],
+                     "--out must not be empty", id="ancilla-out-empty"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--out", ""],
+                     "--out must not be empty", id="sweep-out-empty"),
+        pytest.param(["sweep", "--gamma-grid", "3", "--out", ""],
+                     "--out must not be empty", id="sweep-grid-out-empty"),
     ])
     def test_exit_2_with_an_error_line(self, capsys, argv, message):
         assert main(argv) == 2

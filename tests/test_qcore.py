@@ -17,7 +17,9 @@ from entrate.qcore import (
     SchmidtState,
     ValidationError,
     DUMP_CHUNK,
+    _entries_from_json,
     assemble_state,
+    compact_entries,
     dump_json,
     hermiticity_defect,
     matrix_from_json,
@@ -26,6 +28,7 @@ from entrate.qcore import (
     random_state,
     schmidt_decompose,
     spectrum_entropy,
+    split_compact,
     state_from_json,
     state_to_json,
 )
@@ -396,3 +399,169 @@ class TestJsonStreaming:
         # matrix_to_json's list for this matrix takes about 128 MB.
         assert peak < 32 * 2**20
         assert json.loads(path.read_text())["rows"] == 1024
+
+
+def file_text(data: bytes) -> str | None:
+    """The text of a file's bytes as the CLI reads it (UTF-8, universal
+    newlines), or None when they are not UTF-8."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        return None
+
+
+def bulk_read(data: bytes):
+    """(header, entries) of a file from the bulk reader, or None where it
+    declines."""
+    text = file_text(data)
+    parts = None if text is None else split_compact(text)
+    if parts is None:
+        return None
+    head, flat = parts
+    # 2k numbers in a flat list have 2k - 1 commas between them.
+    entries = compact_entries(flat, (flat.count(",") + 1) // 2)
+    return None if entries is None else (head, entries)
+
+
+def json_read(data: bytes):
+    """(header, entries) of a file from json.loads of its text and
+    _entries_from_json; None where either fails."""
+    try:
+        obj = json.loads(file_text(data))
+        pairs = obj["re_im"]
+        return {**obj, "re_im": []}, _entries_from_json(obj, "re_im", len(pairs))
+    except (ValueError, TypeError, KeyError):
+        return None
+
+
+def same_read(got, want) -> bool:
+    """Equal headers (order, keys, values, NaN included) and entry bits."""
+    return (want is not None and json.dumps(got[0]) == json.dumps(want[0])
+            and same_bits(got[1], want[1]))
+
+
+# Bytes a mutation writes: number characters, JSON structure, letters of
+# NaN/Infinity/null, other whitespace, and a byte that is not UTF-8.
+MUTATION_BYTES = b'0123456789.-+eE[], "{}:\n\r\tNaIfnuly\xff'
+
+
+def mutants(data: bytes, count: int, seed: int):
+    """count copies of data with 1-3 random byte replacements, insertions or
+    deletions each."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        out = bytearray(data)
+        for _ in range(rng.integers(1, 4)):
+            pos = int(rng.integers(0, len(out) + 1))
+            byte = MUTATION_BYTES[rng.integers(len(MUTATION_BYTES))]
+            edit = rng.integers(3)
+            if edit == 0 and pos < len(out):
+                out[pos] = byte
+            elif edit == 1:
+                out.insert(pos, byte)
+            elif pos < len(out):
+                del out[pos]
+        yield bytes(out)
+
+
+class TestBulkReader:
+    def test_splits_header_from_flat_entry_text(self):
+        head, text = split_compact('{"rows": 1, "cols": 2, "re_im": [[1.5, -0.0], [2, 3e-05]]}')
+        assert head == {"rows": 1, "cols": 2, "re_im": []}
+        assert text == "[1.5, -0.0, 2, 3e-05]"
+        assert same_bits(compact_entries(text, 2), np.array([complex(1.5, -0.0), complex(2, 3e-05)]))
+
+    @pytest.mark.parametrize("value", [
+        "dump_matrix", "dump_state", "json_dumps_matrix", "json_dumps_state"])
+    def test_reads_compact_files_bit_for_bit(self, value):
+        obj = {"dump_matrix": edge_matrix(5, 7), "dump_state": edge_state(3, 4),
+               "json_dumps_matrix": edge_matrix(4, 3),
+               "json_dumps_state": edge_state(2, 5)}[value]
+        if value.startswith("dump"):
+            data = dumped(obj).encode()
+        else:
+            codec = state_to_json if isinstance(obj, PureState) else matrix_to_json
+            data = json.dumps(codec(obj)).encode()
+        got = bulk_read(data)
+        assert got is not None
+        assert same_read(got, json_read(data))
+
+    @pytest.mark.parametrize("token", [
+        "1", "-0", "0", "1E5", "1e+5", "-1.5e-300", "5e-324", "1e400", "-1e400",
+        "123456789012345678901234567890", "9007199254740993", "1" + "0" * 308])
+    def test_accepted_numbers_have_json_bits(self, token):
+        data = f'{{"d_a": 1, "d_b": 2, "re_im": [[{token}, 0.5], [-0.0, {token}]]}}'.encode()
+        got = bulk_read(data)
+        assert got is not None
+        assert same_read(got, json_read(data))
+
+    @pytest.mark.parametrize("token", [
+        "+1", "01", ".5", "5.", "1.e5", "1 2", "", "-", "1e", "1e+", "--1", "1-2",
+        "1.5.5", "NaN", "Infinity", "-Infinity", "null", '"1"', "1" + "0" * 400,
+        "1" + "0" * 5000])
+    def test_declines_what_json_rejects_or_cannot_convert(self, token):
+        data = f'{{"rows": 1, "cols": 2, "re_im": [[{token}, 0.5], [1.0, 2.0]]}}'.encode()
+        assert bulk_read(data) is None
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(json.dumps({"rows": 1, "cols": 2, "re_im": [[1.0, 2.0], [3.0, 4.0]]},
+                                indent=2), id="indent-2"),
+        pytest.param('{"rows":1,"cols":1,"re_im":[[1.0,2.0]]}', id="no-spaces"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]]}\n', id="trailing-newline"),
+        pytest.param('{"re_im": [[1.0, 2.0]], "rows": 1, "cols": 1}', id="reordered-header"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[9.0, 9.0]], "re_im": [[1.0, 2.0]]}',
+                     id="duplicate-key"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]], "x": []}',
+                     id="trailing-key"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0], [3.0, 4.0',
+                     id="truncated"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0, 3.0]]}', id="triple"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[1.0], [2.0]]}', id="singles"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": [[[1.0, 2.0]]]}', id="nested"),
+        pytest.param('{"rows": 1, "cols": 1, "re_im": []}', id="empty"),
+        pytest.param('{"rows": 1 "cols": 1, "re_im": [[1.0, 2.0]]}', id="bad-header"),
+        pytest.param('\ufeff{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]]}', id="bom"),
+        pytest.param('[{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]]}]', id="in-a-list"),
+        pytest.param('{"a": {"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]]}}', id="nested-key"),
+        pytest.param('{"x": ' + "[" * 100000 + "]" * 100000 + ', "re_im": [[1.0, 2.0]]}',
+                     id="deep-header"),
+    ])
+    def test_declines_other_layouts(self, text):
+        assert split_compact(text) is None
+
+    def test_entry_count_must_match(self):
+        _, text = split_compact('{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0], [3.0, 4.0]]}')
+        assert compact_entries(text, 1) is None
+        assert compact_entries(text, 3) is None
+        assert compact_entries(text, 2) is not None
+
+    @pytest.mark.parametrize("source", [
+        "dump_matrix", "dump_state", "ints", "indent_matrix", "indent_state"])
+    def test_mutants_are_declined_or_read_as_json_reads_them(self, source):
+        """Differential check against json: 1-3 byte edits of a file either
+        make the bulk reader decline or give json's header and entry bits."""
+        data = {
+            "dump_matrix": lambda: dumped(edge_matrix(3, 4)),
+            "dump_state": lambda: dumped(edge_state(2, 3)),
+            "ints": lambda: '{"rows": 2, "cols": 1, "re_im": [[1, 0], [-0, 25]]}',
+            "indent_matrix": lambda: json.dumps(
+                matrix_to_json(random_hermitian(2, 5)), indent=2),
+            "indent_state": lambda: json.dumps(
+                state_to_json(random_state(1, 2, 6)), indent=2),
+        }[source]().encode()
+        outcomes = {"read": 0, "json_rejected": 0, "declined": 0}
+        for mutant in mutants(data, 10000, seed=len(source)):
+            got = bulk_read(mutant)
+            text = file_text(mutant)
+            if got is not None:
+                assert same_read(got, json_read(mutant)), mutant
+                outcomes["read"] += 1
+            elif text is not None and split_compact(text) is not None:
+                outcomes["json_rejected"] += 1
+            else:
+                outcomes["declined"] += 1
+        if source.startswith("indent"):
+            assert outcomes["read"] == 0
+        else:
+            # Both the pair check and json's number grammar were exercised.
+            assert min(outcomes.values()) > 100, outcomes
