@@ -24,19 +24,16 @@ from .ancilla import (
     GBlock,
     ancilla_objective,
     assemble_and_arbitrate,
-    inner_opt_over_g,
     lambda_sq,
     recover_g,
     sup_search,
 )
 from .optimum import (
-    LagrangeSolution,
     OptimalDesign,
     brute_force_max_k,
     build_optimal_hamiltonian,
     build_optimal_state,
     gamma_curve,
-    lagrange_solve,
     max_rate,
     optimal_design,
     optimal_gamma,
@@ -69,7 +66,6 @@ __all__ = [
     "AncillaOptimum",
     "EnergyStats",
     "GBlock",
-    "LagrangeSolution",
     "OptimalDesign",
     "PureState",
     "SchmidtBlock",
@@ -87,8 +83,6 @@ __all__ = [
     "fd_rate",
     "gamma_rate",
     "gamma_rate_k",
-    "inner_opt_over_g",
-    "lagrange_solve",
     "lambda_sq",
     "max_rate",
     "mean_energy",

@@ -1,12 +1,15 @@
-"""Ancilla-assisted rate optimization in coefficient/block matrices.
+"""Ancilla-assisted rate optimization over one family of designs.
 
-A state shared with local ancillas is described by a nonnegative
-coefficient matrix C (rows index the ancilla label) and the Hamiltonian
-enters only through a real antisymmetric block G.  The rate objective
-and the variance constraint are low-dimensional matrix expressions in
-(C, G, K) with K = C log C, which this module evaluates, maximizes over
-G in closed form, maximizes over C numerically, and arbitrates against
-the finite-difference oracle on the assembled global system.
+The family: states sum_ab C_ab |a>_A' |b>_A |b>_B |a>_B' with a
+nonnegative coefficient matrix C (row a is the ancilla label), and
+H = I (x) H_AB (x) I with H_AB = iG on the Schmidt-diagonal |bb> block,
+G real antisymmetric.  The rate objective and the variance constraint
+are matrix expressions in (C, G, K) with K = C log C, which this module
+evaluates, maximizes over G in closed form, maximizes over C
+numerically, and arbitrates against the finite-difference oracle on the
+assembled global system.  At every tested (d, K) the supremum is the
+no-ancilla optimum ``optimal_gamma(d).rate``: measured, not proved, and
+a statement about this family only.
 """
 
 from __future__ import annotations
@@ -19,25 +22,28 @@ import numpy as np
 
 from .optimum import optimal_gamma
 from .oracle import fd_rate
-from .qcore import HERM_TOL, PureState, ValidationError, hermiticity_defect
+from .qcore import (
+    HERM_TOL,
+    PureState,
+    ValidationError,
+    _check_cap,
+    hermiticity_defect,
+)
 
 __all__ = [
     "AncillaCoeffs",
     "GBlock",
     "AncillaOptimum",
     "SingularityError",
-    "DimensionCapError",
     "build_structured_hamiltonian",
     "ancilla_objective",
     "variance_constraint",
     "lambda_sq",
     "recover_g",
-    "inner_opt_over_g",
     "sup_search",
     "assemble_and_arbitrate",
 ]
 
-DEFAULT_DIM_CAP = 4096
 # (regularization, entry floor) pairs applied in order during sup_search.
 ANNEAL_SCHEDULE = ((1e-4, 1e-4), (1e-7, 1e-6), (1e-10, 1e-8))
 SINGULARITY_COND_LIMIT = 1e12
@@ -45,10 +51,6 @@ SINGULARITY_COND_LIMIT = 1e12
 
 class SingularityError(ValidationError):
     """Unregularized evaluation hit a numerically singular C^T C."""
-
-
-class DimensionCapError(ValidationError):
-    """Assembled system exceeds the configured dimension cap."""
 
 
 def _xlogx(c: np.ndarray) -> np.ndarray:
@@ -74,7 +76,8 @@ class AncillaCoeffs:
             raise ValidationError("coefficient matrix must be 2-D")
         if c.min() < 0:
             raise ValidationError("coefficient entries must be nonnegative")
-        if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
+        # Written so that a NaN or infinite entry fails too.
+        if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12:
             raise ValidationError("coefficient matrix must have unit Frobenius norm")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "k", _xlogx(c))
@@ -124,7 +127,7 @@ class GBlock:
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("block must be a square matrix")
-        if m.size and np.max(np.abs(m + m.T)) > HERM_TOL:
+        if m.size and not np.max(np.abs(m + m.T)) <= HERM_TOL:
             raise ValidationError("block must be antisymmetric")
         sym = (m - m.T) / 2.0
         return cls(upper=sym[np.triu_indices(m.shape[0], 1)], d=m.shape[0])
@@ -220,26 +223,29 @@ def _pair_data(
     return k, evals, vt.T, c_rot.T @ k_rot - k_rot.T @ c_rot
 
 
-def _pair_weights(evals: np.ndarray, regularization: float) -> np.ndarray:
-    """W_ij = 1/(b_i + b_j + 2 eps): zero on the diagonal and where the
-    denominator is not positive."""
+def _inner_max(
+    c: np.ndarray, regularization: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """lambda1 = sqrt(lambda_sq), the maximizer G* before antisymmetrization,
+    and K = C log C, from one SVD of C.
+
+    With W_ij = 1/(b_i + b_j + 2 eps), zero on the diagonal and where the
+    denominator is not positive, lambda_sq = 2 sum A'^2 o W and
+    G* = O (2 A' o W / lambda1) O^T.  No objective (lambda1 = 0) gives
+    G* = 0.
+    """
+    if not regularization >= 0:
+        raise ValidationError("regularization must be >= 0")
+    k, evals, evecs, a_rot = _pair_data(c)
     den = evals[:, None] + evals[None, :] + 2.0 * regularization
     w = np.zeros_like(den)
     np.divide(1.0, den, out=w, where=den > 1e-300)
     np.fill_diagonal(w, 0.0)
-    return w
-
-
-def _maximizer(
-    evecs: np.ndarray, a_rot: np.ndarray, w: np.ndarray, lambda1: float
-) -> np.ndarray:
-    """G = O (2 A' o W / lambda1) O^T, before antisymmetrization."""
-    return evecs @ (2.0 * a_rot * w / lambda1) @ evecs.T
-
-
-def _lambda_sq_raw(c: np.ndarray, regularization: float) -> float:
-    _, evals, _, a_rot = _pair_data(c)
-    return 2.0 * float(np.sum(a_rot**2 * _pair_weights(evals, regularization)))
+    lam_sq = 2.0 * float(np.sum(a_rot**2 * w))
+    if lam_sq <= 0.0:
+        return 0.0, np.zeros_like(w), k
+    lambda1 = math.sqrt(lam_sq)
+    return lambda1, evecs @ (2.0 * a_rot * w / lambda1) @ evecs.T, k
 
 
 def _value_and_grad(
@@ -255,13 +261,9 @@ def _value_and_grad(
 
     C must be entrywise positive (``sup_search`` floors it).
     """
-    k, evals, evecs, a_rot = _pair_data(c)
-    w = _pair_weights(evals, regularization)
-    lam_sq = 2.0 * float(np.sum(a_rot**2 * w))
-    if lam_sq <= 0.0:
+    lambda1, g, k = _inner_max(c, regularization)
+    if lambda1 == 0.0:
         return 0.0, np.zeros_like(c)
-    lambda1 = math.sqrt(lam_sq)
-    g = _maximizer(evecs, a_rot, w, lambda1)
     cg = c @ g
     grad = 4.0 * (cg * (np.log(c) + 1.0) - k @ g) - 2.0 * lambda1 * (cg @ g.T)
     return 2.0 * lambda1, grad
@@ -280,8 +282,6 @@ def lambda_sq(coeffs: AncillaCoeffs, regularization: float) -> float:
     null-space pairs of B, so the value stays finite for eps > 0 even
     when B is singular; eps = 0 requires a well-conditioned B.
     """
-    if regularization < 0:
-        raise ValidationError("regularization must be >= 0")
     c = coeffs.c
     if regularization == 0.0:
         evals = np.linalg.eigvalsh(c.T @ c)
@@ -290,61 +290,19 @@ def lambda_sq(coeffs: AncillaCoeffs, regularization: float) -> float:
             raise SingularityError(
                 "C^T C is numerically singular; pass a positive regularization"
             )
-    return _lambda_sq_raw(c, regularization)
+    return _inner_max(c, regularization)[0] ** 2
 
 
-def recover_g(
-    coeffs: AncillaCoeffs,
-    lambda1: float,
-    regularization: float,
-    return_defect: bool = False,
-) -> GBlock | tuple[GBlock, float]:
-    """Maximizer G reconstructed from C and the multiplier lambda1.
+def recover_g(coeffs: AncillaCoeffs, regularization: float) -> GBlock:
+    """Maximizer G of the fixed-C problem, antisymmetrized exactly.
 
     Solves the pairwise stationarity conditions in the eigenbasis of
-    C^T C: G'_ij = 2 A'_ij / ((b_i + b_j + 2 eps) lambda1), rotated
-    back.  The result is antisymmetrized exactly; with
-    ``return_defect`` the pre-projection antisymmetry defect is
-    reported alongside.
+    C^T C: G'_ij = 2 A'_ij / ((b_i + b_j + 2 eps) lambda1), rotated back,
+    with lambda1 the fixed-C maximum of C itself.  Returns the zero block
+    when the objective vanishes.
     """
-    if lambda1 <= 0:
-        raise ValidationError("lambda1 must be positive")
-    if regularization < 0:
-        raise ValidationError("regularization must be >= 0")
-    _, evals, evecs, a_rot = _pair_data(coeffs.c)
-    raw = _maximizer(evecs, a_rot, _pair_weights(evals, regularization), lambda1)
-    defect = float(np.max(np.abs(raw + raw.T))) if raw.size else 0.0
-    block = GBlock.from_matrix((raw - raw.T) / 2.0)
-    return (block, defect) if return_defect else block
-
-
-def inner_opt_over_g(coeffs: AncillaCoeffs) -> tuple[float, GBlock]:
-    """Maximize the objective over antisymmetric G at |CG|_F = 1 by a solve.
-
-    Independent of the closed form: in the coordinates g of G's strict
-    upper triangle the objective is obj.g with obj = 4 (C^T K - K^T C)
-    there, and |CG|_F^2 = g.Q g with Q the Gram matrix of C times each
-    basis block.  The maximizer of obj.g on that ellipsoid is pinv(Q) obj,
-    rescaled to |CG|_F = 1; no eigenbasis of C^T C is used.  When the
-    objective vanishes (as for a uniform row) the result is
-    (0.0, zero block).
-    """
-    c = coeffs.c
-    d = coeffs.d_a
-    iu = np.triu_indices(d, 1)
-    obj = 4.0 * (c.T @ coeffs.k - coeffs.k.T @ c)[iu]
-    pairs = np.arange(iu[0].size)
-    basis = np.zeros((pairs.size, d, d))
-    basis[pairs, iu[0], iu[1]] = 1.0
-    basis[pairs, iu[1], iu[0]] = -1.0
-    # Row p of cg is C times the p-th basis block, flattened: Q = cg cg^T.
-    cg = (c @ basis).reshape(pairs.size, c.size)
-    g = GBlock(upper=np.linalg.pinv(cg @ cg.T) @ obj, d=d)
-    norm = math.sqrt(variance_constraint(coeffs, g))
-    if norm == 0.0:
-        return 0.0, GBlock.zeros(d)
-    g = GBlock(upper=g.upper / norm, d=d)
-    return ancilla_objective(coeffs, g), g
+    _, raw, _ = _inner_max(coeffs.c, regularization)
+    return GBlock.from_matrix((raw - raw.T) / 2.0)
 
 
 # --- supremum over coefficient matrices ------------------------------------
@@ -434,20 +392,13 @@ def sup_search(
 
     assert best_c is not None
     coeffs = AncillaCoeffs.normalized(best_c)
-    lambda1 = best_value / 2.0
-    if lambda1 > 0:
-        g_star = recover_g(coeffs, lambda1, final_eps)
-        # G* rescaled to |C G|_F = 1 is feasible at eps = 0.
-        scale = math.sqrt(variance_constraint(coeffs, g_star))
-        unregularized = ancilla_objective(
-            coeffs, GBlock(upper=g_star.upper / scale, d=d_a)
-        )
-    else:
-        g_star = GBlock.zeros(d_a)
-        unregularized = 0.0
+    g_star = recover_g(coeffs, final_eps)
+    # G* rescaled to |C G|_F = 1 is feasible at eps = 0; a zero G* stays zero.
+    scale = math.sqrt(variance_constraint(coeffs, g_star)) or 1.0
+    unregularized = ancilla_objective(coeffs, GBlock(upper=g_star.upper / scale, d=d_a))
     return AncillaOptimum(
         value=best_value,
-        lambda1=lambda1,
+        lambda1=best_value / 2.0,
         c_star=coeffs,
         g_star=g_star,
         starts=starts,
@@ -473,17 +424,15 @@ def assemble_and_arbitrate(coeffs: AncillaCoeffs, g: GBlock) -> float:
     Schmidt-diagonal block Hamiltonian with identity ancilla factors,
     and differentiates the evolved entanglement numerically.  The result
     arbitrates every sign and factor convention of the matrix forms.  An
-    assembled dimension above DEFAULT_DIM_CAP raises DimensionCapError.
+    assembled dimension above the cap (see :func:`qcore._check_cap`) is
+    an input failure.
     """
     if g.d != coeffs.d_a:
         raise ValidationError("block dimension does not match the coefficients")
     d_ancilla, d_a = coeffs.c.shape
     d_b, d_ancilla_b = d_a, d_ancilla
     total = d_ancilla * d_a * d_b * d_ancilla_b
-    if total > DEFAULT_DIM_CAP:
-        raise DimensionCapError(
-            f"assembled dimension {total} exceeds the cap {DEFAULT_DIM_CAP}"
-        )
+    _check_cap(total)
 
     amplitudes = np.zeros(total, dtype=complex)
     for alpha in range(d_ancilla):

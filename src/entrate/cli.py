@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -20,6 +19,7 @@ from .oracle import direct_stats, fd_rate
 from .qcore import (
     PureState,
     ValidationError,
+    _check_cap,
     assemble_state,
     compact_entries,
     dump_json,
@@ -39,18 +39,6 @@ from .rate import energy_stats, gamma_rate, mean_energy, schmidt_block
 __all__ = ["main"]
 
 LN2 = math.log(2.0)
-
-
-def _check_cap(product: int) -> None:
-    """Reject a product dimension above ENTRATE_DIM_CAP, or above
-    DEFAULT_DIM_CAP when that variable is unset or empty."""
-    raw = os.environ.get("ENTRATE_DIM_CAP", "")
-    try:
-        cap = int(raw) if raw else anc.DEFAULT_DIM_CAP
-    except ValueError:
-        raise ValidationError(f"ENTRATE_DIM_CAP must be an integer, got {raw!r}")
-    if product > cap:
-        raise ValidationError(f"product dimension {product} exceeds cap {cap}")
 
 
 def _check_dims(*dims: int) -> None:

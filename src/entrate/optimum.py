@@ -1,9 +1,10 @@
 """Closed-form optimal rates without ancillas.
 
-Covers the constrained maximization of the rate over unit-variance
-Hamiltonians at a fixed state (a Lagrange system with an explicit
-solution), the surprisal-variance formula for the maximum, the optimal
-one-parameter state family, and the root of its stationarity condition.
+Covers the maximization of the rate over unit-variance Hamiltonians at
+a fixed state (the surprisal-variance formula for the maximum, and the
+achieving Hamiltonian built from the projection of -4 C log C
+orthogonal to C), the optimal one-parameter state family, and the root
+of its stationarity condition.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from .qcore import SchmidtState, ValidationError
 from .rate import gamma_rate_k, schmidt_columns
 
 __all__ = [
-    "LagrangeSolution",
     "OptimalDesign",
     "GammaOptimum",
     "surprisal_variance",
-    "lagrange_solve",
     "max_rate",
     "build_optimal_state",
     "build_optimal_hamiltonian",
@@ -30,31 +29,8 @@ __all__ = [
     "optimal_gamma",
     "optimal_design",
     "brute_force_max_k",
-    "antisymmetric_from_k",
     "achieving_hamiltonian",
 ]
-
-# Uniform coefficient vectors make the multiplier lambda1 vanish; below
-# this threshold on its square the system is reported as degenerate.
-DEGENERACY_TOL = 1e-24
-
-
-@dataclass(frozen=True)
-class LagrangeSolution:
-    """Stationary point of the rate under unit imaginary-part variance.
-
-    ``k`` is the unit vector orthogonal to the coefficients that attains
-    the maximum; ``lambda1`` carries the negative root, which is the
-    branch whose stationary ``k`` maximizes (rather than minimizes) the
-    rate.  ``degenerate`` flags uniform coefficients, where every
-    feasible k gives rate zero.
-    """
-
-    k: np.ndarray
-    lambda1: float
-    lambda2: float
-    max_rate: float
-    degenerate: bool = False
 
 
 class GammaOptimum(NamedTuple):
@@ -91,40 +67,6 @@ def surprisal_variance(p: np.ndarray) -> float:
     mean = float(pos @ logs)
     f = float(pos @ (logs - mean) ** 2)
     return max(f, 0.0)
-
-
-def lagrange_solve(state: SchmidtState) -> LagrangeSolution:
-    """Solve the stationarity system for the rate-maximizing k.
-
-    With lambda2 the coefficient-weighted mean of log C, the residuals
-    C_i log C_i - 2 lambda1 k_i - lambda2 C_i vanish identically for
-    k_i = C_i (log C_i - lambda2) / (2 lambda1), and the negative root
-    for lambda1 normalizes k to the unit sphere while making the rate a
-    maximum, 2 sqrt(f), instead of its negative.
-    """
-    c = state.coefficients
-    mask = c > 0
-    cm = c[mask]
-    logs = np.log(cm)
-    lambda2 = float((cm**2) @ logs)
-    spread = float((cm**2) @ (logs - lambda2) ** 2)
-    if spread <= DEGENERACY_TOL:
-        return LagrangeSolution(
-            k=np.zeros_like(c),
-            lambda1=0.0,
-            lambda2=lambda2,
-            max_rate=0.0,
-            degenerate=True,
-        )
-    lambda1 = -0.5 * math.sqrt(spread)
-    k = np.zeros_like(c)
-    k[mask] = cm * (logs - lambda2) / (2 * lambda1)
-    return LagrangeSolution(
-        k=k,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        max_rate=gamma_rate_k(state, k),
-    )
 
 
 def max_rate(state: SchmidtState) -> float:
@@ -225,22 +167,19 @@ def optimal_design(d: int) -> OptimalDesign:
     )
 
 
-def brute_force_max_k(state: SchmidtState) -> float:
-    """Maximize the k-form rate on {|k| = 1, C.k = 0} by a projection.
+def _optimal_k(c: np.ndarray) -> np.ndarray:
+    """Unit k on {|k| = 1, C.k = 0} maximizing the k-form rate, or 0.
 
     The k-form rate is a.k with a = -4 C log C, so by Cauchy-Schwarz its
-    maximizer on that set is the normalized projection k of a orthogonal
-    to C, and the maximum is |k|.  The value is read through
-    :func:`gamma_rate_k`, not through the surprisal variance, so it still
-    checks :func:`max_rate` by another derivation.
+    maximizer on that set is the normalized projection of a orthogonal
+    to C, and the maximum is the norm of that projection.
 
     Rounding leaves about eps |a| of k along C; a second projection cuts
     that to eps |k|.  At equal Schmidt weights a is parallel to C and k is
     pure rounding noise, itself parallel to C, so normalizing it would read
-    +-2 log d; 0.0 is returned once |k| <= 1e-14 |a|, which is off by at
-    most that bound.
+    +-2 log d; the zero vector is returned once |k| <= 1e-14 |a|, which is
+    off by at most that bound.
     """
-    c = state.coefficients
     a = np.zeros_like(c)
     mask = c > 0
     a[mask] = -4.0 * c[mask] * np.log(c[mask])
@@ -248,41 +187,31 @@ def brute_force_max_k(state: SchmidtState) -> float:
     k -= (c @ k) * c
     norm = float(np.linalg.norm(k))
     if norm <= 1e-14 * float(np.linalg.norm(a)):
-        return 0.0
-    return gamma_rate_k(state, k / norm)
+        return np.zeros_like(c)
+    return k / norm
 
 
-def antisymmetric_from_k(c: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Minimal-Frobenius-norm antisymmetric solution M of M c = k.
+def brute_force_max_k(state: SchmidtState) -> float:
+    """Maximize the k-form rate on {|k| = 1, C.k = 0} by a projection.
 
-    Requires |c| = 1 and c.k = 0; then k c^T - c k^T solves the system,
-    and any other antisymmetric solution differs by a matrix orthogonal
-    to it, so this one has minimal norm.
+    The value is read through :func:`gamma_rate_k` at :func:`_optimal_k`,
+    not through the surprisal variance, so it still checks
+    :func:`max_rate` by another derivation.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
-    k = np.asarray(k, dtype=float).reshape(-1)
-    if k.size != c.size:
-        raise ValidationError("c and k must have equal length")
-    if abs(np.linalg.norm(c) - 1.0) > 1e-10:
-        raise ValidationError("c must be a unit vector")
-    if abs(c @ k) > 1e-8:
-        raise ValidationError("k must be orthogonal to c")
-    return np.outer(k, c) - np.outer(c, k)
+    return gamma_rate_k(state, _optimal_k(state.coefficients))
 
 
 def achieving_hamiltonian(state: SchmidtState) -> np.ndarray:
     """Hamiltonian attaining the maximal rate at unit imaginary variance.
 
-    Embeds i times the minimal-norm antisymmetric block built from the
-    Lagrange k on the Schmidt-diagonal subspace, in the computational
-    basis of the state: V (i M_I) V^H with V from :func:`schmidt_columns`.
+    With k = :func:`_optimal_k` and |C| = 1, M = k C^T - C k^T is the
+    minimal-Frobenius-norm antisymmetric solution of M C = k: any other
+    differs by a matrix orthogonal to it.  M is embedded on the
+    Schmidt-diagonal subspace in the computational basis of the state as
+    V (i M) V^H, with V from :func:`schmidt_columns`.  Equal Schmidt
+    weights give k = 0 and the zero Hamiltonian.
     """
-    solution = lagrange_solve(state)
-    d = state.rank_dim
-    m_i = (
-        np.zeros((d, d))
-        if solution.degenerate
-        else antisymmetric_from_k(state.coefficients, solution.k)
-    )
+    c = state.coefficients
+    k = _optimal_k(c)
     v = schmidt_columns(state)
-    return (v @ (1j * m_i)) @ v.conj().T
+    return (v @ (1j * (np.outer(k, c) - np.outer(c, k)))) @ v.conj().T

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, TextIO
 
@@ -46,6 +47,9 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
+# Largest product dimension accepted when ENTRATE_DIM_CAP is unset or empty.
+DEFAULT_DIM_CAP = 4096
+
 # Eigenvalues below this floor contribute nothing to entropies (the
 # x log x -> 0 limit).
 ENTROPY_EIGEN_FLOOR = 1e-12
@@ -53,6 +57,18 @@ ENTROPY_EIGEN_FLOOR = 1e-12
 
 class ValidationError(ValueError):
     """An input violated a documented precondition."""
+
+
+def _check_cap(product: int) -> None:
+    """Reject a product dimension above ENTRATE_DIM_CAP, or above
+    DEFAULT_DIM_CAP when that variable is unset or empty."""
+    raw = os.environ.get("ENTRATE_DIM_CAP", "")
+    try:
+        cap = int(raw) if raw else DEFAULT_DIM_CAP
+    except ValueError:
+        raise ValidationError(f"ENTRATE_DIM_CAP must be an integer, got {raw!r}")
+    if product > cap:
+        raise ValidationError(f"product dimension {product} exceeds cap {cap}")
 
 
 # Rows per block in hermiticity_defect: temporaries stay HERM_BLOCK x n.

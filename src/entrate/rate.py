@@ -46,7 +46,7 @@ class SchmidtBlock:
         m = np.asarray(self.m, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"block must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        if hermiticity_defect(m) > HERM_TOL:
             raise ValidationError("block must be Hermitian")
         object.__setattr__(self, "m", m)
 

@@ -17,7 +17,6 @@ from entrate.ancilla import (
     GBlock,
     ancilla_objective,
     assemble_and_arbitrate,
-    inner_opt_over_g,
     lambda_sq,
     recover_g,
     sup_search,
@@ -32,6 +31,8 @@ from entrate.optimum import (
 from entrate.oracle import direct_stats, fd_rate
 from entrate.qcore import PureState, random_hermitian, random_state, schmidt_decompose
 from entrate.rate import energy_stats, gamma_rate, mean_energy, schmidt_block
+
+from ancilla_reference import inner_opt_over_g
 
 
 def random_pairs(n, d_lo, d_hi, tag):
@@ -267,7 +268,7 @@ def test_fixed_coefficient_closed_form_matches_ascent_and_recovery():
         assert lam1 > 1e-3
         value, _ = inner_opt_over_g(coeffs)
         assert value == pytest.approx(2.0 * lam1, abs=1e-4)
-        block = recover_g(coeffs, lam1, 0.0)
+        block = recover_g(coeffs, 0.0)
         assert variance_constraint(coeffs, block) == pytest.approx(1.0, abs=1e-6)
         assert ancilla_objective(coeffs, block) == pytest.approx(
             2.0 * lam1, abs=1e-6

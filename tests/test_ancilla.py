@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate.ancilla import (
-    _lambda_sq_raw,
+    _inner_max,
     _pair_data,
     _value_and_grad,
     AncillaCoeffs,
-    DimensionCapError,
     GBlock,
     SingularityError,
     ancilla_objective,
     assemble_and_arbitrate,
     build_structured_hamiltonian,
-    inner_opt_over_g,
     lambda_sq,
     recover_g,
     sup_search,
@@ -26,6 +24,8 @@ from entrate.ancilla import (
 )
 from entrate.optimum import optimal_gamma
 from entrate.qcore import ValidationError, random_hermitian
+
+from ancilla_reference import inner_opt_over_g
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -116,6 +116,12 @@ class TestAncillaCoeffs:
         coeffs = AncillaCoeffs(c=c)
         assert coeffs.k[0, 1] == 0.0 and coeffs.k[0, 2] == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", [AncillaCoeffs, AncillaCoeffs.normalized])
+    def test_rejects_non_finite_entries(self, build, bad):
+        with pytest.raises(ValidationError, match="unit Frobenius norm"):
+            build(np.array([[bad, 1.0]]))
+
 
 class TestGBlock:
     def test_exact_antisymmetry(self):
@@ -125,6 +131,12 @@ class TestGBlock:
     def test_from_matrix_rejects_symmetric_part(self):
         with pytest.raises(ValidationError):
             GBlock.from_matrix(np.eye(2))
+
+    @pytest.mark.parametrize("m", [[[0.0, math.nan], [math.nan, 0.0]],
+                                   [[0.0, math.inf], [-math.inf, 0.0]]])
+    def test_from_matrix_rejects_non_finite_entries(self, m):
+        with pytest.raises(ValidationError, match="antisymmetric"):
+            GBlock.from_matrix(np.array(m))
 
     def test_round_trip(self):
         block = random_gblock(4, 7)
@@ -230,6 +242,8 @@ class TestLambdaSq:
     def test_rejects_negative_regularization(self):
         with pytest.raises(ValidationError):
             lambda_sq(worked_coeffs(), -1e-9)
+        with pytest.raises(ValidationError):
+            lambda_sq(worked_coeffs(), math.nan)
 
     def test_singular_without_regularization(self):
         with pytest.raises(SingularityError):
@@ -247,21 +261,18 @@ class TestLambdaSq:
 
 
 class TestRecoverG:
-    def test_requires_positive_lambda1(self):
-        with pytest.raises(ValidationError):
-            recover_g(worked_coeffs(), 0.0, 1e-9)
-
     def test_no_objective_gives_zero_block(self):
         c = np.diag([math.sqrt(0.9), math.sqrt(0.1)])
-        block = recover_g(AncillaCoeffs(c=c), 1.0, 1e-9)
+        block = recover_g(AncillaCoeffs(c=c), 1e-9)
         assert np.max(np.abs(block.g)) == 0.0
 
     def test_plug_back_at_stationary_point(self):
         coeffs = random_coeffs((3, 3), 17, floor=0.2)
         eps = 1e-10
-        lam1 = math.sqrt(lambda_sq(coeffs, eps))
-        block, defect = recover_g(coeffs, lam1, eps, return_defect=True)
-        assert defect < 1e-10
+        lam1, raw, _ = _inner_max(coeffs.c, eps)
+        block = recover_g(coeffs, eps)
+        # The maximizer is antisymmetric before recover_g projects it.
+        assert np.max(np.abs(raw + raw.T)) < 1e-10
         assert variance_constraint(coeffs, block) == pytest.approx(1.0, abs=1e-6)
         assert ancilla_objective(coeffs, block) == pytest.approx(
             2.0 * lam1, abs=1e-6
@@ -284,15 +295,15 @@ class TestVectorizedPairs:
     @pytest.mark.parametrize("shape", GRAD_SHAPES + [(1, 3), (3, 1)])
     @pytest.mark.parametrize("eps", GRAD_EPS + [1e-9])
     def test_lambda_sq_matches_pair_loop(self, shape, eps):
-        c = random_coeffs(shape, (shape, 61)).c
-        expected = loop_lambda_sq(c, eps)
-        assert abs(_lambda_sq_raw(c, eps) - expected) <= 1e-14 * max(expected, 1.0)
+        coeffs = random_coeffs(shape, (shape, 61))
+        expected = loop_lambda_sq(coeffs.c, eps)
+        assert abs(lambda_sq(coeffs, eps) - expected) <= 1e-14 * max(expected, 1.0)
 
     def test_lambda_sq_matches_pair_loop_on_singular_support(self):
-        c = AncillaCoeffs.normalized(np.array([[0.8, 0.0, 0.3], [0.1, 0.0, 0.5]])).c
+        coeffs = AncillaCoeffs.normalized(np.array([[0.8, 0.0, 0.3], [0.1, 0.0, 0.5]]))
         for eps in (1e-4, 1e-10):
-            expected = loop_lambda_sq(c, eps)
-            assert abs(_lambda_sq_raw(c, eps) - expected) <= 1e-14 * expected
+            expected = loop_lambda_sq(coeffs.c, eps)
+            assert abs(lambda_sq(coeffs, eps) - expected) <= 1e-14 * expected
 
     @pytest.mark.parametrize("shape", GRAD_SHAPES)
     @pytest.mark.parametrize("eps", GRAD_EPS)
@@ -300,7 +311,7 @@ class TestVectorizedPairs:
         coeffs = random_coeffs(shape, (shape, 62))
         lam1 = math.sqrt(lambda_sq(coeffs, eps))
         expected = loop_recover_g(coeffs.c, lam1, eps)
-        got = recover_g(coeffs, lam1, eps).g
+        got = recover_g(coeffs, eps).g
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -468,5 +479,12 @@ class TestArbitration:
     def test_dimension_cap(self):
         # 9 * 8 * 8 * 9 = 5184 exceeds the default cap of 4096.
         coeffs = random_coeffs((9, 8), 53)
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(ValidationError, match="exceeds cap 4096"):
             assemble_and_arbitrate(coeffs, GBlock.zeros(8))
+
+    def test_dimension_cap_follows_the_environment(self, monkeypatch):
+        # 1 * 3 * 3 * 1 = 9 is within the default cap, not within 8.
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
+        coeffs = random_coeffs((1, 3), 54)
+        with pytest.raises(ValidationError, match="product dimension 9 exceeds cap 8"):
+            assemble_and_arbitrate(coeffs, GBlock.zeros(3))

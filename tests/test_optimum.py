@@ -1,4 +1,4 @@
-"""No-ancilla optimizers: Lagrange closed form, gamma family, oracles."""
+"""No-ancilla optimizers: the optimal k, gamma family, oracles."""
 
 import math
 
@@ -18,23 +18,26 @@ from entrate.qcore import (
     schmidt_decompose,
 )
 from entrate.optimum import (
-    LagrangeSolution,
+    _optimal_k,
     achieving_hamiltonian,
-    antisymmetric_from_k,
     brute_force_max_k,
     build_optimal_hamiltonian,
     build_optimal_state,
-    lagrange_solve,
     max_rate,
     optimal_design,
     optimal_gamma,
     surprisal_variance,
 )
-from entrate.rate import energy_stats, gamma_rate, schmidt_block
+from entrate.rate import energy_stats, gamma_rate, gamma_rate_k, schmidt_block
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 WORKED_RATE = 1.3183347464017314
 GAMMA2 = (0.9167782798004823, 1.3254868386983631)
+
+
+def haar_unitary(d, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
 def identity_schmidt(c) -> SchmidtState:
@@ -75,37 +78,40 @@ class TestSurprisalVariance:
 
 
 class TestLagrangeSolve:
+    """The projection k solves the Lagrange system of the fixed-state problem."""
+
     def test_uniform_is_degenerate(self):
-        sol = lagrange_solve(identity_schmidt([0.5] * 4))
-        assert sol.degenerate
-        assert sol.max_rate == 0.0
-        assert np.array_equal(sol.k, np.zeros(4))
+        state = identity_schmidt([0.5] * 4)
+        assert np.array_equal(_optimal_k(state.coefficients), np.zeros(4))
+        assert brute_force_max_k(state) == 0.0
 
     def test_worked_value(self):
-        sol = lagrange_solve(identity_schmidt([math.sqrt(0.9), math.sqrt(0.1)]))
-        assert sol.max_rate == pytest.approx(WORKED_RATE, abs=1e-12)
+        state = identity_schmidt([math.sqrt(0.9), math.sqrt(0.1)])
+        k = _optimal_k(state.coefficients)
+        assert gamma_rate_k(state, k) == pytest.approx(WORKED_RATE, abs=1e-12)
 
     @given(seed=seeds)
     @settings(max_examples=30, deadline=None)
     def test_constraints_and_stationarity(self, seed):
         state = schmidt_decompose(random_state(4, 4, seed))
-        sol = lagrange_solve(state)
         c = state.coefficients
-        assert float(sol.k @ sol.k) == pytest.approx(1.0, abs=1e-10)
-        assert abs(float(c @ sol.k)) < 1e-10
-        # stationarity: C_i log C_i - 2 l1 k_i - l2 C_i = 0 on the support
+        k = _optimal_k(c)
+        assert float(k @ k) == pytest.approx(1.0, abs=1e-10)
+        assert abs(float(c @ k)) < 1e-10
+        # stationarity: C_i log C_i - 2 l1 k_i - l2 C_i = 0 on the support,
+        # with l2 the C^2-weighted mean of log C and l1 the negative root
+        # that normalizes k
         mask = c > 0
-        resid = (
-            c[mask] * np.log(c[mask])
-            - 2.0 * sol.lambda1 * sol.k[mask]
-            - sol.lambda2 * c[mask]
-        )
+        logs = np.log(c[mask])
+        lambda2 = float(c[mask] ** 2 @ logs)
+        lambda1 = -0.5 * math.sqrt(float(c[mask] ** 2 @ (logs - lambda2) ** 2))
+        resid = c[mask] * logs - 2.0 * lambda1 * k[mask] - lambda2 * c[mask]
         assert np.max(np.abs(resid)) < 1e-9
 
     def test_matches_surprisal_form(self):
         state = schmidt_decompose(random_state(5, 5, 12))
-        sol = lagrange_solve(state)
-        assert sol.max_rate == pytest.approx(max_rate(state), abs=1e-10)
+        k = _optimal_k(state.coefficients)
+        assert gamma_rate_k(state, k) == pytest.approx(max_rate(state), abs=1e-10)
 
 
 class TestMaxRate:
@@ -294,17 +300,17 @@ class TestBruteForce:
 class TestAchievingHamiltonian:
     def test_antisymmetric_solve_properties(self):
         state = schmidt_decompose(random_state(4, 4, 21))
-        sol = lagrange_solve(state)
-        m = antisymmetric_from_k(state.coefficients, sol.k)
+        m = schmidt_block(achieving_hamiltonian(state), state).m_i
+        k = _optimal_k(state.coefficients)
         assert np.max(np.abs(m + m.T)) < 1e-14
-        assert m @ state.coefficients == pytest.approx(sol.k, abs=1e-12)
+        assert m @ state.coefficients == pytest.approx(k, abs=1e-12)
 
     def test_antisymmetric_solve_is_minimal_norm(self):
-        # compare against the explicit least-squares solution over the
+        # compare the block of the achieving Hamiltonian against the
+        # explicit least-squares solution of M C = k over the
         # strict-upper-triangle parameterization
         state = schmidt_decompose(random_state(4, 4, 22))
-        sol = lagrange_solve(state)
-        c, k, d = state.coefficients, sol.k, 4
+        c, k, d = state.coefficients, _optimal_k(state.coefficients), 4
         iu = np.triu_indices(d, 1)
         n_par = len(iu[0])
         a_lin = np.zeros((d, n_par))
@@ -315,11 +321,8 @@ class TestAchievingHamiltonian:
         m_ls = np.zeros((d, d))
         m_ls[iu] = x
         m_ls = m_ls - m_ls.T
-        assert antisymmetric_from_k(c, k) == pytest.approx(m_ls, abs=1e-10)
-
-    def test_requires_orthogonality(self):
-        with pytest.raises(ValidationError):
-            antisymmetric_from_k(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        m = schmidt_block(achieving_hamiltonian(state), state).m_i
+        assert m == pytest.approx(m_ls, abs=1e-10)
 
     def test_attains_max_rate_with_unit_imag_variance(self):
         psi = random_state(3, 3, 23)
@@ -333,6 +336,29 @@ class TestAchievingHamiltonian:
         state = identity_schmidt([0.5] * 4)
         h = achieving_hamiltonian(state)
         assert np.max(np.abs(h)) == 0.0
+
+    @pytest.mark.parametrize(
+        "d_a, d_b, c",
+        [
+            (2, 5, [0.8, 0.6]),  # d_a != d_b
+            (4, 2, [0.8, 0.6]),
+            (3, 4, [0.8, 0.6, 0.0]),  # rank-deficient
+            (3, 3, [0.8, math.sqrt(0.36 - 1e-8), 1e-4]),  # C_min = 1e-4
+        ],
+    )
+    def test_attains_max_rate_across_shapes(self, d_a, d_b, c):
+        basis_a = haar_unitary(d_a, (d_a, d_b, 24))
+        basis_b = haar_unitary(d_b, (d_a, d_b, 25))
+        state = SchmidtState(coefficients=np.array(c), d_a=d_a, d_b=d_b,
+                             basis_a=basis_a, basis_b=basis_b)
+        psi = assemble_state(state)
+        h = achieving_hamiltonian(state)
+        best = max_rate(state)
+        assert gamma_rate(state, schmidt_block(h, state)) == pytest.approx(
+            best, rel=1e-12
+        )
+        assert energy_stats(psi, h).variance == pytest.approx(1.0, abs=1e-12)
+        assert abs(fd_rate(psi, h) - best) <= 2e-6
 
 
 class TestOptimalDesign:

@@ -65,6 +65,15 @@ class TestSchmidtBlock:
         with pytest.raises(ValidationError):
             SchmidtBlock(m=np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+         [[0.0, 1j * math.inf], [-1j * math.inf, 0.0]]],
+    )
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(ValidationError, match="Hermitian"):
+            SchmidtBlock(m=np.array(m))
+
     def test_readout_matches_direct_elements(self):
         psi = random_state(3, 3, 17)
         state = schmidt_decompose(psi)
