@@ -96,15 +96,28 @@ class AncillaCoeffs:
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:
             raise ValidationError("coefficient matrix must be nonzero")
-        return cls(c=raw / norm)
+        # A NaN or infinite entry is left to the unit-norm check, undivided:
+        # dividing by an infinite norm only adds a RuntimeWarning first.
+        return cls(c=raw / norm if math.isfinite(norm) else raw)
+
+
+def _strict_upper(d: int) -> np.ndarray:
+    """Mask of the strict upper triangle of a d x d matrix; indexing by it
+    visits the entries in row-major order, as np.triu_indices(d, 1) does."""
+    return np.arange(d)[:, None] < np.arange(d)
 
 
 @dataclass(frozen=True)
 class GBlock:
-    """Real antisymmetric block stored by its strict upper triangle."""
+    """Real antisymmetric block stored by its strict upper triangle.
+
+    ``g`` is the d x d matrix, built once at construction: the upper
+    triangle placed in a zero matrix, minus its transpose.
+    """
 
     upper: np.ndarray
     d: int
+    g: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         upper = np.asarray(self.upper, dtype=float).reshape(-1)
@@ -113,28 +126,26 @@ class GBlock:
             raise ValidationError(
                 f"expected {expected} upper-triangle entries, got {upper.size}"
             )
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def g(self) -> np.ndarray:
+        if not np.isfinite(upper).all():
+            raise ValidationError("block entries must be finite")
         m = np.zeros((self.d, self.d))
-        m[np.triu_indices(self.d, 1)] = self.upper
-        return m - m.T
+        m[_strict_upper(self.d)] = upper
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "g", m - m.T)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "GBlock":
-        """Block of a real matrix antisymmetric to within HERM_TOL."""
+        """Block of a finite real matrix antisymmetric to within HERM_TOL."""
         m = np.asarray(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("block must be a square matrix")
-        if m.size and not np.max(np.abs(m + m.T)) <= HERM_TOL:
-            raise ValidationError("block must be antisymmetric")
+        # Finiteness first, so that inf + (-inf) is never computed.
+        if m.size and not (
+            np.isfinite(m).all() and np.max(np.abs(m + m.T)) <= HERM_TOL
+        ):
+            raise ValidationError("block must be finite and antisymmetric")
         sym = (m - m.T) / 2.0
-        return cls(upper=sym[np.triu_indices(m.shape[0], 1)], d=m.shape[0])
-
-    @classmethod
-    def zeros(cls, d: int) -> "GBlock":
-        return cls(upper=np.zeros(d * (d - 1) // 2), d=d)
+        return cls(upper=sym[_strict_upper(m.shape[0])], d=m.shape[0])
 
 
 @dataclass(frozen=True)
@@ -170,13 +181,24 @@ class AncillaOptimum:
 def build_structured_hamiltonian(
     h_ab: np.ndarray, d_ancilla_a: int, d_ancilla_b: int
 ) -> np.ndarray:
-    """Extend H on A x B to I (x) H (x) I on (A' A) x (B B')."""
+    """Extend H on A x B to I (x) H (x) I on (A' A) x (B B').
+
+    Seen as an array of shape (a, n, b, a, n, b), with a and b the ancilla
+    dimensions and n that of A x B, the result is zero except on the
+    blocks [i, :, j, i, :, j], each a copy of H.  The entries equal those
+    of np.kron(I, np.kron(H, I)); only the signs of exact zeros may differ.
+    """
     h_ab = np.asarray(h_ab, dtype=complex)
     if hermiticity_defect(h_ab) > 1e-10:
         raise ValidationError("H_AB must be Hermitian")
     if d_ancilla_a < 1 or d_ancilla_b < 1:
         raise ValidationError("ancilla dimensions must be >= 1")
-    return np.kron(np.eye(d_ancilla_a), np.kron(h_ab, np.eye(d_ancilla_b)))
+    a, n, b = d_ancilla_a, h_ab.shape[0], d_ancilla_b
+    h = np.zeros((a, n, b, a, n, b), dtype=complex)
+    for i in range(a):
+        for j in range(b):
+            h[i, :, j, i, :, j] = h_ab
+    return h.reshape(a * n * b, a * n * b)
 
 
 # --- objective, constraint, and the fixed-C inner maximum ------------------

@@ -319,17 +319,17 @@ def _verify_checks(seed: int, trials: int, sign: float):
         g = anc.GBlock.from_matrix(raw - raw.T)
         obj = anc.ancilla_objective(coeffs, g)
         index_form = 0.0
-        c = coeffs.c
+        c, g_mat = coeffs.c.tolist(), g.g.tolist()
         for a in range(2):
             for b in range(2):
                 for dd in range(2):
-                    if c[a, b] > 0 and c[a, dd] > 0:
+                    if c[a][b] > 0 and c[a][dd] > 0:
                         index_form += (
                             2.0
-                            * c[a, b]
-                            * c[a, dd]
-                            * math.log(c[a, b] / c[a, dd])
-                            * g.g[dd, b]
+                            * c[a][b]
+                            * c[a][dd]
+                            * math.log(c[a][b] / c[a][dd])
+                            * g_mat[dd][b]
                         )
         err_id = max(err_id, abs(obj - index_form))
         err_arb = max(err_arb, abs(obj - anc.assemble_and_arbitrate(coeffs, g)))

@@ -79,20 +79,31 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """Max-norm distance of a square matrix from its conjugate transpose.
 
     Row blocks are compared with the matching column blocks, so no n x n
-    temporary is built.  A matrix with a NaN or infinite entry reads inf:
-    its difference holds NaN (inf - inf) or inf there, and max(0.0, nan)
-    would silently drop the NaN.
+    temporary is built; one ``np.errstate`` covers every block.  A matrix
+    with a NaN or infinite entry reads inf: its difference holds NaN
+    (inf - inf) or inf there, and max(0.0, nan) would silently drop the NaN.
     """
     defect = 0.0
-    for start in range(0, m.shape[0], HERM_BLOCK):
-        rows = m[start:start + HERM_BLOCK]
-        cols = m[:, start:start + HERM_BLOCK]
-        with np.errstate(invalid="ignore"):
-            block = float(np.max(np.abs(rows - cols.conj().T)))
-        if math.isnan(block):
-            return math.inf
-        defect = max(defect, block)
+    with np.errstate(invalid="ignore"):
+        for start in range(0, m.shape[0], HERM_BLOCK):
+            rows = m[start:start + HERM_BLOCK]
+            cols = m[:, start:start + HERM_BLOCK]
+            block = float(np.abs(rows - cols.conj().T).max())
+            if math.isnan(block):
+                return math.inf
+            defect = max(defect, block)
     return defect
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """Max-norm distance of U^H U from the identity, subtracted on the
+    diagonal only.  A matrix with a NaN or infinite entry reads inf, before
+    any product is formed."""
+    if not np.isfinite(u).all():
+        return math.inf
+    gram = u.conj().T @ u
+    gram.flat[::u.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 @dataclass(frozen=True)
@@ -143,18 +154,19 @@ class SchmidtState:
         d = min(self.d_a, self.d_b)
         if c.size != d:
             raise ValidationError(f"expected {d} coefficients, got {c.size}")
-        if np.any(c < 0):
+        # Each test is written so that a NaN fails it.
+        if c.size and not c.min() >= 0:
             raise ValidationError("Schmidt coefficients must be nonnegative")
         if not abs(float(c @ c) - 1.0) <= NORM_TOL:
             raise ValidationError("squared Schmidt coefficients must sum to 1")
-        if np.any(np.diff(c) > 1e-14):
+        if c.size > 1 and not (c[1:] - c[:-1]).max() <= 1e-14:
             raise ValidationError("Schmidt coefficients must be sorted nonincreasing")
         for name, u, dim in (("basis_a", self.basis_a, self.d_a),
                              ("basis_b", self.basis_b, self.d_b)):
             u = np.asarray(u, dtype=complex)
             if u.shape != (dim, dim):
                 raise ValidationError(f"{name} must be {dim}x{dim}")
-            if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARY_TOL:
+            if not _unitarity_defect(u) <= UNITARY_TOL:
                 raise ValidationError(f"{name} is not unitary")
             object.__setattr__(self, name, u)
         object.__setattr__(self, "coefficients", c)

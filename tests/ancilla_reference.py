@@ -12,6 +12,11 @@ from entrate.ancilla import (
 )
 
 
+def zero_block(d: int) -> GBlock:
+    """The d x d zero block."""
+    return GBlock(upper=np.zeros(d * (d - 1) // 2), d=d)
+
+
 def inner_opt_over_g(coeffs: AncillaCoeffs) -> tuple[float, GBlock]:
     """Maximize the objective over antisymmetric G at |CG|_F = 1 by a solve.
 
@@ -36,6 +41,6 @@ def inner_opt_over_g(coeffs: AncillaCoeffs) -> tuple[float, GBlock]:
     g = GBlock(upper=np.linalg.pinv(cg @ cg.T) @ obj, d=d)
     norm = math.sqrt(variance_constraint(coeffs, g))
     if norm == 0.0:
-        return 0.0, GBlock.zeros(d)
+        return 0.0, zero_block(d)
     g = GBlock(upper=g.upper / norm, d=d)
     return ancilla_objective(coeffs, g), g

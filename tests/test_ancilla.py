@@ -1,6 +1,7 @@
 """Ancilla-assisted optimization: closed form, exact inner solve, arbitration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from entrate.ancilla import (
 from entrate.optimum import optimal_gamma
 from entrate.qcore import ValidationError, random_hermitian
 
-from ancilla_reference import inner_opt_over_g
+from ancilla_reference import inner_opt_over_g, zero_block
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -122,6 +123,13 @@ class TestAncillaCoeffs:
         with pytest.raises(ValidationError, match="unit Frobenius norm"):
             build(np.array([[bad, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_normalized_rejects_non_finite_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                AncillaCoeffs.normalized(np.array([[bad, 1.0]]))
+
 
 class TestGBlock:
     def test_exact_antisymmetry(self):
@@ -143,6 +151,31 @@ class TestGBlock:
         assert GBlock.from_matrix(block.g).upper == pytest.approx(
             block.upper, abs=0
         )
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 6])
+    def test_matrix_is_the_upper_triangle_antisymmetrized(self, d):
+        upper = np.random.default_rng(d).normal(size=d * (d - 1) // 2)
+        want = np.zeros((d, d))
+        entry = 0
+        for i in range(d):
+            for j in range(i + 1, d):
+                want[i, j], want[j, i] = upper[entry], -upper[entry]
+                entry += 1
+        assert np.array_equal(GBlock(upper=upper, d=d).g, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_upper(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            GBlock(upper=np.array([bad]), d=2)
+
+    @pytest.mark.parametrize("m", [[[0.0, math.nan], [math.nan, 0.0]],
+                                   [[0.0, math.inf], [-math.inf, 0.0]],
+                                   [[0.0, math.inf], [math.inf, 0.0]]])
+    def test_from_matrix_rejects_non_finite_without_warning(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                GBlock.from_matrix(np.array(m))
 
 
 class TestStructuredHamiltonian:
@@ -177,11 +210,18 @@ class TestStructuredHamiltonian:
         with pytest.raises(ValidationError):
             build_structured_hamiltonian(np.triu(np.ones((2, 2))) * 1j, 2, 2)
 
+    @pytest.mark.parametrize("ancillas", [(1, 3), (2, 2), (3, 1)])
+    def test_equals_kron_reference(self, ancillas):
+        a, b = ancillas
+        h_ab = random_hermitian(4, 5)
+        want = np.kron(np.eye(a), np.kron(h_ab, np.eye(b)))
+        assert np.array_equal(build_structured_hamiltonian(h_ab, a, b), want)
+
 
 class TestObjectiveAndConstraint:
     def test_zero_block(self):
         coeffs = random_coeffs((2, 2), 8)
-        zero = GBlock.zeros(2)
+        zero = zero_block(2)
         assert ancilla_objective(coeffs, zero) == 0.0
         assert variance_constraint(coeffs, zero) == 0.0
 
@@ -456,7 +496,7 @@ class TestSupSearch:
 class TestArbitration:
     def test_zero_block(self):
         coeffs = random_coeffs((2, 2), 50)
-        assert assemble_and_arbitrate(coeffs, GBlock.zeros(2)) == pytest.approx(
+        assert assemble_and_arbitrate(coeffs, zero_block(2)) == pytest.approx(
             0.0, abs=1e-8
         )
 
@@ -480,11 +520,11 @@ class TestArbitration:
         # 9 * 8 * 8 * 9 = 5184 exceeds the default cap of 4096.
         coeffs = random_coeffs((9, 8), 53)
         with pytest.raises(ValidationError, match="exceeds cap 4096"):
-            assemble_and_arbitrate(coeffs, GBlock.zeros(8))
+            assemble_and_arbitrate(coeffs, zero_block(8))
 
     def test_dimension_cap_follows_the_environment(self, monkeypatch):
         # 1 * 3 * 3 * 1 = 9 is within the default cap, not within 8.
         monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
         coeffs = random_coeffs((1, 3), 54)
         with pytest.raises(ValidationError, match="product dimension 9 exceeds cap 8"):
-            assemble_and_arbitrate(coeffs, GBlock.zeros(3))
+            assemble_and_arbitrate(coeffs, zero_block(3))

@@ -9,13 +9,21 @@ import numpy as np
 import pytest
 
 import entrate.oracle
-from entrate.oracle import MAX_PHASE, STEP, direct_stats, fd_rate
+from entrate.oracle import (
+    MAX_PHASE,
+    STEP,
+    _norm_1,
+    _scaled_taylor_terms,
+    direct_stats,
+    fd_rate,
+)
 from entrate.qcore import (
     PureState,
     ValidationError,
     random_hermitian,
     random_state,
     schmidt_decompose,
+    spectrum_entropy,
 )
 from entrate.rate import gamma_rate, schmidt_block
 
@@ -108,6 +116,49 @@ def eigh_fd_rate(psi, h):
 
     return (8 * (entropy_at(s) - entropy_at(-s))
             - (entropy_at(2 * s) - entropy_at(-2 * s))) / (12 * s)
+
+
+def separate_svd_fd_rate(psi, h):
+    """fd_rate's stencil with one Taylor sum and one SVD per stencil point."""
+    norm = _norm_1(h)
+    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
+    terms = _scaled_taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
+
+    def entropy_at(m):
+        phi = sum((-1j * m) ** k * q for k, q in enumerate(terms))
+        sv = np.linalg.svd(phi.reshape(psi.d_a, psi.d_b), compute_uv=False)
+        return spectrum_entropy(sv**2)
+
+    return (8 * (entropy_at(1) - entropy_at(-1))
+            - (entropy_at(2) - entropy_at(-2))) / (12 * s)
+
+
+def rank_one_state(d_a, d_b, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
+    b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
+    amp = np.outer(a, b).reshape(-1)
+    return PureState(d_a, d_b, amp / np.linalg.norm(amp))
+
+
+class TestStackedStencil:
+    """The stacked SVD gives the bits of four separate ones."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 5), (1, 4), (4, 1)])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_random_pairs(self, dims, scale):
+        for seed in range(5):
+            psi = random_state(*dims, (seed, 60))
+            h = scale * random_hermitian(dims[0] * dims[1], (seed, 61))
+            assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_rank_deficient_states(self, dims, scale):
+        for seed in range(5):
+            psi = rank_one_state(*dims, (seed, 62))
+            h = scale * random_hermitian(dims[0] * dims[1], (seed, 63))
+            assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
 
 
 class TestTaylorAction:

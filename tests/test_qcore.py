@@ -162,6 +162,25 @@ class TestSchmidtDecompose:
                 basis_b=np.eye(2),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["basis_a", "basis_b"])
+    def test_rejects_non_finite_basis(self, name, bad):
+        bases = {"basis_a": np.eye(2), "basis_b": np.eye(2)}
+        bases[name] = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match=f"{name} is not unitary"):
+            SchmidtState(coefficients=np.array([1.0, 0.0]), d_a=2, d_b=2, **bases)
+
+    @pytest.mark.parametrize("coefficients", [[math.nan, 0.0], [1.0, math.nan],
+                                              [math.inf, 0.0]])
+    def test_rejects_non_finite_coefficients(self, coefficients):
+        with pytest.raises(ValidationError):
+            SchmidtState(coefficients=np.array(coefficients), d_a=2, d_b=2,
+                         basis_a=np.eye(2), basis_b=np.eye(2))
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 2), (3, 4)])
+    def test_accepts_every_decomposition(self, dims):
+        assert schmidt_decompose(random_state(*dims, 9)).rank_dim == min(dims)
+
 
 class TestPartialTrace:
     def test_pure_product(self):
