@@ -7,7 +7,9 @@ G real antisymmetric.  The rate objective and the variance constraint
 are matrix expressions in (C, G, K) with K = C log C, which this module
 evaluates, maximizes over G in closed form, maximizes over C
 numerically, and arbitrates against the finite-difference oracle on the
-assembled global system.  At every tested (d, K) the supremum is the
+assembled global system.  The fixed-C maximum and its gradient take a
+stack of matrices, so the search over C ascends all its starts at once,
+one stacked SVD per step.  At every tested (d, K) the supremum is the
 no-ancilla optimum ``optimal_gamma(d).rate``: measured, not proved, and
 a statement about this family only.
 """
@@ -47,17 +49,22 @@ __all__ = [
 # (regularization, entry floor) pairs applied in order during sup_search.
 ANNEAL_SCHEDULE = ((1e-4, 1e-4), (1e-7, 1e-6), (1e-10, 1e-8))
 SINGULARITY_COND_LIMIT = 1e12
+# sup_search ascends its starts in stacks of at most this many.
+_START_BLOCK = 64
 
 
 class SingularityError(ValidationError):
     """Unregularized evaluation hit a numerically singular C^T C."""
 
 
+def _log_positive(c: np.ndarray) -> np.ndarray:
+    """Entrywise log C where C > 0, and 0 elsewhere."""
+    return np.log(np.where(c > 0, c, 1.0))
+
+
 def _xlogx(c: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(c)
-    mask = c > 0
-    out[mask] = c[mask] * np.log(c[mask])
-    return out
+    """Entrywise C log C for nonnegative C, zero where C is zero."""
+    return c * _log_positive(c)
 
 
 @dataclass(frozen=True)
@@ -225,10 +232,19 @@ def variance_constraint(coeffs: AncillaCoeffs, g: GBlock) -> float:
     return float(np.linalg.norm(coeffs.c @ g.g, "fro") ** 2)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each slice of a stack, computed as np.linalg.norm
+    computes it for one matrix: the square root of the flattened slice's
+    dot product with itself, so each norm keeps its bits."""
+    f = x.reshape(x.shape[0], 1, -1)
+    return np.sqrt((f @ f.transpose(0, 2, 1)).reshape(-1))
+
+
 def _pair_data(
     c: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """K = C log C, eigenvalues b and eigenvectors O of C^T C, and A rotated.
+    """K = C log C, eigenvalues b and eigenvectors O of C^T C, and A rotated,
+    for each C of a stack of shape (S, K, d).
 
     The eigenpairs come from the SVD C = U S O^T, so C O = U S is exact
     zero on null directions of C: there A' vanishes identically instead
@@ -237,19 +253,23 @@ def _pair_data(
     """
     k = _xlogx(c)
     u, s, vt = np.linalg.svd(c)
-    evals = np.zeros(c.shape[1])
-    evals[: s.size] = s**2
+    rank = s.shape[1]
+    evals = np.zeros((c.shape[0], c.shape[2]))
+    evals[:, :rank] = s**2
     c_rot = np.zeros_like(c)
-    c_rot[:, : s.size] = u[:, : s.size] * s
-    k_rot = k @ vt.T
-    return k, evals, vt.T, c_rot.T @ k_rot - k_rot.T @ c_rot
+    c_rot[:, :, :rank] = u[:, :, :rank] * s[:, None, :]
+    evecs = vt.transpose(0, 2, 1)
+    k_rot = k @ evecs
+    a_rot = c_rot.transpose(0, 2, 1) @ k_rot - k_rot.transpose(0, 2, 1) @ c_rot
+    return k, evals, evecs, a_rot
 
 
 def _inner_max(
     c: np.ndarray, regularization: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda1 = sqrt(lambda_sq), the maximizer G* before antisymmetrization,
-    and K = C log C, from one SVD of C.
+    and K = C log C, for each C of a stack of shape (S, K, d), from one
+    stacked SVD.
 
     With W_ij = 1/(b_i + b_j + 2 eps), zero on the diagonal and where the
     denominator is not positive, lambda_sq = 2 sum A'^2 o W and
@@ -259,21 +279,23 @@ def _inner_max(
     if not regularization >= 0:
         raise ValidationError("regularization must be >= 0")
     k, evals, evecs, a_rot = _pair_data(c)
-    den = evals[:, None] + evals[None, :] + 2.0 * regularization
+    den = evals[:, :, None] + evals[:, None, :] + 2.0 * regularization
     w = np.zeros_like(den)
     np.divide(1.0, den, out=w, where=den > 1e-300)
-    np.fill_diagonal(w, 0.0)
-    lam_sq = 2.0 * float(np.sum(a_rot**2 * w))
-    if lam_sq <= 0.0:
-        return 0.0, np.zeros_like(w), k
-    lambda1 = math.sqrt(lam_sq)
-    return lambda1, evecs @ (2.0 * a_rot * w / lambda1) @ evecs.T, k
+    w.reshape(len(w), -1)[:, :: w.shape[1] + 1] = 0.0  # the diagonals
+    # Each slice summed as one flat row, in the order np.sum takes a matrix.
+    lambda1 = np.sqrt(2.0 * (a_rot**2 * w).reshape(len(w), -1).sum(axis=1))
+    g_rot = np.zeros_like(w)
+    scale = lambda1[:, None, None]
+    np.divide(2.0 * a_rot * w, scale, out=g_rot, where=scale > 0.0)
+    return lambda1, evecs @ g_rot @ evecs.transpose(0, 2, 1), k
 
 
 def _value_and_grad(
     c: np.ndarray, regularization: float
-) -> tuple[float, np.ndarray]:
-    """value(C) = 2 sqrt(lambda_sq) and its gradient in C from one SVD.
+) -> tuple[np.ndarray, np.ndarray]:
+    """value(C) = 2 sqrt(lambda_sq) and its gradient in C, for each C of a
+    stack of shape (S, K, d), from one stacked SVD.
 
     By Danskin's envelope theorem the gradient is that of
     objective - lambda1 (|CG|^2 + eps |G|^2) at the fixed maximizer G*,
@@ -281,13 +303,13 @@ def _value_and_grad(
 
         -4 K G* + 4 (C G*) o (log C + 1) - 2 lambda1 C G* G*^T.
 
-    C must be entrywise positive (``sup_search`` floors it).
+    C must be entrywise positive (``sup_search`` floors it) unless its
+    objective vanishes; then G* = 0 and the value and gradient are zero.
     """
     lambda1, g, k = _inner_max(c, regularization)
-    if lambda1 == 0.0:
-        return 0.0, np.zeros_like(c)
     cg = c @ g
-    grad = 4.0 * (cg * (np.log(c) + 1.0) - k @ g) - 2.0 * lambda1 * (cg @ g.T)
+    penalty = 2.0 * lambda1[:, None, None] * (cg @ g.transpose(0, 2, 1))
+    grad = 4.0 * (cg * (_log_positive(c) + 1.0) - k @ g) - penalty
     return 2.0 * lambda1, grad
 
 
@@ -312,7 +334,7 @@ def lambda_sq(coeffs: AncillaCoeffs, regularization: float) -> float:
             raise SingularityError(
                 "C^T C is numerically singular; pass a positive regularization"
             )
-    return _inner_max(c, regularization)[0] ** 2
+    return float(_inner_max(c[None], regularization)[0][0]) ** 2
 
 
 def recover_g(coeffs: AncillaCoeffs, regularization: float) -> GBlock:
@@ -323,7 +345,7 @@ def recover_g(coeffs: AncillaCoeffs, regularization: float) -> GBlock:
     with lambda1 the fixed-C maximum of C itself.  Returns the zero block
     when the objective vanishes.
     """
-    _, raw, _ = _inner_max(coeffs.c, regularization)
+    raw = _inner_max(coeffs.c[None], regularization)[1][0]
     return GBlock.from_matrix((raw - raw.T) / 2.0)
 
 
@@ -338,6 +360,62 @@ def _embedding_seed(
     c = np.full((d_ancilla, d_a), fill)
     c[0, :] = row
     return c
+
+
+def _ascend(
+    c: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Projected gradient ascent of a stack of starts through ANNEAL_SCHEDULE.
+
+    Returns each start's final C and its value at the last regularization,
+    whether it converged in some round, and the ascent steps summed over
+    starts.  Step size, acceptance and convergence are kept per start, and
+    each step evaluates the starts still running in one stack, so every
+    start follows the path it would follow alone.  A start stops for the
+    round when its gradient vanishes or its step falls below 1e-10; the
+    next round starts from the step where it stopped.
+    """
+    step = np.full(len(c), 0.05)
+    value = np.empty(len(c))
+    ok = np.zeros(len(c), dtype=bool)
+    iterations = 0
+    for eps, delta in ANNEAL_SCHEDULE:
+        c = np.clip(c, delta, None)
+        c = c / _norms(c)[:, None, None]
+        # The running starts' indices and state, compacted when some stop.
+        run, r_c, r_step = np.arange(len(c)), c, step
+        r_value, r_grad = _value_and_grad(c, eps)
+        for _ in range(max_iter):
+            iterations += run.size
+            norm = _norms(r_grad)
+            # A vanishing gradient stops its start before any trial step:
+            # its trial is evaluated with the rest but never taken.
+            flat = norm < 1e-12
+            norm = np.where(flat, 1.0, norm)[:, None, None]
+            trial = np.clip(r_c + r_step[:, None, None] * r_grad / norm, delta, None)
+            trial = trial / _norms(trial)[:, None, None]
+            trial_value, trial_grad = _value_and_grad(trial, eps)
+            up = (trial_value > r_value) & ~flat
+            r_c = np.where(up[:, None, None], trial, r_c)
+            r_value = np.where(up, trial_value, r_value)
+            r_grad = np.where(up[:, None, None], trial_grad, r_grad)
+            halved = np.where(flat, r_step, r_step * 0.5)
+            r_step = np.where(up, np.minimum(r_step * 1.05, 0.25), halved)
+            stop = flat | (~up & (r_step < 1e-10))
+            if stop.any():
+                done = run[stop]
+                ok[done] = True
+                c[done] = r_c[stop]
+                value[done] = r_value[stop]
+                step[done] = r_step[stop]
+                keep = ~stop
+                run, r_c, r_value, r_grad, r_step = (
+                    run[keep], r_c[keep], r_value[keep], r_grad[keep], r_step[keep]
+                )
+                if not run.size:
+                    break
+        c[run], value[run], step[run] = r_c, r_value, r_step
+    return c, value, ok, iterations
 
 
 def sup_search(
@@ -357,6 +435,15 @@ def sup_search(
     gradient of the fixed-C maximum is the partial C-gradient of the
     Lagrangian at the closed-form maximizer G*, so each evaluation of
     the value also yields its gradient from the same SVD of C.
+
+    The starts ascend together, in blocks of at most ``_START_BLOCK``, so
+    that each step runs one stacked SVD over the starts still active and
+    memory does not grow with ``starts``.  Each start's path, and so the
+    result, is the one it would follow alone; of equal values the first
+    start's wins.  The step size is not reset between anneal rounds: the
+    first round ends once the step has fallen below 1e-10, so the later rounds
+    mostly re-floor C and re-evaluate it, with one to three trial steps
+    each.
     """
     if d_a < 2:
         raise ValidationError("d_a must be >= 2")
@@ -375,42 +462,24 @@ def sup_search(
     total_iterations = 0
     final_eps = ANNEAL_SCHEDULE[-1][0]
 
-    for start in range(starts):
-        if start == 0:
-            fill = ANNEAL_SCHEDULE[0][1]
-            c = _embedding_seed(no_ancilla.gamma, d_a, d_ancilla, fill)
-        else:
-            rng = np.random.default_rng((seed, start))
-            c = np.abs(rng.normal(size=shape)) + 0.01
-        c = c / np.linalg.norm(c)
-        step = 0.05
-        ok = False
-        for eps, delta in ANNEAL_SCHEDULE:
-            c = np.clip(c, delta, None)
-            c = c / np.linalg.norm(c)
-            value, grad = _value_and_grad(c, eps)
-            for _ in range(max_iter):
-                total_iterations += 1
-                norm = float(np.linalg.norm(grad))
-                if norm < 1e-12:
-                    ok = True
-                    break
-                trial = np.clip(c + step * grad / norm, delta, None)
-                trial = trial / np.linalg.norm(trial)
-                trial_value, trial_grad = _value_and_grad(trial, eps)
-                if trial_value > value:
-                    c, value, grad = trial, trial_value, trial_grad
-                    step = min(step * 1.05, 0.25)
-                else:
-                    step *= 0.5
-                    if step < 1e-10:
-                        ok = True
-                        break
-        converged += ok
+    for first in range(0, starts, _START_BLOCK):
+        block = []
+        for start in range(first, min(first + _START_BLOCK, starts)):
+            if start == 0:
+                fill = ANNEAL_SCHEDULE[0][1]
+                block.append(_embedding_seed(no_ancilla.gamma, d_a, d_ancilla, fill))
+            else:
+                rng = np.random.default_rng((seed, start))
+                block.append(np.abs(rng.normal(size=shape)) + 0.01)
+        c = np.stack(block)
+        c, value, ok, iterations = _ascend(c / _norms(c)[:, None, None], max_iter)
+        converged += int(ok.sum())
+        total_iterations += iterations
         # The last anneal round runs at final_eps, so value is the final value.
-        if value > best_value:
-            best_value = value
-            best_c = c
+        best = int(np.argmax(value))
+        if value[best] > best_value:
+            best_value = float(value[best])
+            best_c = c[best]
 
     assert best_c is not None
     coeffs = AncillaCoeffs.normalized(best_c)

@@ -131,7 +131,7 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
     block = schmidt_block(h, state)
     closed = gamma_rate(state, block)
     oracle = fd_rate(psi, h)
-    stats = energy_stats(psi, h)
+    stats = energy_stats(psi, h, state)
     scale = _scale(args.log_base)
 
     report = {
@@ -261,7 +261,7 @@ def _verify_checks(seed: int, trials: int, sign: float):
         block = schmidt_block(h, state)
         closed = sign * gamma_rate(state, block)
         err_rate = max(err_rate, abs(closed - fd_rate(psi, h)))
-        stats = energy_stats(psi, h)
+        stats = energy_stats(psi, h, state)
         mean_direct, var_direct = direct_stats(psi, h)
         err_var = max(
             err_var,

@@ -17,7 +17,6 @@ from .qcore import (
     SchmidtState,
     ValidationError,
     hermiticity_defect,
-    schmidt_decompose,
 )
 
 __all__ = [
@@ -137,9 +136,13 @@ def mean_energy(state: SchmidtState, block: SchmidtBlock) -> float:
     return float(c @ block.m_r @ c)
 
 
-def energy_stats(psi: PureState, h: np.ndarray) -> EnergyStats:
+def energy_stats(
+    psi: PureState, h: np.ndarray, state: SchmidtState
+) -> EnergyStats:
     """Energy mean and variance, split along the Schmidt-basis real/imag parts.
 
+    ``state`` is the Schmidt decomposition of ``psi`` (``schmidt_decompose``),
+    which the callers already hold; the split refers to its bases.
     In the full Schmidt product basis W = basis_a (x) basis_b the state is
     the real vector v = sum_i C_i e_ii, and the variance decomposes exactly
     into the real-part variance plus <v|H_I H_I^T|v>.  Only y = W^H H psi =
@@ -152,7 +155,8 @@ def energy_stats(psi: PureState, h: np.ndarray) -> EnergyStats:
         raise ValidationError(f"expected a {n}x{n} Hamiltonian, got {h.shape}")
     if hermiticity_defect(h) > HERM_TOL:
         raise ValidationError("Hamiltonian must be Hermitian")
-    state = schmidt_decompose(psi)
+    if (state.d_a, state.d_b) != (psi.d_a, psi.d_b):
+        raise ValidationError("decomposition does not match the state")
     c = state.coefficients
     phi = (h @ psi.amplitudes).reshape(psi.d_a, psi.d_b)
     y = state.basis_a.conj().T @ phi @ state.basis_b.conj()

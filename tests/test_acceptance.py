@@ -66,7 +66,7 @@ def test_closed_form_rate_matches_fd_oracle_on_random_pairs():
 def test_variance_splits_into_nonnegative_parts():
     worst = 0.0
     for psi, h in random_pairs(100, 2, 6, tag=12):
-        stats = energy_stats(psi, h)
+        stats = energy_stats(psi, h, schmidt_decompose(psi))
         gap = stats.variance - stats.variance_real_part - stats.variance_imag_part
         worst = max(worst, abs(gap))
         assert stats.variance_real_part >= -1e-12
@@ -94,7 +94,7 @@ def test_unit_budget_maximum_is_attained_and_matches_brute_force():
         assert brute_force_max_k(state) == pytest.approx(best, abs=1e-6)
         h = achieving_hamiltonian(state)
         assert fd_rate(psi, h) == pytest.approx(best, abs=2e-6)
-        assert energy_stats(psi, h).variance_imag_part == pytest.approx(
+        assert energy_stats(psi, h, state).variance_imag_part == pytest.approx(
             1.0, abs=1e-8
         )
 

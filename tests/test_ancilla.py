@@ -1,6 +1,7 @@
 """Ancilla-assisted optimization: closed form, exact inner solve, arbitration."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrate import ancilla
 from entrate.ancilla import (
+    _START_BLOCK,
+    _ascend,
     _inner_max,
     _pair_data,
     _value_and_grad,
@@ -26,7 +30,7 @@ from entrate.ancilla import (
 from entrate.optimum import optimal_gamma
 from entrate.qcore import ValidationError, random_hermitian
 
-from ancilla_reference import inner_opt_over_g, zero_block
+from ancilla_reference import inner_opt_over_g, sup_search_one_by_one, zero_block
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -67,9 +71,14 @@ def random_gblock(d, seed) -> GBlock:
     return GBlock.from_matrix(m - m.T)
 
 
+def stack_of(shape, seed, size=3):
+    """A stack of `size` random coefficient matrices of one shape."""
+    return np.stack([random_coeffs(shape, (seed, i)).c for i in range(size)])
+
+
 def loop_lambda_sq(c, eps):
     """Reference: sum_{i<j} 4 A'_ij^2 / (b_i + b_j + 2 eps) by an explicit loop."""
-    _, evals, _, a_rot = _pair_data(c)
+    _, evals, _, a_rot = (x[0] for x in _pair_data(c[None]))
     total = 0.0
     for i in range(evals.size):
         for j in range(i + 1, evals.size):
@@ -81,7 +90,7 @@ def loop_lambda_sq(c, eps):
 
 def loop_recover_g(c, lambda1, eps):
     """Reference: G'_ij = 2 A'_ij / ((b_i + b_j + 2 eps) lambda1), rotated back."""
-    evals, evecs, a_rot = _pair_data(c)[1:]
+    evals, evecs, a_rot = (x[0] for x in _pair_data(c[None])[1:])
     d = evals.size
     g_rot = np.zeros((d, d))
     for i in range(d):
@@ -309,7 +318,7 @@ class TestRecoverG:
     def test_plug_back_at_stationary_point(self):
         coeffs = random_coeffs((3, 3), 17, floor=0.2)
         eps = 1e-10
-        lam1, raw, _ = _inner_max(coeffs.c, eps)
+        lam1, raw, _ = (x[0] for x in _inner_max(coeffs.c[None], eps))
         block = recover_g(coeffs, eps)
         # The maximizer is antisymmetric before recover_g projects it.
         assert np.max(np.abs(raw + raw.T)) < 1e-10
@@ -322,15 +331,24 @@ class TestRecoverG:
 class TestVectorizedPairs:
     @pytest.mark.parametrize("shape", GRAD_SHAPES + [(1, 3), (3, 1)])
     def test_pair_data_diagonalizes_c_transpose_c(self, shape):
-        c = random_coeffs(shape, (shape, 60)).c
-        k, evals, evecs, a_rot = _pair_data(c)
-        a = c.T @ k - k.T @ c
-        d = shape[1]
-        assert np.max(np.abs(evecs.T @ evecs - np.eye(d))) <= 1e-14
-        assert np.max(np.abs(evecs.T @ c.T @ c @ evecs - np.diag(evals))) <= 1e-14
-        assert np.max(np.abs(a_rot - evecs.T @ a @ evecs)) <= 1e-14 * np.max(np.abs(a))
-        # A' vanishes identically on pairs of null directions of C.
-        assert not a_rot[shape[0]:, shape[0]:].any()
+        stack = stack_of(shape, (shape, 60))
+        for c, k, evals, evecs, a_rot in zip(stack, *_pair_data(stack)):
+            a = c.T @ k - k.T @ c
+            d = shape[1]
+            assert np.max(np.abs(evecs.T @ evecs - np.eye(d))) <= 1e-14
+            assert np.max(np.abs(evecs.T @ c.T @ c @ evecs - np.diag(evals))) <= 1e-14
+            assert np.max(np.abs(a_rot - evecs.T @ a @ evecs)) <= 1e-14 * np.max(np.abs(a))
+            # A' vanishes identically on pairs of null directions of C.
+            assert not a_rot[shape[0]:, shape[0]:].any()
+
+    @pytest.mark.parametrize("shape", GRAD_SHAPES + [(1, 3), (3, 1)])
+    def test_each_slice_as_if_alone(self, shape):
+        # A slice's results do not depend on the rest of its stack.
+        stack = stack_of(shape, (shape, 64))
+        stacked = _inner_max(stack, 1e-7)
+        for i in range(len(stack)):
+            for got, alone in zip(stacked, _inner_max(stack[i : i + 1], 1e-7)):
+                assert np.array_equal(got[i], alone[0])
 
     @pytest.mark.parametrize("shape", GRAD_SHAPES + [(1, 3), (3, 1)])
     @pytest.mark.parametrize("eps", GRAD_EPS + [1e-9])
@@ -359,26 +377,33 @@ class TestValueAndGrad:
     @pytest.mark.parametrize("shape", GRAD_SHAPES)
     @pytest.mark.parametrize("eps", GRAD_EPS)
     def test_matches_central_differences(self, shape, eps):
-        c = random_coeffs(shape, (shape, 63)).c
+        stack = stack_of(shape, (shape, 63), size=2)
         h = 1e-6
 
         def value(m):
             return 2.0 * math.sqrt(loop_lambda_sq(m, eps))
 
-        fd = np.zeros(shape)
-        for idx in np.ndindex(*shape):
-            probe = np.zeros(shape)
-            probe[idx] = h
-            fd[idx] = (value(c + probe) - value(c - probe)) / (2.0 * h)
-        got_value, grad = _value_and_grad(c, eps)
-        assert got_value == pytest.approx(value(c), rel=1e-14)
-        assert np.max(np.abs(grad - fd)) <= 1e-8 * np.max(np.abs(fd))
+        for c, got_value, grad in zip(stack, *_value_and_grad(stack, eps)):
+            fd = np.zeros(shape)
+            for idx in np.ndindex(*shape):
+                probe = np.zeros(shape)
+                probe[idx] = h
+                fd[idx] = (value(c + probe) - value(c - probe)) / (2.0 * h)
+            assert got_value == pytest.approx(value(c), rel=1e-14)
+            assert np.max(np.abs(grad - fd)) <= 1e-8 * np.max(np.abs(fd))
 
     def test_zero_objective_has_zero_gradient(self):
         c = np.diag([math.sqrt(0.9), math.sqrt(0.1)])
-        value, grad = _value_and_grad(c, 1e-7)
-        assert value == 0.0
-        assert not grad.any()
+        other = random_coeffs((2, 2), 65).c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _value_and_grad(np.stack([c, other]), 1e-7)
+        assert value[0] == 0.0
+        assert not grad[0].any()
+        # The vanishing slice leaves its neighbour as it would be alone.
+        alone_value, alone_grad = _value_and_grad(other[None], 1e-7)
+        assert value[1] == alone_value[0]
+        assert np.array_equal(grad[1], alone_grad[0])
 
 
 class TestInnerOpt:
@@ -485,12 +510,96 @@ class TestSupSearch:
             sup_search(1, 1)
         with pytest.raises(ValidationError):
             sup_search(2, 0)
+        with pytest.raises(ValidationError, match="starts must be >= 1"):
+            sup_search(2, 2, starts=0)
 
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_rejects_max_iter_below_one(self, max_iter):
         # With no ascent step no start can converge: that is bad input.
         with pytest.raises(ValidationError, match="max_iter must be >= 1"):
             sup_search(2, 2, starts=2, max_iter=max_iter)
+
+
+# (d_a, d_ancilla, starts, seed, max_iter): the four benchmark cases, one
+# ancilla row, fewer rows than columns (C^T C has null directions), more
+# rows than columns, one and eight starts, seeds 0, 3 and 7, a single step
+# per round, and searches that span two and three blocks of starts.
+SEARCH_GRID = [
+    (4, 2, 4, 0, 300),
+    (4, 4, 4, 0, 300),
+    (5, 3, 4, 0, 300),
+    (6, 6, 4, 0, 300),
+    (2, 1, 3, 0, 300),
+    (4, 1, 8, 3, 300),
+    (5, 1, 1, 7, 300),
+    (5, 2, 8, 7, 300),
+    (4, 3, 1, 3, 300),
+    (7, 2, 8, 3, 300),
+    (3, 5, 8, 7, 300),
+    (2, 4, 1, 0, 300),
+    (2, 2, 8, 3, 300),
+    (4, 2, 8, 3, 1),
+    (3, 5, 8, 7, 1),
+    (6, 1, 1, 0, 1),
+    (2, 3, _START_BLOCK + 6, 0, 300),
+    (3, 2, 2 * _START_BLOCK + 1, 7, 3),
+]
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("d_a, d_ancilla, starts, seed, max_iter", SEARCH_GRID)
+    def test_equals_one_start_at_a_time(self, d_a, d_ancilla, starts, seed, max_iter):
+        got = sup_search(d_a, d_ancilla, starts=starts, seed=seed, max_iter=max_iter)
+        want = sup_search_one_by_one(
+            d_a, d_ancilla, starts=starts, seed=seed, max_iter=max_iter
+        )
+        assert got.value == want.value
+        assert np.array_equal(got.c_star.c, want.c_star.c)
+        assert np.array_equal(got.g_star.upper, want.g_star.upper)
+        assert got.diagnostics == want.diagnostics
+        assert got.converged_fraction == want.converged_fraction
+        assert got.as_dict() == want.as_dict()
+
+    def test_each_start_ascends_as_if_alone(self, monkeypatch):
+        # A uniform C is a saddle whose objective is zero up to rounding;
+        # made exactly flat here, its gradient vanishes at once and it stops
+        # before any trial step of each round, while its neighbours follow
+        # their own paths all the same.
+        exact = ancilla._value_and_grad
+
+        def flat_when_uniform(c, eps):
+            value, grad = exact(c, eps)
+            uniform = np.ptp(c.reshape(len(c), -1), axis=1) == 0.0
+            value[uniform], grad[uniform] = 0.0, 0.0
+            return value, grad
+
+        monkeypatch.setattr(ancilla, "_value_and_grad", flat_when_uniform)
+        uniform = np.full((2, 3), 1 / math.sqrt(6))
+        stack = np.stack([random_coeffs((2, 3), 70).c, uniform,
+                          random_coeffs((2, 3), 71).c])
+        c, value, ok, iterations = _ascend(stack.copy(), 300)
+        alone = [_ascend(stack[i : i + 1].copy(), 300) for i in range(len(stack))]
+        assert np.array_equal(c, np.concatenate([a[0] for a in alone]))
+        assert np.array_equal(value, np.concatenate([a[1] for a in alone]))
+        assert np.array_equal(ok, np.concatenate([a[2] for a in alone]))
+        assert iterations == sum(a[3] for a in alone)
+        assert value[1] == 0.0 and ok[1]
+        assert alone[1][3] == len(ancilla.ANNEAL_SCHEDULE)
+        assert value[0] > 0.0 and value[2] > 0.0
+
+    def test_memory_stays_within_one_block(self):
+        def peak(starts):
+            tracemalloc.start()
+            try:
+                sup_search(2, 2, starts=starts, max_iter=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sup_search(2, 2, starts=2, max_iter=1)  # first-call allocations
+        one_block = peak(_START_BLOCK)
+        # Stacking all 4096 starts at once would take about 50 times as much.
+        assert peak(4096) <= 2 * one_block
 
 
 class TestArbitration:

@@ -22,6 +22,8 @@ from entrate.qcore import (
     state_to_json,
 )
 
+from ancilla_reference import sup_search_one_by_one
+
 GAMMA2_RATE = 1.3254868386983631
 
 
@@ -457,6 +459,18 @@ class TestOptimizeCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["converged_fraction"] == 0.0
         assert "no start converged" in captured.err
+        want = sup_search_one_by_one(4, 2, starts=2, max_iter=1).as_dict()
+        assert captured.out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+        assert captured.err == "numeric failure: no start converged\n"
+
+    @pytest.mark.parametrize("dim, ancilla", [(4, 2), (4, 4), (5, 3), (6, 6)])
+    def test_ancilla_report_matches_one_start_at_a_time(self, capsys, dim, ancilla):
+        # The benchmark cases: the stacked search prints what the search with
+        # one start after another printed, byte for byte.
+        argv = ["optimize", "--dim", str(dim), "--ancilla", str(ancilla), "--starts", "4"]
+        assert main(argv) == 0
+        want = sup_search_one_by_one(dim, ancilla, starts=4).as_dict()
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_ancilla_report_is_byte_identical_with_diagnostics(self, capsys):
         argv = ["optimize", "--dim", "4", "--ancilla", "3"]
@@ -559,8 +573,8 @@ class TestVerifyCommand:
     def test_wrong_variance_split_fails(self, capsys, monkeypatch):
         exact = entrate.cli.energy_stats
 
-        def wrong_imag_part(psi, h):
-            stats = exact(psi, h)
+        def wrong_imag_part(psi, h, state):
+            stats = exact(psi, h, state)
             return dataclasses.replace(
                 stats,
                 variance=stats.variance + 1e-6,

@@ -179,7 +179,8 @@ class TestOptimalFamily:
         for d in (2, 3, 4):
             gamma = optimal_gamma(d).gamma
             psi = assemble_state(build_optimal_state(gamma, d))
-            stats = energy_stats(psi, build_optimal_hamiltonian(d, d))
+            h = build_optimal_hamiltonian(d, d)
+            stats = energy_stats(psi, h, schmidt_decompose(psi))
             assert stats.variance == pytest.approx(1.0, abs=1e-10)
 
     def test_block_sign_convention(self):
@@ -329,7 +330,7 @@ class TestAchievingHamiltonian:
         state = schmidt_decompose(psi)
         h = achieving_hamiltonian(state)
         assert fd_rate(psi, h) == pytest.approx(max_rate(state), abs=1e-8)
-        stats = energy_stats(psi, h)
+        stats = energy_stats(psi, h, state)
         assert stats.variance_imag_part == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_state_gets_zero_hamiltonian(self):
@@ -357,7 +358,8 @@ class TestAchievingHamiltonian:
         assert gamma_rate(state, schmidt_block(h, state)) == pytest.approx(
             best, rel=1e-12
         )
-        assert energy_stats(psi, h).variance == pytest.approx(1.0, abs=1e-12)
+        stats = energy_stats(psi, h, schmidt_decompose(psi))
+        assert stats.variance == pytest.approx(1.0, abs=1e-12)
         assert abs(fd_rate(psi, h) - best) <= 2e-6
 
 

@@ -198,7 +198,7 @@ class TestEnergyStats:
         for seed in range(20):
             psi = random_state(2, 3, (seed, 0))
             h = random_hermitian(6, (seed, 1))
-            stats = energy_stats(psi, h)
+            stats = energy_stats(psi, h, schmidt_decompose(psi))
             assert stats.variance_real_part >= -1e-12
             assert stats.variance_imag_part >= -1e-12
             assert stats.variance == pytest.approx(
@@ -208,7 +208,7 @@ class TestEnergyStats:
     def test_matches_direct_stats(self):
         psi = random_state(3, 2, 4)
         h = random_hermitian(6, 5)
-        stats = energy_stats(psi, h)
+        stats = energy_stats(psi, h, schmidt_decompose(psi))
         mean, var = direct_stats(psi, h)
         assert stats.mean == pytest.approx(mean, abs=1e-10)
         assert stats.variance == pytest.approx(var, abs=1e-9)
@@ -218,7 +218,8 @@ class TestEnergyStats:
         amp[0], amp[3] = math.sqrt(0.8), math.sqrt(0.2)
         psi = PureState(2, 2, amp)
         h = random_hermitian(4, 6).real.astype(complex)
-        assert energy_stats(psi, h).variance_imag_part == pytest.approx(0.0, abs=1e-12)
+        stats = energy_stats(psi, h, schmidt_decompose(psi))
+        assert stats.variance_imag_part == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_real_part_no_real_variance(self):
         amp = np.zeros(4, dtype=complex)
@@ -227,9 +228,15 @@ class TestEnergyStats:
         h = 2.0 * np.eye(4, dtype=complex)
         h[0, 3] += 1j
         h[3, 0] -= 1j
-        stats = energy_stats(psi, h)
+        stats = energy_stats(psi, h, schmidt_decompose(psi))
         assert stats.variance_real_part == pytest.approx(0.0, abs=1e-12)
         assert stats.mean == pytest.approx(2.0, abs=1e-12)
+
+    def test_rejects_a_decomposition_of_another_shape(self):
+        psi = random_state(2, 3, 7)
+        h = random_hermitian(6, 8)
+        with pytest.raises(ValidationError, match="decomposition does not match"):
+            energy_stats(psi, h, schmidt_decompose(random_state(3, 2, 7)))
 
     def test_serializes_flat(self):
         stats = EnergyStats(
@@ -302,7 +309,7 @@ class TestInvariances:
             state = schmidt_decompose(psi)
             rate = gamma_rate(state, schmidt_block(h, state))
             bound = max_rate(state) * math.sqrt(
-                max(energy_stats(psi, h).variance, 0.0)
+                max(energy_stats(psi, h, state).variance, 0.0)
             )
             assert abs(rate) <= bound + 1e-9
 
@@ -372,7 +379,7 @@ class TestFactoredAlgebra:
         psi = make()
         h = scale * random_hermitian(psi.d_a * psi.d_b, 45)
         mean, variance, real_part, imag_part = kron_stats(psi, h)
-        stats = energy_stats(psi, h)
+        stats = energy_stats(psi, h, schmidt_decompose(psi))
         assert abs(stats.mean - mean) <= 1e-12 * abs(mean)
         for got, want in ((stats.variance, variance),
                           (stats.variance_real_part, real_part),
@@ -392,7 +399,7 @@ class TestFactoredAlgebra:
         h = random_hermitian(1024, 48)
         call = {
             "schmidt_block": lambda: schmidt_block(h, state),
-            "energy_stats": lambda: energy_stats(psi, h),
+            "energy_stats": lambda: energy_stats(psi, h, state),
         }[fn]
         tracemalloc.start()
         try:
