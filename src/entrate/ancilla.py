@@ -29,6 +29,7 @@ from .qcore import (
     PureState,
     ValidationError,
     _check_cap,
+    _dot,
     hermiticity_defect,
 )
 
@@ -236,8 +237,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of each slice of a stack, computed as np.linalg.norm
     computes it for one matrix: the square root of the flattened slice's
     dot product with itself, so each norm keeps its bits."""
-    f = x.reshape(x.shape[0], 1, -1)
-    return np.sqrt((f @ f.transpose(0, 2, 1)).reshape(-1))
+    f = x.reshape(x.shape[0], -1)
+    return np.sqrt(_dot(f, f))
 
 
 def _pair_data(

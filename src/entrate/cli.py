@@ -240,38 +240,74 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _verify_checks(seed: int, trials: int, sign: float):
-    rng_dims = np.random.default_rng((seed, 101))
+# Trials per stacked call in verify: it holds the instances of one block at
+# a time, whatever --trials is.
+_VERIFY_BLOCK = 64
 
-    def instances():
-        for t in range(trials):
+
+def _blocks(trials: int):
+    """The trial indices in consecutive ranges of at most _VERIFY_BLOCK."""
+    for start in range(0, trials, _VERIFY_BLOCK):
+        yield range(start, min(start + _VERIFY_BLOCK, trials))
+
+
+def _worst(err: float, errs) -> float:
+    """The largest of err and errs, NaN if any of them is NaN."""
+    return float(np.max(errs, initial=err))
+
+
+def _stack(d_a: int, d_b: int, states: list[PureState]) -> PureState:
+    return PureState(d_a=d_a, d_b=d_b, amplitudes=np.stack([p.amplitudes for p in states]))
+
+
+def _random_unitaries(seed: int, block: range, j: int, dim: int) -> np.ndarray:
+    """Q of the QR of a complex Gaussian dim x dim matrix per trial, its real
+    and imaginary parts drawn from the seeds (seed, t, j) and (seed, t, j + 1)."""
+    z = np.stack([np.random.default_rng((seed, t, j)).normal(size=(dim, dim))
+                  + 1j * np.random.default_rng((seed, t, j + 1)).normal(size=(dim, dim))
+                  for t in block])
+    return np.linalg.qr(z)[0]
+
+
+def _verify_checks(seed: int, trials: int, sign: float):
+    """Yield (name, worst error, tolerance) for each check of ``verify``.
+
+    Each check draws its instances per trial t from numpy generators seeded
+    (seed, t, j), and its dimensions, where they vary, from one generator
+    seeded (seed, 101).  The closed-form side runs on stacks: trials go in
+    blocks of _VERIFY_BLOCK, and within a block every check makes one
+    stacked call per (d_a, d_b).  The oracle, ``fd_rate``, and the ancilla
+    checks take one instance per call.  A check's error is the maximum over
+    its trials, and NaN when any trial's is NaN, so that a NaN fails it.
+    """
+    rng_dims = np.random.default_rng((seed, 101))
+    err_rate = err_var = err_mean = err_orth = err_bound = 0.0
+    for block in _blocks(trials):
+        groups: dict[tuple[int, int], list] = {}
+        for t in block:
             d_a = int(rng_dims.integers(2, 4))
             d_b = int(rng_dims.integers(2, 4))
-            psi = random_state(d_a, d_b, (seed, t, 0))
-            h = random_hermitian(d_a * d_b, (seed, t, 1))
-            yield psi, h
-
-    err_rate = 0.0
-    err_var = 0.0
-    err_mean = 0.0
-    err_orth = 0.0
-    err_bound = 0.0
-    for psi, h in instances():
-        state = schmidt_decompose(psi)
-        block = schmidt_block(h, state)
-        closed = sign * gamma_rate(state, block)
-        err_rate = max(err_rate, abs(closed - fd_rate(psi, h)))
-        stats = energy_stats(psi, h, state)
-        mean_direct, var_direct = direct_stats(psi, h)
-        err_var = max(
-            err_var,
-            abs(var_direct - stats.variance_real_part - stats.variance_imag_part),
-        )
-        err_mean = max(err_mean, abs(mean_energy(state, block) - mean_direct))
-        k = block.m_i @ state.coefficients
-        err_orth = max(err_orth, abs(float(state.coefficients @ k)))
-        bound = opt.max_rate(state) * math.sqrt(max(stats.variance, 0.0))
-        err_bound = max(err_bound, abs(closed) - bound)
+            groups.setdefault((d_a, d_b), []).append(
+                (random_state(d_a, d_b, (seed, t, 0)),
+                 random_hermitian(d_a * d_b, (seed, t, 1))))
+        for (d_a, d_b), group in groups.items():
+            oracle = [fd_rate(psi, h) for psi, h in group]
+            psi = _stack(d_a, d_b, [p for p, _ in group])
+            h = np.stack([h for _, h in group])
+            state = schmidt_decompose(psi)
+            block_m = schmidt_block(h, state)
+            closed = sign * gamma_rate(state, block_m)
+            err_rate = _worst(err_rate, abs(closed - oracle))
+            stats = energy_stats(psi, h, state)
+            mean_direct, var_direct = direct_stats(psi, h)
+            err_var = _worst(err_var, abs(
+                var_direct - stats.variance_real_part - stats.variance_imag_part))
+            err_mean = _worst(err_mean, abs(mean_energy(state, block_m) - mean_direct))
+            c = state.coefficients
+            k = block_m.m_i @ c[..., None]
+            err_orth = _worst(err_orth, abs(c[..., None, :] @ k))
+            bound = opt.max_rate(state) * np.sqrt(np.maximum(stats.variance, 0.0))
+            err_bound = _worst(err_bound, abs(closed) - bound)
     yield "rate_vs_oracle", err_rate, 2e-6
     yield "variance_decomposition", err_var, 1e-9
     yield "mean_energy_vs_direct", err_mean, 1e-10
@@ -279,60 +315,56 @@ def _verify_checks(seed: int, trials: int, sign: float):
     yield "rate_bound_excess", err_bound, 1e-9
 
     err_lu = 0.0
-    for t in range(trials):
-        psi = random_state(2, 3, (seed, t, 2))
-        h = random_hermitian(6, (seed, t, 3))
+    for block in _blocks(trials):
+        psi = _stack(2, 3, [random_state(2, 3, (seed, t, 2)) for t in block])
+        h = np.stack([random_hermitian(6, (seed, t, 3)) for t in block])
         state = schmidt_decompose(psi)
         base = sign * gamma_rate(state, schmidt_block(h, state))
-        ru = np.linalg.qr(
-            np.random.default_rng((seed, t, 4)).normal(size=(2, 2))
-            + 1j * np.random.default_rng((seed, t, 5)).normal(size=(2, 2))
-        )[0]
-        rv = np.linalg.qr(
-            np.random.default_rng((seed, t, 6)).normal(size=(3, 3))
-            + 1j * np.random.default_rng((seed, t, 7)).normal(size=(3, 3))
-        )[0]
-        u = np.kron(ru, rv)
-        psi2 = PureState(d_a=2, d_b=3, amplitudes=u @ psi.amplitudes)
-        h2 = u @ h @ u.conj().T
+        ru = _random_unitaries(seed, block, 4, 2)
+        rv = _random_unitaries(seed, block, 6, 3)
+        # np.kron(ru, rv) per trial: u[(i, k), (j, l)] = ru[i, j] rv[k, l].
+        u = (ru[:, :, None, :, None] * rv[:, None, :, None, :]).reshape(-1, 6, 6)
+        psi2 = PureState(d_a=2, d_b=3, amplitudes=(u @ psi.amplitudes[..., None])[..., 0])
+        h2 = u @ h @ u.conj().swapaxes(-1, -2)
         state2 = schmidt_decompose(psi2)
         moved = sign * gamma_rate(state2, schmidt_block(h2, state2))
-        err_lu = max(err_lu, abs(base - moved))
+        err_lu = _worst(err_lu, abs(base - moved))
     yield "local_unitary_invariance", err_lu, 1e-9
 
     err_lagr = 0.0
-    for t in range(trials):
-        psi = random_state(3, 3, (seed, t, 8))
-        state = schmidt_decompose(psi)
-        err_lagr = max(
-            err_lagr,
-            abs(opt.max_rate(state) - opt.brute_force_max_k(state)),
-        )
+    for block in _blocks(trials):
+        state = schmidt_decompose(
+            _stack(3, 3, [random_state(3, 3, (seed, t, 8)) for t in block]))
+        err_lagr = _worst(err_lagr, abs(opt.max_rate(state) - opt.brute_force_max_k(state)))
     yield "lagrange_vs_bruteforce", err_lagr, 1e-6
 
     err_id = 0.0
     err_arb = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t, 9))
-        coeffs = anc.AncillaCoeffs.normalized(np.abs(rng.normal(size=(2, 2))) + 0.05)
-        raw = rng.normal(size=(2, 2))
-        g = anc.GBlock.from_matrix(raw - raw.T)
-        obj = anc.ancilla_objective(coeffs, g)
-        index_form = 0.0
-        c, g_mat = coeffs.c.tolist(), g.g.tolist()
-        for a in range(2):
-            for b in range(2):
-                for dd in range(2):
-                    if c[a][b] > 0 and c[a][dd] > 0:
-                        index_form += (
-                            2.0
-                            * c[a][b]
-                            * c[a][dd]
-                            * math.log(c[a][b] / c[a][dd])
-                            * g_mat[dd][b]
-                        )
-        err_id = max(err_id, abs(obj - index_form))
-        err_arb = max(err_arb, abs(obj - anc.assemble_and_arbitrate(coeffs, g)))
+    for block in _blocks(trials):
+        ids, arbs = [], []
+        for t in block:
+            rng = np.random.default_rng((seed, t, 9))
+            coeffs = anc.AncillaCoeffs.normalized(np.abs(rng.normal(size=(2, 2))) + 0.05)
+            raw = rng.normal(size=(2, 2))
+            g = anc.GBlock.from_matrix(raw - raw.T)
+            obj = anc.ancilla_objective(coeffs, g)
+            index_form = 0.0
+            c, g_mat = coeffs.c.tolist(), g.g.tolist()
+            for a in range(2):
+                for b in range(2):
+                    for dd in range(2):
+                        if c[a][b] > 0 and c[a][dd] > 0:
+                            index_form += (
+                                2.0
+                                * c[a][b]
+                                * c[a][dd]
+                                * math.log(c[a][b] / c[a][dd])
+                                * g_mat[dd][b]
+                            )
+            ids.append(abs(obj - index_form))
+            arbs.append(abs(obj - anc.assemble_and_arbitrate(coeffs, g)))
+        err_id = _worst(err_id, ids)
+        err_arb = _worst(err_arb, arbs)
     yield "ancilla_identities", err_id, 1e-12
     yield "ancilla_arbitration", err_arb, 2e-6
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import SchmidtState, ValidationError
+from .qcore import SchmidtState, ValidationError, _dot, _scalar
 from .rate import gamma_rate_k, schmidt_columns
 
 __all__ = [
@@ -49,29 +49,35 @@ class OptimalDesign:
     rate: float
 
 
-def surprisal_variance(p: np.ndarray) -> float:
+def surprisal_variance(p: np.ndarray) -> float | np.ndarray:
     """Variance of -log p_i under p: sum p log^2 p - (sum p log p)^2.
 
     Evaluated in the centered form sum p (log p - mean)^2, which agrees
     with the raw moment difference to 1e-12 but does not cancel
     catastrophically for near-uniform p (the raw form leaves an O(eps)
-    residue whose square root would pollute max-rate values).
+    residue whose square root would pollute max-rate values).  Entries
+    p_i <= 0 add nothing.  A stack of distributions along the last axis
+    gives an array; every one must be valid.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = np.asarray(p, dtype=float)
     if np.any(p < -1e-12):
         raise ValidationError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
-    pos = p[p > 0]
-    logs = np.log(pos)
-    mean = float(pos @ logs)
-    f = float(pos @ (logs - mean) ** 2)
-    return max(f, 0.0)
+    total = p.sum(axis=-1)
+    bad = np.abs(total - 1.0) > 1e-10
+    if bad.any():
+        worst = float(total[bad].flat[0]) if total.ndim else float(total)
+        raise ValidationError(f"probabilities sum to {worst!r}, not 1")
+    positive = p > 0
+    pos = np.where(positive, p, 0.0)
+    logs = np.log(np.where(positive, p, 1.0))
+    mean = _dot(pos, logs)
+    f = _dot(pos, (logs - mean[..., None]) ** 2)
+    return _scalar(np.maximum(f, 0.0))
 
 
-def max_rate(state: SchmidtState) -> float:
+def max_rate(state: SchmidtState) -> float | np.ndarray:
     """Largest achievable rate at unit energy variance: 2 sqrt(f(C^2))."""
-    return 2.0 * math.sqrt(surprisal_variance(state.coefficients**2))
+    return _scalar(2.0 * np.sqrt(surprisal_variance(state.coefficients**2)))
 
 
 def build_optimal_state(gamma: float, d: int) -> SchmidtState:
@@ -168,7 +174,8 @@ def optimal_design(d: int) -> OptimalDesign:
 
 
 def _optimal_k(c: np.ndarray) -> np.ndarray:
-    """Unit k on {|k| = 1, C.k = 0} maximizing the k-form rate, or 0.
+    """Unit k on {|k| = 1, C.k = 0} maximizing the k-form rate, or 0, for
+    each C of a stack along the last axis.
 
     The k-form rate is a.k with a = -4 C log C, so by Cauchy-Schwarz its
     maximizer on that set is the normalized projection of a orthogonal
@@ -180,18 +187,18 @@ def _optimal_k(c: np.ndarray) -> np.ndarray:
     +-2 log d; the zero vector is returned once |k| <= 1e-14 |a|, which is
     off by at most that bound.
     """
-    a = np.zeros_like(c)
     mask = c > 0
-    a[mask] = -4.0 * c[mask] * np.log(c[mask])
-    k = a - (c @ a) * c
-    k -= (c @ k) * c
-    norm = float(np.linalg.norm(k))
-    if norm <= 1e-14 * float(np.linalg.norm(a)):
-        return np.zeros_like(c)
-    return k / norm
+    a = np.where(mask, -4.0 * c * np.log(np.where(mask, c, 1.0)), 0.0)
+    k = a - _dot(c, a)[..., None] * c
+    k -= _dot(c, k)[..., None] * c
+    norm = np.sqrt(_dot(k, k))[..., None]
+    out = np.zeros_like(c)
+    # Written so that a NaN norm divides, as NaN.
+    np.divide(k, norm, out=out, where=~(norm <= 1e-14 * np.sqrt(_dot(a, a))[..., None]))
+    return out
 
 
-def brute_force_max_k(state: SchmidtState) -> float:
+def brute_force_max_k(state: SchmidtState) -> float | np.ndarray:
     """Maximize the k-form rate on {|k| = 1, C.k = 0} by a projection.
 
     The value is read through :func:`gamma_rate_k` at :func:`_optimal_k`,

@@ -12,10 +12,11 @@ import numpy as np
 
 from .qcore import (
     HERM_BLOCK,
-    HERM_TOL,
     PureState,
     ValidationError,
-    hermiticity_defect,
+    _check_hamiltonian,
+    _dot,
+    _scalar,
     spectrum_entropy,
 )
 
@@ -32,6 +33,13 @@ STEP = 1e-5
 MAX_PHASE = 2e-3
 # The stencil points t = m s, in the order fd_rate reads their entropies.
 STENCIL = (1, -1, 2, -2)
+# Terms of the Taylor series the table below covers.  At most
+# 2 * MAX_PHASE = 4e-3 is ever asked of it (see fd_rate), which takes 6.
+_TAYLOR_TERMS = 16
+# (-i m)^k for each stencil point m (rows) and k < _TAYLOR_TERMS (columns):
+# exact, as products of +-1, +-i and powers of two.
+_STENCIL_POWERS = np.array([[(-1j * m) ** k for k in range(_TAYLOR_TERMS)]
+                            for m in STENCIL])
 # Truncation target for the Taylor series: unit roundoff of float64.
 _TAYLOR_TOL = 2.0**-53
 
@@ -64,19 +72,19 @@ def _scaled_taylor_terms(h: np.ndarray, psi: np.ndarray, step: float, theta: flo
 def fd_rate(psi: PureState, h: np.ndarray) -> float:
     """Numerical d/dt at t=0 of the reduced-state entropy under exp(-iHt).
 
-    Richardson's four-point stencil at +-s, +-2s, whose truncation error is
-    O(s^4), with the step s = STEP capped at MAX_PHASE / |H|_1 (STEP itself
-    when H = 0).  The four evolved states are summed from one set of
-    Taylor terms into one (4, n) array, and one stacked SVD of their
-    d_a x d_b amplitude matrices gives the singular values whose squares
-    are each point's entropy spectrum.
+    Takes one state and one Hamiltonian, not stacks.  Richardson's
+    four-point stencil at +-s, +-2s, whose truncation error is O(s^4), with
+    the step s = STEP capped at MAX_PHASE / |H|_1 (STEP itself when H = 0).
+    The four evolved states are summed from one set of Taylor terms into
+    one (4, n) array, and one stacked SVD of their d_a x d_b amplitude
+    matrices gives the singular values whose squares are each point's
+    entropy spectrum, and one stacked ``spectrum_entropy`` call their
+    entropies.
     """
-    h = np.asarray(h, dtype=complex)
+    if psi.amplitudes.ndim != 1:
+        raise ValidationError("fd_rate takes one state, not a stack")
     n = psi.d_a * psi.d_b
-    if h.shape != (n, n):
-        raise ValidationError(f"expected a {n}x{n} Hamiltonian, got {h.shape}")
-    if hermiticity_defect(h) > HERM_TOL:
-        raise ValidationError("Hamiltonian must be Hermitian")
+    h = _check_hamiltonian(h, n, ())
 
     norm = _norm_1(h)
     s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
@@ -87,19 +95,21 @@ def fd_rate(psi: PureState, h: np.ndarray) -> float:
     terms = _scaled_taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
     phis = np.zeros((len(STENCIL), n), dtype=complex)
     for k, q in enumerate(terms):
-        phis += np.array([(-1j * m) ** k for m in STENCIL])[:, None] * q
+        phis += _STENCIL_POWERS[:, k, None] * q
     sv = np.linalg.svd(phis.reshape(-1, psi.d_a, psi.d_b), compute_uv=False)
-    s_1, s_m1, s_2, s_m2 = (spectrum_entropy(row**2) for row in sv)
+    s_1, s_m1, s_2, s_m2 = spectrum_entropy(sv**2).tolist()
     return (8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * s)
 
 
 def direct_stats(psi: PureState, h: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of H in psi by dense products."""
+    """Mean and variance of H in psi by dense products: floats for one
+    state, arrays over the stack for a stack of states and Hamiltonians."""
+    amp = psi.amplitudes
     h = np.asarray(h, dtype=complex)
     n = psi.d_a * psi.d_b
-    if h.shape != (n, n):
+    if h.shape != (*amp.shape[:-1], n, n):
         raise ValidationError(f"expected a {n}x{n} Hamiltonian, got {h.shape}")
-    hpsi = h @ psi.amplitudes
-    mean = float(np.real(psi.amplitudes.conj() @ hpsi))
-    variance = float(np.real(hpsi.conj() @ hpsi)) - mean**2
-    return mean, variance
+    hpsi = (h @ amp[..., None])[..., 0]
+    mean = _dot(amp.conj(), hpsi).real
+    variance = _dot(hpsi.conj(), hpsi).real - mean**2
+    return _scalar(mean), _scalar(variance)

@@ -75,8 +75,29 @@ def _check_cap(product: int) -> None:
 HERM_BLOCK = 128
 
 
+# Stacks.  The functions of qcore, rate, optimum and oracle.direct_stats
+# that take states, decompositions, blocks or Hamiltonians also take stacks
+# of them: leading axes index instances, and every instance of a stack has
+# the same dimensions.  An unstacked call runs the same code with no stack
+# axis.  Each slice of a stacked result holds the bits of the call on that
+# slice alone: products are stacked ``@`` with explicit row and column axes,
+# sums reduce one flat row per slice.  A stack is rejected when any of its
+# slices fails validation.
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    """A Python float for an unstacked result, the array of a stacked one."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, one row-times-column product per slice."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance of a square matrix from its conjugate transpose.
+    """Max-norm distance of a square matrix, or of any slice of a stack of
+    them, from its conjugate transpose.
 
     Row blocks are compared with the matching column blocks, so no n x n
     temporary is built; one ``np.errstate`` covers every block.  A matrix
@@ -85,30 +106,44 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """
     defect = 0.0
     with np.errstate(invalid="ignore"):
-        for start in range(0, m.shape[0], HERM_BLOCK):
-            rows = m[start:start + HERM_BLOCK]
-            cols = m[:, start:start + HERM_BLOCK]
-            block = float(np.abs(rows - cols.conj().T).max())
+        for start in range(0, m.shape[-1], HERM_BLOCK):
+            rows = m[..., start:start + HERM_BLOCK, :]
+            cols = m[..., :, start:start + HERM_BLOCK]
+            block = float(np.abs(rows - cols.conj().swapaxes(-1, -2)).max())
             if math.isnan(block):
                 return math.inf
             defect = max(defect, block)
     return defect
 
 
+def _check_hamiltonian(h: np.ndarray, n: int, stack: tuple) -> np.ndarray:
+    """h as a complex array, checked to be a Hermitian n x n matrix, or a
+    stack of them of shape ``stack``."""
+    h = np.asarray(h, dtype=complex)
+    if h.shape != (*stack, n, n):
+        of = f" stack of shape {stack}" if stack else ""
+        raise ValidationError(f"expected a {n}x{n} Hamiltonian{of}, got {h.shape}")
+    if hermiticity_defect(h) > HERM_TOL:
+        raise ValidationError("Hamiltonian must be Hermitian")
+    return h
+
+
 def _unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm distance of U^H U from the identity, subtracted on the
-    diagonal only.  A matrix with a NaN or infinite entry reads inf, before
-    any product is formed."""
+    """Max-norm distance of U^H U from the identity over a stack, subtracted
+    on the diagonal only.  A matrix with a NaN or infinite entry reads inf,
+    before any product is formed."""
     if not np.isfinite(u).all():
         return math.inf
-    gram = u.conj().T @ u
-    gram.flat[::u.shape[0] + 1] -= 1.0
-    return float(np.abs(gram).max())
+    gram = u.conj().swapaxes(-1, -2) @ u
+    diag = np.arange(u.shape[-1])
+    gram[..., diag, diag] -= 1.0
+    return float(np.abs(gram).max()) if gram.size else 0.0
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state of a d_a x d_b bipartite system."""
+    """Normalized pure state of a d_a x d_b bipartite system, or a stack of
+    them: ``amplitudes`` has shape (..., d_a * d_b)."""
 
     d_a: int
     d_b: int
@@ -117,30 +152,34 @@ class PureState:
     def __post_init__(self) -> None:
         if self.d_a < 1 or self.d_b < 1:
             raise ValidationError("subsystem dimensions must be >= 1")
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amp.size != self.d_a * self.d_b:
+        amp = np.asarray(self.amplitudes, dtype=complex)
+        if amp.ndim == 0 or amp.shape[-1] != self.d_a * self.d_b:
             raise ValidationError(
-                f"expected {self.d_a * self.d_b} amplitudes, got {amp.size}"
+                f"expected {self.d_a * self.d_b} amplitudes, got shape {amp.shape}"
             )
-        norm = float(np.linalg.norm(amp))
+        # The norm as np.linalg.norm takes it, per slice.
+        norm = np.sqrt(_dot(amp.real, amp.real) + _dot(amp.imag, amp.imag))
         # Written so that a NaN norm fails too.
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValidationError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
+        bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
+        if bad.any():
+            worst = float(norm[bad].flat[0]) if norm.ndim else float(norm)
+            raise ValidationError(f"state norm {worst!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amp)
 
     def as_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to d_a x d_b (rows index subsystem A)."""
-        return self.amplitudes.reshape(self.d_a, self.d_b)
+        return self.amplitudes.reshape(*self.amplitudes.shape[:-1], self.d_a, self.d_b)
 
 
 @dataclass(frozen=True)
 class SchmidtState:
-    """Schmidt form of a pure state.
+    """Schmidt form of a pure state, or of a stack of them.
 
     ``coefficients`` holds the nonincreasing Schmidt coefficients C_i
     (their squares sum to one) and ``basis_a`` / ``basis_b`` are the
     unitaries whose columns are the Schmidt vectors, so the state is
-    sum_i C_i basis_a[:, i] (x) basis_b[:, i].
+    sum_i C_i basis_a[:, i] (x) basis_b[:, i].  A stack has coefficients of
+    shape (..., d) and bases of shape (..., d_a, d_a) and (..., d_b, d_b).
     """
 
     coefficients: np.ndarray
@@ -150,21 +189,22 @@ class SchmidtState:
     basis_b: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=float).reshape(-1)
+        c = np.asarray(self.coefficients, dtype=float)
         d = min(self.d_a, self.d_b)
-        if c.size != d:
-            raise ValidationError(f"expected {d} coefficients, got {c.size}")
+        if c.ndim == 0 or c.shape[-1] != d:
+            raise ValidationError(f"expected {d} coefficients, got shape {c.shape}")
+        stack = c.shape[:-1]
         # Each test is written so that a NaN fails it.
         if c.size and not c.min() >= 0:
             raise ValidationError("Schmidt coefficients must be nonnegative")
-        if not abs(float(c @ c) - 1.0) <= NORM_TOL:
+        if not (np.abs(_dot(c, c) - 1.0) <= NORM_TOL).all():
             raise ValidationError("squared Schmidt coefficients must sum to 1")
-        if c.size > 1 and not (c[1:] - c[:-1]).max() <= 1e-14:
+        if d > 1 and c.size and not (c[..., 1:] - c[..., :-1]).max() <= 1e-14:
             raise ValidationError("Schmidt coefficients must be sorted nonincreasing")
         for name, u, dim in (("basis_a", self.basis_a, self.d_a),
                              ("basis_b", self.basis_b, self.d_b)):
             u = np.asarray(u, dtype=complex)
-            if u.shape != (dim, dim):
+            if u.shape != (*stack, dim, dim):
                 raise ValidationError(f"{name} must be {dim}x{dim}")
             if not _unitarity_defect(u) <= UNITARY_TOL:
                 raise ValidationError(f"{name} is not unitary")
@@ -173,11 +213,12 @@ class SchmidtState:
 
     @property
     def rank_dim(self) -> int:
-        return int(self.coefficients.size)
+        return int(self.coefficients.shape[-1])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtState:
-    """Schmidt decomposition via singular value decomposition.
+    """Schmidt decomposition via singular value decomposition, of a state
+    or of each state of a stack (one stacked SVD).
 
     The amplitude matrix is factored as U diag(C) V^H; singular values
     (already sorted nonincreasing) become the coefficients, and the
@@ -191,24 +232,30 @@ def schmidt_decompose(psi: PureState) -> SchmidtState:
         d_a=psi.d_a,
         d_b=psi.d_b,
         basis_a=u,
-        basis_b=vh.T,
+        basis_b=vh.swapaxes(-1, -2),
     )
 
 
 def assemble_state(state: SchmidtState) -> PureState:
     """Rebuild the pure state sum_i C_i |i>_A |i>_B in the stored bases."""
-    m = (state.basis_a[:, :state.rank_dim] * state.coefficients) @ \
-        state.basis_b[:, :state.rank_dim].T
-    return PureState(d_a=state.d_a, d_b=state.d_b, amplitudes=m.reshape(-1))
+    d = state.rank_dim
+    m = (state.basis_a[..., :d] * state.coefficients[..., None, :]) @ \
+        state.basis_b[..., :d].swapaxes(-1, -2)
+    return PureState(d_a=state.d_a, d_b=state.d_b,
+                     amplitudes=m.reshape(*m.shape[:-2], -1))
 
 
-def spectrum_entropy(p: np.ndarray) -> float:
-    """Entropy -sum p log p of a probability spectrum, in nats.
+def spectrum_entropy(p: np.ndarray) -> float | np.ndarray:
+    """Entropy -sum p log p of a probability spectrum, in nats, or of each
+    spectrum of a stack along the last axis.
 
-    Entries at or below ENTROPY_EIGEN_FLOOR contribute nothing.
+    Entries at or below ENTROPY_EIGEN_FLOOR contribute nothing: they are
+    masked out of the sum, so a sorted spectrum, whose kept entries are
+    contiguous, sums exactly as its kept entries would alone.
     """
-    p = p[p > ENTROPY_EIGEN_FLOOR]
-    return float(-(p * np.log(p)).sum())
+    kept = p > ENTROPY_EIGEN_FLOOR
+    terms = p * np.log(np.where(kept, p, 1.0))
+    return _scalar(-np.add.reduce(terms, axis=-1, where=kept))
 
 
 def random_state(d_a: int, d_b: int, seed: Any) -> PureState:

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,6 +604,63 @@ class TestVerifyCommand:
     def test_seed_changes_but_still_passes(self, capsys):
         assert main(["verify", "--seed", "11", "--trials", "3"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_output_is_pinned(self, capsys, flip):
+        # Written by the one-trial-at-a-time version of verify.
+        assert main(["verify", "--seed", "3", "--trials", "20"]
+                    + ["--inject-sign-flip"] * flip) == flip
+        first = ("FAIL  rate_vs_oracle             max_err= 3.086e+00" if flip else
+                 "PASS  rate_vs_oracle             max_err= 5.329e-11")
+        assert capsys.readouterr().out == first + """  tol=2.0e-06
+PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
+PASS  mean_energy_vs_direct      max_err= 1.554e-15  tol=1.0e-10
+PASS  auto_orthogonality         max_err= 2.115e-16  tol=1.0e-12
+PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
+PASS  local_unitary_invariance   max_err= 2.442e-15  tol=1.0e-09
+PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
+PASS  ancilla_identities         max_err= 4.441e-16  tol=1.0e-12
+PASS  ancilla_arbitration        max_err= 1.924e-11  tol=2.0e-06
+%d/9 checks passed (seed=3, trials=20)
+""" % (9 - flip)
+
+    def test_nan_from_the_oracle_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(entrate.cli, "fd_rate", lambda psi, h: math.nan)
+        assert main(["verify", "--seed", "3", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL  rate_vs_oracle             max_err= nan  tol=2.0e-06"
+        ]
+
+    def test_nan_variance_fails(self, capsys, monkeypatch):
+        exact = entrate.cli.energy_stats
+
+        def nan_variance(psi, h, state):
+            stats = exact(psi, h, state)
+            return dataclasses.replace(
+                stats,
+                variance=stats.variance * math.nan,
+                variance_imag_part=stats.variance_imag_part * math.nan,
+            )
+
+        monkeypatch.setattr(entrate.cli, "energy_stats", nan_variance)
+        assert main(["verify", "--seed", "3", "--trials", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL  variance_decomposition     max_err= nan  tol=1.0e-09" in lines
+
+    def test_memory_stays_within_one_block(self, capsys):
+        # Trials run in blocks of _VERIFY_BLOCK, so four blocks peak as one.
+        block = entrate.cli._VERIFY_BLOCK
+        peaks = []
+        for trials in (block, 4 * block):
+            tracemalloc.start()
+            try:
+                assert main(["verify", "--trials", str(trials)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 PAIR = object()          # stands for the two files of the worked pair

@@ -152,12 +152,24 @@ class TestStackedStencil:
             h = scale * random_hermitian(dims[0] * dims[1], (seed, 61))
             assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
 
-    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4), (9, 10)])
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
     def test_rank_deficient_states(self, dims, scale):
         for seed in range(5):
             psi = rank_one_state(*dims, (seed, 62))
             h = scale * random_hermitian(dims[0] * dims[1], (seed, 63))
+            assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
+
+    def test_long_spectra_with_dropped_eigenvalues(self):
+        # A rank-10 state on 12 x 12 under a small H: at each stencil point
+        # 10 eigenvalues stay above ENTROPY_EIGEN_FLOOR and 2 drop out.
+        for seed in range(5):
+            rng = np.random.default_rng((seed, 64))
+            z = rng.normal(size=(12, 10)) + 1j * rng.normal(size=(12, 10))
+            w = rng.normal(size=(10, 12)) + 1j * rng.normal(size=(10, 12))
+            amp = (z @ w).reshape(-1)
+            psi = PureState(12, 12, amp / np.linalg.norm(amp))
+            h = 1e-4 * random_hermitian(144, (seed, 65))
             assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
 
 
