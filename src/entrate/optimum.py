@@ -76,7 +76,8 @@ def surprisal_variance(p: np.ndarray) -> float | np.ndarray:
 
 
 def max_rate(state: SchmidtState) -> float | np.ndarray:
-    """Largest achievable rate at unit energy variance: 2 sqrt(f(C^2))."""
+    """Largest achievable rate at unit energy variance: 2 sqrt(f(C^2)), a
+    float for one state and an array over the stack for a stack."""
     return _scalar(2.0 * np.sqrt(surprisal_variance(state.coefficients**2)))
 
 
@@ -203,7 +204,8 @@ def brute_force_max_k(state: SchmidtState) -> float | np.ndarray:
 
     The value is read through :func:`gamma_rate_k` at :func:`_optimal_k`,
     not through the surprisal variance, so it still checks
-    :func:`max_rate` by another derivation.
+    :func:`max_rate` by another derivation.  A float for one state, an
+    array over the stack for a stack.
     """
     return gamma_rate_k(state, _optimal_k(state.coefficients))
 

@@ -109,7 +109,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
         for start in range(0, m.shape[-1], HERM_BLOCK):
             rows = m[..., start:start + HERM_BLOCK, :]
             cols = m[..., :, start:start + HERM_BLOCK]
-            block = float(np.abs(rows - cols.conj().swapaxes(-1, -2)).max())
+            block = float(np.abs(rows - cols.conj().swapaxes(-1, -2)).max(initial=0.0))
             if math.isnan(block):
                 return math.inf
             defect = max(defect, block)
@@ -137,7 +137,7 @@ def _unitarity_defect(u: np.ndarray) -> float:
     gram = u.conj().swapaxes(-1, -2) @ u
     diag = np.arange(u.shape[-1])
     gram[..., diag, diag] -= 1.0
-    return float(np.abs(gram).max()) if gram.size else 0.0
+    return float(np.abs(gram).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -237,12 +237,13 @@ def schmidt_decompose(psi: PureState) -> SchmidtState:
 
 
 def assemble_state(state: SchmidtState) -> PureState:
-    """Rebuild the pure state sum_i C_i |i>_A |i>_B in the stored bases."""
+    """Rebuild the pure state sum_i C_i |i>_A |i>_B in the stored bases, or
+    the stack of states of a stacked decomposition."""
     d = state.rank_dim
     m = (state.basis_a[..., :d] * state.coefficients[..., None, :]) @ \
         state.basis_b[..., :d].swapaxes(-1, -2)
     return PureState(d_a=state.d_a, d_b=state.d_b,
-                     amplitudes=m.reshape(*m.shape[:-2], -1))
+                     amplitudes=m.reshape(*m.shape[:-2], state.d_a * state.d_b))
 
 
 def spectrum_entropy(p: np.ndarray) -> float | np.ndarray:

@@ -161,7 +161,8 @@ def energy_stats(
     H_I^T v = -Im y.
     """
     stack = psi.amplitudes.shape[:-1]
-    h = _check_hamiltonian(h, psi.d_a * psi.d_b, stack)
+    n = psi.d_a * psi.d_b
+    h = _check_hamiltonian(h, n, stack)
     if (state.d_a, state.d_b, state.coefficients.shape[:-1]) != (psi.d_a, psi.d_b, stack):
         raise ValidationError("decomposition does not match the state")
     c = state.coefficients
@@ -173,8 +174,8 @@ def energy_stats(
     real_dev = y.real.copy()
     real_dev[..., diag, diag] -= mean[..., None] * c
     # Each slice summed as one flat row, in the order np.sum takes a matrix.
-    variance_real_part = (real_dev**2).reshape(*stack, -1).sum(axis=-1)
-    variance_imag_part = (y.imag**2).reshape(*stack, -1).sum(axis=-1)
+    variance_real_part = (real_dev**2).reshape(*stack, n).sum(axis=-1)
+    variance_imag_part = (y.imag**2).reshape(*stack, n).sum(axis=-1)
     return EnergyStats(
         mean=_scalar(mean),
         variance=_scalar(variance_real_part + variance_imag_part),

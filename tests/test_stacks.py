@@ -242,3 +242,16 @@ def test_oracle_takes_one_instance():
     with pytest.raises(ValidationError, match="one state"):
         fd_rate(psi, h)
     fd_rate(random_state(2, 3, 16), h[0])
+
+
+def test_empty_stack_gives_empty_results():
+    psi = PureState(2, 3, np.zeros((0, 6)))
+    h = np.zeros((0, 6, 6), dtype=complex)
+    state = schmidt_decompose(psi)
+    block = schmidt_block(h, state)
+    stats = energy_stats(psi, h, state)
+    for result in (gamma_rate(state, block), mean_energy(state, block), stats.variance,
+                   direct_stats(psi, h)[1], max_rate(state), brute_force_max_k(state)):
+        assert result.shape == (0,)
+    assert assemble_state(state).amplitudes.shape == (0, 6)
+    assert hermiticity_defect(h) == 0.0
