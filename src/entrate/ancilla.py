@@ -9,9 +9,13 @@ evaluates, maximizes over G in closed form, maximizes over C
 numerically, and arbitrates against the finite-difference oracle on the
 assembled global system.  The fixed-C maximum and its gradient take a
 stack of matrices, so the search over C ascends all its starts at once,
-one stacked SVD per step.  At every tested (d, K) the supremum is the
-no-ancilla optimum ``optimal_gamma(d).rate``: measured, not proved, and
-a statement about this family only.
+one stacked SVD per step.  The coefficients, blocks, objective,
+constraint, structured Hamiltonian and arbitration take stacks too, in
+the package's convention (see ``qcore``): leading axes index instances,
+and each slice holds the bits of the call on that slice alone.  At every
+tested (d, K) the supremum is the no-ancilla optimum
+``optimal_gamma(d).rate``: measured, not proved, and a statement about
+this family only.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from typing import Any
 import numpy as np
 
 from .optimum import optimal_gamma
-from .oracle import fd_rate
+from .oracle import _fd_rates
 from .qcore import (
     HERM_TOL,
     PureState,
     ValidationError,
     _check_cap,
     _dot,
+    _scalar,
     hermiticity_defect,
 )
 
@@ -68,9 +73,19 @@ def _xlogx(c: np.ndarray) -> np.ndarray:
     return c * _log_positive(c)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack of shape (..., K, d),
+    computed as np.linalg.norm computes it for one matrix: the square root
+    of the flattened matrix's dot product with itself, so each norm keeps
+    its bits."""
+    f = x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
+    return np.sqrt(_dot(f, f))
+
+
 @dataclass(frozen=True)
 class AncillaCoeffs:
-    """Nonnegative coefficient matrix C with unit Frobenius norm.
+    """Nonnegative coefficient matrix C with unit Frobenius norm, or a stack
+    of them of shape (..., K, d).
 
     ``k`` is the derived entrywise matrix C log C, zero where C is zero.
     """
@@ -80,33 +95,39 @@ class AncillaCoeffs:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=float)
-        if c.ndim != 2:
+        if c.ndim < 2:
             raise ValidationError("coefficient matrix must be 2-D")
-        if c.min() < 0:
+        # A NaN entry passes here and fails the norm check below.
+        if c.size and c.min() < 0:
             raise ValidationError("coefficient entries must be nonnegative")
         # Written so that a NaN or infinite entry fails too.
-        if not abs(float(np.linalg.norm(c)) - 1.0) <= 1e-12:
+        if not (np.abs(_norms(c) - 1.0) <= 1e-12).all():
             raise ValidationError("coefficient matrix must have unit Frobenius norm")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "k", _xlogx(c))
 
     @property
     def d_ancilla(self) -> int:
-        return int(self.c.shape[0])
+        return int(self.c.shape[-2])
 
     @property
     def d_a(self) -> int:
-        return int(self.c.shape[1])
+        return int(self.c.shape[-1])
 
     @classmethod
     def normalized(cls, raw: np.ndarray) -> "AncillaCoeffs":
+        """raw divided by its Frobenius norm, slice by slice for a stack."""
         raw = np.asarray(raw, dtype=float)
-        norm = float(np.linalg.norm(raw))
-        if norm == 0.0:
+        if raw.ndim < 2:
+            raise ValidationError("coefficient matrix must be 2-D")
+        norm = _norms(raw)[..., None, None]
+        if (norm == 0.0).any():
             raise ValidationError("coefficient matrix must be nonzero")
         # A NaN or infinite entry is left to the unit-norm check, undivided:
         # dividing by an infinite norm only adds a RuntimeWarning first.
-        return cls(c=raw / norm if math.isfinite(norm) else raw)
+        c = raw.copy()
+        np.divide(raw, norm, out=c, where=np.isfinite(norm))
+        return cls(c=c)
 
 
 def _strict_upper(d: int) -> np.ndarray:
@@ -117,10 +138,12 @@ def _strict_upper(d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GBlock:
-    """Real antisymmetric block stored by its strict upper triangle.
+    """Real antisymmetric block stored by its strict upper triangle, or a
+    stack of them: ``upper`` has shape (..., d (d - 1) / 2).
 
-    ``g`` is the d x d matrix, built once at construction: the upper
-    triangle placed in a zero matrix, minus its transpose.
+    ``g`` is the d x d matrix, or the stack of them, built once at
+    construction: the upper triangle placed in a zero matrix, minus its
+    transpose.
     """
 
     upper: np.ndarray
@@ -128,32 +151,34 @@ class GBlock:
     g: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        upper = np.asarray(self.upper, dtype=float).reshape(-1)
+        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         expected = self.d * (self.d - 1) // 2
-        if upper.size != expected:
+        if upper.shape[-1] != expected:
             raise ValidationError(
-                f"expected {expected} upper-triangle entries, got {upper.size}"
+                f"expected {expected} upper-triangle entries, got {upper.shape[-1]}"
             )
         if not np.isfinite(upper).all():
             raise ValidationError("block entries must be finite")
-        m = np.zeros((self.d, self.d))
-        m[_strict_upper(self.d)] = upper
+        m = np.zeros((*upper.shape[:-1], self.d, self.d))
+        m[..., _strict_upper(self.d)] = upper
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "g", m - m.T)
+        object.__setattr__(self, "g", m - m.swapaxes(-1, -2))
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "GBlock":
-        """Block of a finite real matrix antisymmetric to within HERM_TOL."""
+        """Block of a finite real matrix antisymmetric to within HERM_TOL, or
+        the stack of blocks of a stack of such matrices."""
         m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValidationError("block must be a square matrix")
+        mt = m.swapaxes(-1, -2)
         # Finiteness first, so that inf + (-inf) is never computed.
         if m.size and not (
-            np.isfinite(m).all() and np.max(np.abs(m + m.T)) <= HERM_TOL
+            np.isfinite(m).all() and np.max(np.abs(m + mt)) <= HERM_TOL
         ):
             raise ValidationError("block must be finite and antisymmetric")
-        sym = (m - m.T) / 2.0
-        return cls(upper=sym[_strict_upper(m.shape[0])], d=m.shape[0])
+        sym = (m - mt) / 2.0
+        return cls(upper=sym[..., _strict_upper(m.shape[-1])], d=m.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -189,7 +214,8 @@ class AncillaOptimum:
 def build_structured_hamiltonian(
     h_ab: np.ndarray, d_ancilla_a: int, d_ancilla_b: int
 ) -> np.ndarray:
-    """Extend H on A x B to I (x) H (x) I on (A' A) x (B B').
+    """Extend H on A x B to I (x) H (x) I on (A' A) x (B B'), or each H of a
+    stack of shape (..., n, n).
 
     Seen as an array of shape (a, n, b, a, n, b), with a and b the ancilla
     dimensions and n that of A x B, the result is zero except on the
@@ -197,48 +223,52 @@ def build_structured_hamiltonian(
     of np.kron(I, np.kron(H, I)); only the signs of exact zeros may differ.
     """
     h_ab = np.asarray(h_ab, dtype=complex)
+    if h_ab.ndim < 2 or h_ab.shape[-1] != h_ab.shape[-2]:
+        raise ValidationError("H_AB must be a square matrix")
     if hermiticity_defect(h_ab) > 1e-10:
         raise ValidationError("H_AB must be Hermitian")
     if d_ancilla_a < 1 or d_ancilla_b < 1:
         raise ValidationError("ancilla dimensions must be >= 1")
-    a, n, b = d_ancilla_a, h_ab.shape[0], d_ancilla_b
-    h = np.zeros((a, n, b, a, n, b), dtype=complex)
+    stack, a, n, b = h_ab.shape[:-2], d_ancilla_a, h_ab.shape[-1], d_ancilla_b
+    h = np.zeros((*stack, a, n, b, a, n, b), dtype=complex)
     for i in range(a):
         for j in range(b):
-            h[i, :, j, i, :, j] = h_ab
-    return h.reshape(a * n * b, a * n * b)
+            h[..., i, :, j, i, :, j] = h_ab
+    return h.reshape(*stack, a * n * b, a * n * b)
 
 
 # --- objective, constraint, and the fixed-C inner maximum ------------------
 
 
-def ancilla_objective(coeffs: AncillaCoeffs, g: GBlock) -> float:
+def _check_pair(coeffs: AncillaCoeffs, g: GBlock) -> None:
+    if g.d != coeffs.d_a:
+        raise ValidationError("block dimension does not match the coefficients")
+    if g.upper.shape[:-1] != coeffs.c.shape[:-2]:
+        raise ValidationError("block stack does not match the coefficient stack")
+
+
+def ancilla_objective(coeffs: AncillaCoeffs, g: GBlock) -> float | np.ndarray:
     """Rate of the (C, G) pair: 2 tr((K^T C - C^T K) G).
 
     Equals the double sum
     2 sum_a sum_{b,d} C_ab C_ad log(C_ab / C_ad) G_db identically, and
     the finite-difference rate of the assembled system arbitrates the
-    convention (see :func:`assemble_and_arbitrate`).
+    convention (see :func:`assemble_and_arbitrate`).  A float for one
+    pair, an array over the stack for a stack.
     """
-    if g.d != coeffs.d_a:
-        raise ValidationError("block dimension does not match the coefficients")
+    _check_pair(coeffs, g)
     c, k = coeffs.c, coeffs.k
-    return float(2.0 * np.trace((k.T @ c - c.T @ k) @ g.g))
+    a = k.swapaxes(-1, -2) @ c - c.swapaxes(-1, -2) @ k
+    return _scalar(2.0 * np.trace(a @ g.g, axis1=-2, axis2=-1))
 
 
-def variance_constraint(coeffs: AncillaCoeffs, g: GBlock) -> float:
-    """Squared Frobenius norm |C G|_F^2 (the unit-variance constraint)."""
-    if g.d != coeffs.d_a:
-        raise ValidationError("block dimension does not match the coefficients")
-    return float(np.linalg.norm(coeffs.c @ g.g, "fro") ** 2)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each slice of a stack, computed as np.linalg.norm
-    computes it for one matrix: the square root of the flattened slice's
-    dot product with itself, so each norm keeps its bits."""
-    f = x.reshape(x.shape[0], -1)
-    return np.sqrt(_dot(f, f))
+def variance_constraint(coeffs: AncillaCoeffs, g: GBlock) -> float | np.ndarray:
+    """Squared Frobenius norm |C G|_F^2 (the unit-variance constraint): a
+    float for one pair, an array over the stack for a stack."""
+    _check_pair(coeffs, g)
+    # float_power squares by C pow, as ``**`` does on one numpy float;
+    # ``**`` on an array multiplies, which differs in the last bit at times.
+    return _scalar(np.float_power(_norms(coeffs.c @ g.g), 2))
 
 
 def _pair_data(
@@ -508,37 +538,39 @@ def sup_search(
 # --- oracle arbitration -----------------------------------------------------
 
 
-def assemble_and_arbitrate(coeffs: AncillaCoeffs, g: GBlock) -> float:
-    """Finite-difference rate of the fully assembled ancilla system.
+def assemble_and_arbitrate(coeffs: AncillaCoeffs, g: GBlock) -> float | np.ndarray:
+    """Finite-difference rate of the fully assembled ancilla system: a float
+    for one pair, an array over the stack for a stack.
 
     Builds the global pure state sum_ab C_ab |ab>(A'A) |ab>(BB') on the
     ordering A' x A x B x B' with mirrored dimensions, extends the
     Schmidt-diagonal block Hamiltonian with identity ancilla factors,
-    and differentiates the evolved entanglement numerically.  The result
+    and differentiates the evolved entanglement numerically, all pairs of
+    a stack in one call of the oracle's stacked core.  The result
     arbitrates every sign and factor convention of the matrix forms.  An
     assembled dimension above the cap (see :func:`qcore._check_cap`) is
     an input failure.
     """
-    if g.d != coeffs.d_a:
-        raise ValidationError("block dimension does not match the coefficients")
-    d_ancilla, d_a = coeffs.c.shape
+    _check_pair(coeffs, g)
+    stack = coeffs.c.shape[:-2]
+    d_ancilla, d_a = coeffs.d_ancilla, coeffs.d_a
     d_b, d_ancilla_b = d_a, d_ancilla
     total = d_ancilla * d_a * d_b * d_ancilla_b
     _check_cap(total)
 
-    amplitudes = np.zeros(total, dtype=complex)
-    for alpha in range(d_ancilla):
-        for beta in range(d_a):
-            idx = ((alpha * d_a + beta) * d_b + beta) * d_ancilla_b + alpha
-            amplitudes[idx] = coeffs.c[alpha, beta]
+    # Entry (alpha, beta) of C goes to |alpha beta beta alpha>, row by row.
+    alpha, beta = np.divmod(np.arange(d_ancilla * d_a), d_a)
+    idx = ((alpha * d_a + beta) * d_b + beta) * d_ancilla_b + alpha
+    amplitudes = np.zeros((*stack, total), dtype=complex)
+    amplitudes[..., idx] = coeffs.c.reshape(*stack, d_ancilla * d_a)
     psi = PureState(
         d_a=d_ancilla * d_a, d_b=d_b * d_ancilla_b, amplitudes=amplitudes
     )
 
-    g_mat = g.g
-    h_ab = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for i in range(d_a):
-        for j in range(d_a):
-            h_ab[i * d_b + i, j * d_b + j] = 1j * g_mat[i, j]
+    diag = np.arange(d_a) * (d_b + 1)
+    h_ab = np.zeros((*stack, d_a * d_b, d_a * d_b), dtype=complex)
+    h_ab[..., diag[:, None], diag] = 1j * g.g
     h = build_structured_hamiltonian(h_ab, d_ancilla, d_ancilla_b)
-    return fd_rate(psi, h)
+    rates = _fd_rates(psi.amplitudes.reshape(-1, total), h.reshape(-1, total, total),
+                      psi.d_a, psi.d_b)
+    return _scalar(rates.reshape(stack))

@@ -20,6 +20,7 @@ from .qcore import (
     PureState,
     ValidationError,
     _check_cap,
+    _random_amplitudes,
     assemble_state,
     compact_entries,
     dump_json,
@@ -27,7 +28,6 @@ from .qcore import (
     matrix_json_shape,
     matrix_to_json,
     random_hermitian,
-    random_state,
     schmidt_decompose,
     split_compact,
     state_from_json,
@@ -256,8 +256,11 @@ def _worst(err: float, errs) -> float:
     return float(np.max(errs, initial=err))
 
 
-def _stack(d_a: int, d_b: int, states: list[PureState]) -> PureState:
-    return PureState(d_a=d_a, d_b=d_b, amplitudes=np.stack([p.amplitudes for p in states]))
+def _random_states(d_a: int, d_b: int, seed: int, block, j: int) -> PureState:
+    """One stack of random_state(d_a, d_b, (seed, t, j)) over the trials t,
+    validated once as a stack."""
+    return PureState(d_a=d_a, d_b=d_b, amplitudes=_random_amplitudes(
+        d_a * d_b, [(seed, t, j) for t in block]))
 
 
 def _random_unitaries(seed: int, block: range, j: int, dim: int) -> np.ndarray:
@@ -269,31 +272,43 @@ def _random_unitaries(seed: int, block: range, j: int, dim: int) -> np.ndarray:
     return np.linalg.qr(z)[0]
 
 
+def _index_form(c: list, g: list) -> float:
+    """2 sum_a sum_{b,d} C_ab C_ad log(C_ab / C_ad) G_db over the positive
+    entries of C, term by term in Python floats."""
+    total = 0.0
+    for row in c:
+        for b, c_b in enumerate(row):
+            for dd, c_d in enumerate(row):
+                if c_b > 0 and c_d > 0:
+                    total += 2.0 * c_b * c_d * math.log(c_b / c_d) * g[dd][b]
+    return total
+
+
 def _verify_checks(seed: int, trials: int, sign: float):
     """Yield (name, worst error, tolerance) for each check of ``verify``.
 
     Each check draws its instances per trial t from numpy generators seeded
     (seed, t, j), and its dimensions, where they vary, from one generator
-    seeded (seed, 101).  The closed-form side runs on stacks: trials go in
-    blocks of _VERIFY_BLOCK, and within a block every check makes one
-    stacked call per (d_a, d_b).  The oracle, ``fd_rate``, and the ancilla
-    checks take one instance per call.  A check's error is the maximum over
-    its trials, and NaN when any trial's is NaN, so that a NaN fails it.
+    seeded (seed, 101).  Trials go in blocks of _VERIFY_BLOCK, and within a
+    block every check makes one stacked call per (d_a, d_b), the ancilla
+    checks' arbitration included.  Only the oracle of ``rate_vs_oracle``,
+    the one-instance ``fd_rate``, is called once per trial.  A check's
+    error is the maximum over its trials, and NaN when any trial's is NaN,
+    so that a NaN fails it.
     """
     rng_dims = np.random.default_rng((seed, 101))
     err_rate = err_var = err_mean = err_orth = err_bound = 0.0
     for block in _blocks(trials):
-        groups: dict[tuple[int, int], list] = {}
+        groups: dict[tuple[int, int], list[int]] = {}
         for t in block:
             d_a = int(rng_dims.integers(2, 4))
             d_b = int(rng_dims.integers(2, 4))
-            groups.setdefault((d_a, d_b), []).append(
-                (random_state(d_a, d_b, (seed, t, 0)),
-                 random_hermitian(d_a * d_b, (seed, t, 1))))
+            groups.setdefault((d_a, d_b), []).append(t)
         for (d_a, d_b), group in groups.items():
-            oracle = [fd_rate(psi, h) for psi, h in group]
-            psi = _stack(d_a, d_b, [p for p, _ in group])
-            h = np.stack([h for _, h in group])
+            psi = _random_states(d_a, d_b, seed, group, 0)
+            h = np.stack([random_hermitian(d_a * d_b, (seed, t, 1)) for t in group])
+            oracle = [fd_rate(PureState(d_a=d_a, d_b=d_b, amplitudes=amp), h_t)
+                      for amp, h_t in zip(psi.amplitudes, h)]
             state = schmidt_decompose(psi)
             block_m = schmidt_block(h, state)
             closed = sign * gamma_rate(state, block_m)
@@ -316,7 +331,7 @@ def _verify_checks(seed: int, trials: int, sign: float):
 
     err_lu = 0.0
     for block in _blocks(trials):
-        psi = _stack(2, 3, [random_state(2, 3, (seed, t, 2)) for t in block])
+        psi = _random_states(2, 3, seed, block, 2)
         h = np.stack([random_hermitian(6, (seed, t, 3)) for t in block])
         state = schmidt_decompose(psi)
         base = sign * gamma_rate(state, schmidt_block(h, state))
@@ -333,38 +348,24 @@ def _verify_checks(seed: int, trials: int, sign: float):
 
     err_lagr = 0.0
     for block in _blocks(trials):
-        state = schmidt_decompose(
-            _stack(3, 3, [random_state(3, 3, (seed, t, 8)) for t in block]))
+        state = schmidt_decompose(_random_states(3, 3, seed, block, 8))
         err_lagr = _worst(err_lagr, abs(opt.max_rate(state) - opt.brute_force_max_k(state)))
     yield "lagrange_vs_bruteforce", err_lagr, 1e-6
 
-    err_id = 0.0
-    err_arb = 0.0
+    err_id = err_arb = 0.0
     for block in _blocks(trials):
-        ids, arbs = [], []
+        raw_c, raw_g = [], []
         for t in block:
             rng = np.random.default_rng((seed, t, 9))
-            coeffs = anc.AncillaCoeffs.normalized(np.abs(rng.normal(size=(2, 2))) + 0.05)
+            raw_c.append(np.abs(rng.normal(size=(2, 2))) + 0.05)
             raw = rng.normal(size=(2, 2))
-            g = anc.GBlock.from_matrix(raw - raw.T)
-            obj = anc.ancilla_objective(coeffs, g)
-            index_form = 0.0
-            c, g_mat = coeffs.c.tolist(), g.g.tolist()
-            for a in range(2):
-                for b in range(2):
-                    for dd in range(2):
-                        if c[a][b] > 0 and c[a][dd] > 0:
-                            index_form += (
-                                2.0
-                                * c[a][b]
-                                * c[a][dd]
-                                * math.log(c[a][b] / c[a][dd])
-                                * g_mat[dd][b]
-                            )
-            ids.append(abs(obj - index_form))
-            arbs.append(abs(obj - anc.assemble_and_arbitrate(coeffs, g)))
-        err_id = _worst(err_id, ids)
-        err_arb = _worst(err_arb, arbs)
+            raw_g.append(raw - raw.T)
+        coeffs = anc.AncillaCoeffs.normalized(np.stack(raw_c))
+        g = anc.GBlock.from_matrix(np.stack(raw_g))
+        obj = anc.ancilla_objective(coeffs, g)
+        index_form = [_index_form(c, g_t) for c, g_t in zip(coeffs.c.tolist(), g.g.tolist())]
+        err_id = _worst(err_id, abs(obj - index_form))
+        err_arb = _worst(err_arb, abs(obj - anc.assemble_and_arbitrate(coeffs, g)))
     yield "ancilla_identities", err_id, 1e-12
     yield "ancilla_arbitration", err_arb, 2e-6
 

@@ -44,29 +44,52 @@ _STENCIL_POWERS = np.array([[(-1j * m) ** k for k in range(_TAYLOR_TERMS)]
 _TAYLOR_TOL = 2.0**-53
 
 
-def _norm_1(h: np.ndarray) -> float:
-    """Max absolute row sum of H (its 1-norm, as H is Hermitian), by row blocks."""
-    return max(
-        float(np.abs(h[start:start + HERM_BLOCK]).sum(axis=1).max())
-        for start in range(0, h.shape[0], HERM_BLOCK)
-    )
+def _norm_1(h: np.ndarray) -> np.ndarray:
+    """Max absolute row sum of H (its 1-norm, as H is Hermitian), of each H of
+    a stack of shape (..., n, n), by row blocks."""
+    return np.max([np.abs(h[..., start:start + HERM_BLOCK, :]).sum(axis=-1).max(axis=-1)
+                   for start in range(0, h.shape[-1], HERM_BLOCK)], axis=0)
 
 
-def _scaled_taylor_terms(h: np.ndarray, psi: np.ndarray, step: float, theta: float):
-    """Terms q_k = (step H)^k psi / k! for k = 0..K.
+def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """fd_rate of each instance of a stack: ``amplitudes`` of shape (S, n) and
+    ``h`` of shape (S, n, n), both already validated.
 
-    K is the smallest integer with theta^(K+1) / (K+1)! <= 2^-53, which
-    bounds the truncation error of the series of exp(-iHt) psi for every
-    |t| with |t| |H|_1 <= theta (Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33, 2011).
+    Each instance takes its own step s, its own |H|_1 and its own number
+    of Taylor terms, K + 1 with K the smallest integer such that
+    theta^(K+1) / (K+1)! <= 2^-53 for theta = 2 s |H|_1.  That bounds the
+    truncation error of the series of exp(-iHt) psi for every |t| with
+    |t| |H|_1 <= theta (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+    The terms q_k = (s H)^k psi / k! of the whole stack are formed together
+    until every instance's bound is met; an instance whose bound is met
+    leaves the later terms out of its sum, so each row holds the bits of
+    the call on that instance alone.
     """
-    terms = [psi]
+    norm = _norm_1(h)
+    positive = norm > 0
+    s = np.where(positive, np.minimum(STEP, MAX_PHASE / np.where(positive, norm, 1.0)), STEP)
+    theta = 2 * s * norm
+    # Every stencil point is t = m s with |m| <= 2, a combination of the
+    # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
+    # The coefficients (-im)^k are exact, so each row holds the bits a
+    # separate sum per point would.
+    q = amplitudes
+    phis = np.zeros((len(q), len(STENCIL), q.shape[-1]), dtype=complex)
+    phis += _STENCIL_POWERS[:, 0, None] * q[:, None, :]
     bound = theta
-    while bound > _TAYLOR_TOL:
-        k = len(terms)
-        terms.append((step / k) * (h @ terms[-1]))
-        bound *= theta / (k + 1)
-    return terms
+    active = bound > _TAYLOR_TOL
+    k = 0
+    while active.any():
+        k += 1
+        q = (s / k)[:, None] * (h @ q[..., None])[..., 0]
+        np.add(phis, _STENCIL_POWERS[:, k, None] * q[:, None, :], out=phis,
+               where=active[:, None, None])
+        bound = bound * (theta / (k + 1))
+        active &= bound > _TAYLOR_TOL
+    sv = np.linalg.svd(phis.reshape(-1, d_a, d_b), compute_uv=False)
+    entropies = spectrum_entropy(sv**2).reshape(-1, len(STENCIL))
+    s_1, s_m1, s_2, s_m2 = entropies.T
+    return (8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * s)
 
 
 def fd_rate(psi: PureState, h: np.ndarray) -> float:
@@ -79,26 +102,14 @@ def fd_rate(psi: PureState, h: np.ndarray) -> float:
     one (4, n) array, and one stacked SVD of their d_a x d_b amplitude
     matrices gives the singular values whose squares are each point's
     entropy spectrum, and one stacked ``spectrum_entropy`` call their
-    entropies.
+    entropies.  The work is that of the stacked core ``_fd_rates`` on a
+    stack of one.
     """
     if psi.amplitudes.ndim != 1:
         raise ValidationError("fd_rate takes one state, not a stack")
     n = psi.d_a * psi.d_b
     h = _check_hamiltonian(h, n, ())
-
-    norm = _norm_1(h)
-    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
-    # Every stencil point is t = m s with |m| <= 2, a combination of the
-    # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
-    # The coefficients (-im)^k are exact, so each row holds the bits a
-    # separate sum per point would.
-    terms = _scaled_taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
-    phis = np.zeros((len(STENCIL), n), dtype=complex)
-    for k, q in enumerate(terms):
-        phis += _STENCIL_POWERS[:, k, None] * q
-    sv = np.linalg.svd(phis.reshape(-1, psi.d_a, psi.d_b), compute_uv=False)
-    s_1, s_m1, s_2, s_m2 = spectrum_entropy(sv**2).tolist()
-    return (8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * s)
+    return float(_fd_rates(psi.amplitudes[None], h[None], psi.d_a, psi.d_b)[0])
 
 
 def direct_stats(psi: PureState, h: np.ndarray) -> tuple[float, float]:

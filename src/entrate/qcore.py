@@ -77,12 +77,13 @@ HERM_BLOCK = 128
 
 # Stacks.  The functions of qcore, rate, optimum and oracle.direct_stats
 # that take states, decompositions, blocks or Hamiltonians also take stacks
-# of them: leading axes index instances, and every instance of a stack has
-# the same dimensions.  An unstacked call runs the same code with no stack
-# axis.  Each slice of a stacked result holds the bits of the call on that
-# slice alone: products are stacked ``@`` with explicit row and column axes,
-# sums reduce one flat row per slice.  A stack is rejected when any of its
-# slices fails validation.
+# of them, as do ancilla's coefficients, blocks, objective, constraint and
+# arbitration: leading axes index instances, and every instance of a stack
+# has the same dimensions.  An unstacked call runs the same code with no
+# stack axis.  Each slice of a stacked result holds the bits of the call on
+# that slice alone: products are stacked ``@`` with explicit row and column
+# axes, sums reduce one flat row per slice.  A stack is rejected when any
+# of its slices fails validation.
 
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:
@@ -93,6 +94,13 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a . b over the last axis, one row-times-column product per slice."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _vector_norm(v: np.ndarray) -> np.ndarray:
+    """Norm of a complex vector, or of each vector of a stack along the last
+    axis, as np.linalg.norm takes it: the real and imaginary parts' dot
+    products with themselves, summed."""
+    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -157,8 +165,7 @@ class PureState:
             raise ValidationError(
                 f"expected {self.d_a * self.d_b} amplitudes, got shape {amp.shape}"
             )
-        # The norm as np.linalg.norm takes it, per slice.
-        norm = np.sqrt(_dot(amp.real, amp.real) + _dot(amp.imag, amp.imag))
+        norm = _vector_norm(amp)
         # Written so that a NaN norm fails too.
         bad = ~(np.abs(norm - 1.0) <= NORM_TOL)
         if bad.any():
@@ -259,13 +266,27 @@ def spectrum_entropy(p: np.ndarray) -> float | np.ndarray:
     return _scalar(-np.add.reduce(terms, axis=-1, where=kept))
 
 
+def _random_amplitudes(n: int, seeds: list) -> np.ndarray:
+    """Normalized complex Gaussian vectors of length n, one per seed, as an
+    array of shape (len(seeds), n).
+
+    Each is divided by its norm as np.linalg.norm takes it, so a row holds
+    the bits of the vector drawn and normalized alone.  Nothing is
+    validated: wrap the rows in one PureState.
+    """
+    z = np.empty((len(seeds), n), dtype=complex)
+    for row, seed in zip(z, seeds):
+        rng = np.random.default_rng(seed)
+        row[:] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return z / _vector_norm(z)[:, None]
+
+
 def random_state(d_a: int, d_b: int, seed: Any) -> PureState:
     """Haar-like random pure state from a normalized complex Gaussian."""
     if d_a < 1 or d_b < 1:
         raise ValidationError("subsystem dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=d_a * d_b) + 1j * rng.normal(size=d_a * d_b)
-    return PureState(d_a=d_a, d_b=d_b, amplitudes=z / np.linalg.norm(z))
+    return PureState(d_a=d_a, d_b=d_b,
+                     amplitudes=_random_amplitudes(d_a * d_b, [seed])[0])
 
 
 def random_hermitian(n: int, seed: Any) -> np.ndarray:

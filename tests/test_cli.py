@@ -648,6 +648,28 @@ PASS  ancilla_arbitration        max_err= 1.924e-11  tol=2.0e-06
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL  variance_decomposition     max_err= nan  tol=1.0e-09" in lines
 
+    def test_public_oracle_takes_one_instance_per_call(self, capsys, monkeypatch):
+        # A traced benchmark run referees each public fd_rate call by reading
+        # its state as one d_A x d_B matrix; the ancilla arbitration runs
+        # the oracle's stacked core instead, not the public function.
+        exact = entrate.oracle.fd_rate
+        calls = []
+
+        def one_instance(psi, h):
+            assert psi.amplitudes.ndim == 1
+            calls.append(psi)
+            return exact(psi, h)
+
+        for module in (entrate.oracle, entrate.cli, entrate.ancilla):
+            monkeypatch.setattr(module, "fd_rate", one_instance, raising=False)
+        # 130 trials cross the boundary of a block of _VERIFY_BLOCK.
+        assert main(["verify", "--trials", "130"]) == 0
+        assert "9/9 checks passed" in capsys.readouterr().out
+        assert len(calls) == 130
+        assert main(["optimize", "--dim", "3", "--ancilla", "2", "--starts", "2"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 130
+
     def test_memory_stays_within_one_block(self, capsys):
         # Trials run in blocks of _VERIFY_BLOCK, so four blocks peak as one.
         block = entrate.cli._VERIFY_BLOCK

@@ -13,7 +13,6 @@ from entrate.oracle import (
     MAX_PHASE,
     STEP,
     _norm_1,
-    _scaled_taylor_terms,
     direct_stats,
     fd_rate,
 )
@@ -118,11 +117,24 @@ def eigh_fd_rate(psi, h):
             - (entropy_at(2 * s) - entropy_at(-2 * s))) / (12 * s)
 
 
+def taylor_terms(h, psi, step, theta):
+    """q_k = (step H)^k psi / k! for k = 0..K of one instance, K the smallest
+    integer with theta^(K+1) / (K+1)! <= 2^-53."""
+    terms = [psi]
+    bound = theta
+    while bound > 2.0**-53:
+        k = len(terms)
+        terms.append((step / k) * (h @ terms[-1]))
+        bound *= theta / (k + 1)
+    return terms
+
+
 def separate_svd_fd_rate(psi, h):
-    """fd_rate's stencil with one Taylor sum and one SVD per stencil point."""
+    """fd_rate's stencil with one Taylor sum and one SVD per stencil point,
+    the Taylor terms formed for this instance alone."""
     norm = _norm_1(h)
     s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
-    terms = _scaled_taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
+    terms = taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
 
     def entropy_at(m):
         phi = sum((-1j * m) ** k * q for k, q in enumerate(terms))

@@ -7,8 +7,16 @@ import math
 import numpy as np
 import pytest
 
+from entrate.ancilla import (
+    AncillaCoeffs,
+    GBlock,
+    ancilla_objective,
+    assemble_and_arbitrate,
+    build_structured_hamiltonian,
+    variance_constraint,
+)
 from entrate.optimum import _optimal_k, brute_force_max_k, max_rate, surprisal_variance
-from entrate.oracle import direct_stats, fd_rate
+from entrate.oracle import MAX_PHASE, STEP, _fd_rates, _norm_1, direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
     SchmidtState,
@@ -155,6 +163,94 @@ class TestStackEqualsLoop:
         same(state_one.coefficients, [state.coefficients])
 
 
+ANCILLA_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (1, 4)]
+
+
+def ancilla_instances(k, d, seed):
+    """Raw coefficient matrices (STACK, k, d), every third with an exact zero
+    entry, and antisymmetric matrices (STACK, d, d) at scales 1e-3 to 1e4."""
+    rng = np.random.default_rng(seed)
+    raw = np.abs(rng.normal(size=(STACK, k, d))) + 0.05
+    raw[1::3, 0, -1] = 0.0
+    m = rng.normal(size=(STACK, d, d)) * 10.0 ** np.arange(-3, STACK - 3)[:, None, None]
+    return raw, m - m.swapaxes(-1, -2)
+
+
+def ancilla_pairs(k, d, seed):
+    """A stack of (C, G) pairs and the list of its slices' pairs."""
+    raw, m = ancilla_instances(k, d, seed)
+    stacked = AncillaCoeffs.normalized(raw), GBlock.from_matrix(m)
+    return stacked, [(AncillaCoeffs.normalized(r), GBlock.from_matrix(mi))
+                     for r, mi in zip(raw, m)]
+
+
+@pytest.mark.parametrize("shape", ANCILLA_SHAPES)
+class TestAncillaStackEqualsLoop:
+    def test_coefficients_and_blocks(self, shape):
+        (coeffs, g), looped = ancilla_pairs(*shape, 20)
+        same(coeffs.c, [c.c for c, _ in looped])
+        same(coeffs.k, [c.k for c, _ in looped])
+        same(AncillaCoeffs(c=coeffs.c).k, [AncillaCoeffs(c=c.c).k for c, _ in looped])
+        same(g.upper, [gi.upper for _, gi in looped])
+        same(g.g, [gi.g for _, gi in looped])
+        same(GBlock(upper=g.upper, d=shape[1]).g,
+             [GBlock(upper=gi.upper, d=shape[1]).g for _, gi in looped])
+
+    def test_objective_constraint_and_arbitration(self, shape):
+        (coeffs, g), looped = ancilla_pairs(*shape, 21)
+        for fn in (ancilla_objective, variance_constraint, assemble_and_arbitrate):
+            same(fn(coeffs, g), [fn(c, gi) for c, gi in looped])
+
+    def test_structured_hamiltonian(self, shape):
+        k, d = shape
+        _, h = instances(d, d, 22)
+        same(build_structured_hamiltonian(h, k, 2),
+             [build_structured_hamiltonian(hi, k, 2) for hi in h])
+
+    def test_stack_of_one_is_the_unstacked_call(self, shape):
+        (coeffs, g), looped = ancilla_pairs(*shape, 23)
+        one = AncillaCoeffs(c=coeffs.c[:1]), GBlock(upper=g.upper[:1], d=shape[1])
+        for fn in (ancilla_objective, variance_constraint, assemble_and_arbitrate):
+            unstacked = fn(*looped[0])
+            assert type(unstacked) is float
+            same(fn(*one), [unstacked])
+
+
+def taylor_terms(theta):
+    """Terms fd_rate takes at theta = 2 s |H|_1: K + 1, with K the smallest
+    integer such that theta^(K+1) / (K+1)! <= 2^-53."""
+    count, bound = 1, theta
+    while bound > 2.0**-53:
+        count += 1
+        bound *= theta / count
+    return count
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_oracle_core_is_fd_rate_per_slice(dims):
+    # |H| x 1e-4, x 1 and x 1e4 and H = 0 take different numbers of terms.
+    amps, h = instances(*dims, 24)
+    h = h / 10.0 ** np.arange(-3, STACK - 3)[:, None, None]
+    h *= np.array([1e-4, 1.0, 1e4, 0.0] * (STACK // 4))[:, None, None]
+    norm = _norm_1(h)
+    s = np.where(norm > 0, np.minimum(STEP, MAX_PHASE / np.where(norm > 0, norm, 1.0)), STEP)
+    assert len({taylor_terms(theta) for theta in (2 * s * norm).tolist()}) == 4
+    same(_fd_rates(amps, h, *dims), [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_oracle_core_leaves_out_terms_past_each_slices_bound(dims):
+    # At theta = 1.4e-8 two terms meet the bound, and the third, -4 q_2 at
+    # the points +-2s, is large enough to move a last bit of the state; the
+    # slices at |H|_1 = 1e4 run the stack on to six terms.
+    amps, h = instances(*dims, 25)
+    h[::2] *= (1.4e-8 / (2 * STEP * _norm_1(h[::2])))[:, None, None]
+    h[1::2] *= (1e4 / _norm_1(h[1::2]))[:, None, None]
+    terms = {taylor_terms(min(2 * STEP * x, 2 * MAX_PHASE)) for x in _norm_1(h).tolist()}
+    assert terms == {2, 6}
+    same(_fd_rates(amps, h, *dims), [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
+
+
 def spoil(array, index, value):
     out = np.array(array)
     out[index] = value
@@ -237,6 +333,47 @@ class TestStackRejection:
             surprisal_variance(spoil(p, (2, 2), -0.5))
 
 
+class TestAncillaStackRejection:
+    """One invalid slice rejects the whole stack."""
+
+    @pytest.mark.parametrize("index, value, message", [
+        ((5, 0, 1), -0.1, "nonnegative"),
+        ((5, 1, 0), math.nan, "unit Frobenius norm"),
+        ((5, 1, 0), 2.0, "unit Frobenius norm"),
+    ])
+    def test_coefficients(self, index, value, message):
+        c = ancilla_pairs(2, 2, 30)[0][0].c
+        with pytest.raises(ValidationError, match=message):
+            AncillaCoeffs(c=spoil(c, index, value))
+
+    def test_zero_slice_does_not_normalize(self):
+        raw, _ = ancilla_instances(2, 2, 31)
+        with pytest.raises(ValidationError, match="nonzero"):
+            AncillaCoeffs.normalized(spoil(raw, 3, 0.0))
+
+    @pytest.mark.parametrize("value", [1.0, math.inf])
+    def test_block_matrix(self, value):
+        _, m = ancilla_instances(2, 3, 32)
+        with pytest.raises(ValidationError, match="antisymmetric"):
+            GBlock.from_matrix(spoil(m, (6, 0, 1), value))
+
+    def test_block_entries(self):
+        g = ancilla_pairs(2, 3, 33)[0][1]
+        with pytest.raises(ValidationError, match="finite"):
+            GBlock(upper=spoil(g.upper, (6, 2), math.inf), d=3)
+
+    def test_hamiltonian(self):
+        _, h = instances(2, 2, 34)
+        with pytest.raises(ValidationError, match="Hermitian"):
+            build_structured_hamiltonian(spoil(h, (6, 0, 1), h[6, 0, 1] + 1.0), 2, 2)
+
+    def test_pair_stacks_of_other_shapes(self):
+        coeffs, g = ancilla_pairs(2, 2, 35)[0]
+        for fn in (ancilla_objective, variance_constraint, assemble_and_arbitrate):
+            with pytest.raises(ValidationError, match="block stack does not match"):
+                fn(coeffs, GBlock(upper=g.upper[:-1], d=2))
+
+
 def test_oracle_takes_one_instance():
     psi, _, h = build(2, 3, 15)
     with pytest.raises(ValidationError, match="one state"):
@@ -255,3 +392,18 @@ def test_empty_stack_gives_empty_results():
         assert result.shape == (0,)
     assert assemble_state(state).amplitudes.shape == (0, 6)
     assert hermiticity_defect(h) == 0.0
+    assert _fd_rates(psi.amplitudes, h, 2, 3).shape == (0,)
+    coeffs = AncillaCoeffs.normalized(np.zeros((0, 2, 3)))
+    g = GBlock.from_matrix(np.zeros((0, 3, 3)))
+    assert coeffs.c.shape == coeffs.k.shape == (0, 2, 3)
+    assert g.upper.shape == (0, 3) and g.g.shape == (0, 3, 3)
+    assert GBlock(upper=np.zeros((0, 3)), d=3).g.shape == (0, 3, 3)
+    for result in (ancilla_objective(coeffs, g), variance_constraint(coeffs, g),
+                   assemble_and_arbitrate(coeffs, g)):
+        assert result.shape == (0,)
+    assert build_structured_hamiltonian(h, 2, 3).shape == (0, 36, 36)
+
+
+def test_empty_coefficient_matrix_is_a_validation_error():
+    with pytest.raises(ValidationError, match="unit Frobenius norm"):
+        AncillaCoeffs(c=np.zeros((0, 2)))
