@@ -344,6 +344,12 @@ def _value_and_grad(
     return 2.0 * lambda1, grad
 
 
+def _one_matrix(coeffs: AncillaCoeffs) -> np.ndarray:
+    if coeffs.c.ndim != 2:
+        raise ValidationError("takes one coefficient matrix, not a stack")
+    return coeffs.c
+
+
 def lambda_sq(coeffs: AncillaCoeffs, regularization: float) -> float:
     """Exact fixed-C maximum of (objective/2)^2 over antisymmetric G.
 
@@ -355,9 +361,10 @@ def lambda_sq(coeffs: AncillaCoeffs, regularization: float) -> float:
 
     with A = C^T K - K^T C rotated into that eigenbasis.  A vanishes on
     null-space pairs of B, so the value stays finite for eps > 0 even
-    when B is singular; eps = 0 requires a well-conditioned B.
+    when B is singular; eps = 0 requires a well-conditioned B.  Takes one
+    coefficient matrix, not a stack.
     """
-    c = coeffs.c
+    c = _one_matrix(coeffs)
     if regularization == 0.0:
         evals = np.linalg.eigvalsh(c.T @ c)
         smallest = float(evals.min())
@@ -374,9 +381,10 @@ def recover_g(coeffs: AncillaCoeffs, regularization: float) -> GBlock:
     Solves the pairwise stationarity conditions in the eigenbasis of
     C^T C: G'_ij = 2 A'_ij / ((b_i + b_j + 2 eps) lambda1), rotated back,
     with lambda1 the fixed-C maximum of C itself.  Returns the zero block
-    when the objective vanishes.
+    when the objective vanishes.  Takes one coefficient matrix, not a
+    stack.
     """
-    raw = _inner_max(coeffs.c[None], regularization)[1][0]
+    raw = _inner_max(_one_matrix(coeffs)[None], regularization)[1][0]
     return GBlock.from_matrix((raw - raw.T) / 2.0)
 
 

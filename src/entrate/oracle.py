@@ -8,6 +8,8 @@ meaningful.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .qcore import (
@@ -47,49 +49,62 @@ _TAYLOR_TOL = 2.0**-53
 def _norm_1(h: np.ndarray) -> np.ndarray:
     """Max absolute row sum of H (its 1-norm, as H is Hermitian), of each H of
     a stack of shape (..., n, n), by row blocks."""
-    return np.max([np.abs(h[..., start:start + HERM_BLOCK, :]).sum(axis=-1).max(axis=-1)
-                   for start in range(0, h.shape[-1], HERM_BLOCK)], axis=0)
+    return functools.reduce(np.maximum, (
+        np.abs(h[..., start:start + HERM_BLOCK, :]).sum(axis=-1).max(axis=-1)
+        for start in range(0, h.shape[-1], HERM_BLOCK)))
+
+
+def _step(norm: float) -> tuple[float, int]:
+    """The stencil step s and the number of Taylor terms for |H|_1 = norm.
+
+    s is STEP capped at MAX_PHASE / norm (STEP itself when H = 0).  The
+    terms number K + 1, for K the smallest integer with
+    theta^(K+1) / (K+1)! <= 2^-53 at theta = 2 s norm, the largest
+    |t| |H|_1 of the stencil; that bounds the truncation error of the
+    series of exp(-iHt) psi (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    2011).
+    """
+    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
+    theta = 2 * s * norm
+    terms, bound = 1, theta
+    while bound > _TAYLOR_TOL:
+        terms += 1
+        bound *= theta / terms
+    return s, terms
 
 
 def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """fd_rate of each instance of a stack: ``amplitudes`` of shape (S, n) and
     ``h`` of shape (S, n, n), both already validated.
 
-    Each instance takes its own step s, its own |H|_1 and its own number
-    of Taylor terms, K + 1 with K the smallest integer such that
-    theta^(K+1) / (K+1)! <= 2^-53 for theta = 2 s |H|_1.  That bounds the
-    truncation error of the series of exp(-iHt) psi for every |t| with
-    |t| |H|_1 <= theta (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
-    The terms q_k = (s H)^k psi / k! of the whole stack are formed together
-    until every instance's bound is met; an instance whose bound is met
-    leaves the later terms out of its sum, so each row holds the bits of
-    the call on that instance alone.
+    Each instance takes its own |H|_1, and from it its own step and number
+    of Taylor terms (``_step``).  The terms q_k = (s H)^k psi / k! of the
+    whole stack are formed together until every instance has its own; an
+    instance whose bound is met leaves the later terms out of its sum, so
+    each row holds the bits of the call on that instance alone.  The step
+    rule and the final stencil run on Python floats, one instance at a
+    time: they round as float64 arrays do, and cost less than array
+    operations on a stack of one.
     """
-    norm = _norm_1(h)
-    positive = norm > 0
-    s = np.where(positive, np.minimum(STEP, MAX_PHASE / np.where(positive, norm, 1.0)), STEP)
-    theta = 2 * s * norm
+    steps = [_step(norm) for norm in _norm_1(h).tolist()]
+    s = np.array([step for step, _ in steps])
+    counts = [terms for _, terms in steps]
+    terms = np.array(counts, dtype=int)
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
     # The coefficients (-im)^k are exact, so each row holds the bits a
-    # separate sum per point would.
-    q = amplitudes
-    phis = np.zeros((len(q), len(STENCIL), q.shape[-1]), dtype=complex)
-    phis += _STENCIL_POWERS[:, 0, None] * q[:, None, :]
-    bound = theta
-    active = bound > _TAYLOR_TOL
-    k = 0
-    while active.any():
-        k += 1
-        q = (s / k)[:, None] * (h @ q[..., None])[..., 0]
-        np.add(phis, _STENCIL_POWERS[:, k, None] * q[:, None, :], out=phis,
-               where=active[:, None, None])
-        bound = bound * (theta / (k + 1))
-        active &= bound > _TAYLOR_TOL
+    # separate sum per point would.  q is kept as a column for the products.
+    q = amplitudes[:, :, None]
+    phis = np.zeros((len(q), len(STENCIL), q.shape[1]), dtype=complex)
+    phis += _STENCIL_POWERS[:, 0, None] * q.swapaxes(1, 2)
+    for k in range(1, max(counts, default=1)):
+        q = (s / k)[:, None, None] * (h @ q)
+        taken = k < min(counts) or (terms > k)[:, None, None]
+        np.add(phis, _STENCIL_POWERS[:, k, None] * q.swapaxes(1, 2), out=phis, where=taken)
     sv = np.linalg.svd(phis.reshape(-1, d_a, d_b), compute_uv=False)
-    entropies = spectrum_entropy(sv**2).reshape(-1, len(STENCIL))
-    s_1, s_m1, s_2, s_m2 = entropies.T
-    return (8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * s)
+    entropies = spectrum_entropy(sv**2).reshape(-1, len(STENCIL)).tolist()
+    return np.array([(8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * step)
+                     for (s_1, s_m1, s_2, s_m2), (step, _) in zip(entropies, steps)])
 
 
 def fd_rate(psi: PureState, h: np.ndarray) -> float:

@@ -13,10 +13,12 @@ from entrate.ancilla import (
     ancilla_objective,
     assemble_and_arbitrate,
     build_structured_hamiltonian,
+    lambda_sq,
+    recover_g,
     variance_constraint,
 )
 from entrate.optimum import _optimal_k, brute_force_max_k, max_rate, surprisal_variance
-from entrate.oracle import MAX_PHASE, STEP, _fd_rates, _norm_1, direct_stats, fd_rate
+from entrate.oracle import STEP, _fd_rates, _norm_1, _step, direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
     SchmidtState,
@@ -216,25 +218,13 @@ class TestAncillaStackEqualsLoop:
             same(fn(*one), [unstacked])
 
 
-def taylor_terms(theta):
-    """Terms fd_rate takes at theta = 2 s |H|_1: K + 1, with K the smallest
-    integer such that theta^(K+1) / (K+1)! <= 2^-53."""
-    count, bound = 1, theta
-    while bound > 2.0**-53:
-        count += 1
-        bound *= theta / count
-    return count
-
-
 @pytest.mark.parametrize("dims", SHAPES)
 def test_oracle_core_is_fd_rate_per_slice(dims):
     # |H| x 1e-4, x 1 and x 1e4 and H = 0 take different numbers of terms.
     amps, h = instances(*dims, 24)
     h = h / 10.0 ** np.arange(-3, STACK - 3)[:, None, None]
     h *= np.array([1e-4, 1.0, 1e4, 0.0] * (STACK // 4))[:, None, None]
-    norm = _norm_1(h)
-    s = np.where(norm > 0, np.minimum(STEP, MAX_PHASE / np.where(norm > 0, norm, 1.0)), STEP)
-    assert len({taylor_terms(theta) for theta in (2 * s * norm).tolist()}) == 4
+    assert len({_step(norm)[1] for norm in _norm_1(h).tolist()}) == 4
     same(_fd_rates(amps, h, *dims), [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
 
 
@@ -246,8 +236,7 @@ def test_oracle_core_leaves_out_terms_past_each_slices_bound(dims):
     amps, h = instances(*dims, 25)
     h[::2] *= (1.4e-8 / (2 * STEP * _norm_1(h[::2])))[:, None, None]
     h[1::2] *= (1e4 / _norm_1(h[1::2]))[:, None, None]
-    terms = {taylor_terms(min(2 * STEP * x, 2 * MAX_PHASE)) for x in _norm_1(h).tolist()}
-    assert terms == {2, 6}
+    assert {_step(norm)[1] for norm in _norm_1(h).tolist()} == {2, 6}
     same(_fd_rates(amps, h, *dims), [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
 
 
@@ -366,6 +355,12 @@ class TestAncillaStackRejection:
         _, h = instances(2, 2, 34)
         with pytest.raises(ValidationError, match="Hermitian"):
             build_structured_hamiltonian(spoil(h, (6, 0, 1), h[6, 0, 1] + 1.0), 2, 2)
+
+    def test_fixed_c_maximum_takes_one_matrix(self):
+        coeffs = ancilla_pairs(2, 2, 36)[0][0]
+        for fn in (lambda_sq, recover_g):
+            with pytest.raises(ValidationError, match="not a stack"):
+                fn(coeffs, 1e-4)
 
     def test_pair_stacks_of_other_shapes(self):
         coeffs, g = ancilla_pairs(2, 2, 35)[0]
