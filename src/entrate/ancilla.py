@@ -7,10 +7,11 @@ G real antisymmetric.  The rate objective and the variance constraint
 are matrix expressions in (C, G, K) with K = C log C, which this module
 evaluates, maximizes over G in closed form, maximizes over C
 numerically, and arbitrates against the finite-difference oracle on the
-assembled global system.  The fixed-C maximum and its gradient take a
-stack of matrices, so the search over C ascends all its starts at once,
-one stacked SVD per step.  The coefficients, blocks, objective,
-constraint, structured Hamiltonian and arbitration take stacks too, in
+assembled global system, whose I (x) H_AB (x) I the oracle applies
+factor by factor and never builds.  The fixed-C maximum and its gradient
+take a stack of matrices, so the search over C ascends all its starts at
+once, one stacked SVD per step.  The coefficients, blocks, objective,
+constraint and arbitration take stacks too, in
 the package's convention (see ``qcore``): leading axes index instances,
 and each slice holds the bits of the call on that slice alone.  At every
 tested (d, K) the supremum is the no-ancilla optimum
@@ -30,12 +31,11 @@ from .optimum import optimal_gamma
 from .oracle import _fd_rates
 from .qcore import (
     HERM_TOL,
-    PureState,
     ValidationError,
     _check_cap,
     _dot,
+    _log_positive,
     _scalar,
-    hermiticity_defect,
 )
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "GBlock",
     "AncillaOptimum",
     "SingularityError",
-    "build_structured_hamiltonian",
     "ancilla_objective",
     "variance_constraint",
     "lambda_sq",
@@ -61,11 +60,6 @@ _START_BLOCK = 64
 
 class SingularityError(ValidationError):
     """Unregularized evaluation hit a numerically singular C^T C."""
-
-
-def _log_positive(c: np.ndarray) -> np.ndarray:
-    """Entrywise log C where C > 0, and 0 elsewhere."""
-    return np.log(np.where(c > 0, c, 1.0))
 
 
 def _xlogx(c: np.ndarray) -> np.ndarray:
@@ -206,35 +200,6 @@ class AncillaOptimum:
             "regularization": self.regularization,
             "diagnostics": self.diagnostics,
         }
-
-
-# --- structured Hamiltonians ----------------------------------------------
-
-
-def build_structured_hamiltonian(
-    h_ab: np.ndarray, d_ancilla_a: int, d_ancilla_b: int
-) -> np.ndarray:
-    """Extend H on A x B to I (x) H (x) I on (A' A) x (B B'), or each H of a
-    stack of shape (..., n, n).
-
-    Seen as an array of shape (a, n, b, a, n, b), with a and b the ancilla
-    dimensions and n that of A x B, the result is zero except on the
-    blocks [i, :, j, i, :, j], each a copy of H.  The entries equal those
-    of np.kron(I, np.kron(H, I)); only the signs of exact zeros may differ.
-    """
-    h_ab = np.asarray(h_ab, dtype=complex)
-    if h_ab.ndim < 2 or h_ab.shape[-1] != h_ab.shape[-2]:
-        raise ValidationError("H_AB must be a square matrix")
-    if hermiticity_defect(h_ab) > 1e-10:
-        raise ValidationError("H_AB must be Hermitian")
-    if d_ancilla_a < 1 or d_ancilla_b < 1:
-        raise ValidationError("ancilla dimensions must be >= 1")
-    stack, a, n, b = h_ab.shape[:-2], d_ancilla_a, h_ab.shape[-1], d_ancilla_b
-    h = np.zeros((*stack, a, n, b, a, n, b), dtype=complex)
-    for i in range(a):
-        for j in range(b):
-            h[..., i, :, j, i, :, j] = h_ab
-    return h.reshape(*stack, a * n * b, a * n * b)
 
 
 # --- objective, constraint, and the fixed-C inner maximum ------------------
@@ -550,11 +515,13 @@ def assemble_and_arbitrate(coeffs: AncillaCoeffs, g: GBlock) -> float | np.ndarr
     """Finite-difference rate of the fully assembled ancilla system: a float
     for one pair, an array over the stack for a stack.
 
-    Builds the global pure state sum_ab C_ab |ab>(A'A) |ab>(BB') on the
-    ordering A' x A x B x B' with mirrored dimensions, extends the
-    Schmidt-diagonal block Hamiltonian with identity ancilla factors,
-    and differentiates the evolved entanglement numerically, all pairs of
-    a stack in one call of the oracle's stacked core.  The result
+    Places the global pure state sum_ab C_ab |ab>(A'A) |ab>(BB') on the
+    ordering A' x A x B x B' with mirrored dimensions, as an array of shape
+    (S, K, d^2, K) with the ancillas on their own axes, and differentiates
+    its entanglement under I (x) H_AB (x) I numerically, with H_AB the
+    Schmidt-diagonal block Hamiltonian.  The oracle's stacked core applies
+    H_AB to the A x B axis, so the (K d)^2 x (K d)^2 product is never
+    built, and all pairs of a stack go through one call.  The result
     arbitrates every sign and factor convention of the matrix forms.  An
     assembled dimension above the cap (see :func:`qcore._check_cap`) is
     an input failure.
@@ -562,23 +529,16 @@ def assemble_and_arbitrate(coeffs: AncillaCoeffs, g: GBlock) -> float | np.ndarr
     _check_pair(coeffs, g)
     stack = coeffs.c.shape[:-2]
     d_ancilla, d_a = coeffs.d_ancilla, coeffs.d_a
-    d_b, d_ancilla_b = d_a, d_ancilla
-    total = d_ancilla * d_a * d_b * d_ancilla_b
-    _check_cap(total)
+    n = d_a * d_a
+    _check_cap(d_ancilla * n * d_ancilla)
 
     # Entry (alpha, beta) of C goes to |alpha beta beta alpha>, row by row.
     alpha, beta = np.divmod(np.arange(d_ancilla * d_a), d_a)
-    idx = ((alpha * d_a + beta) * d_b + beta) * d_ancilla_b + alpha
-    amplitudes = np.zeros((*stack, total), dtype=complex)
-    amplitudes[..., idx] = coeffs.c.reshape(*stack, d_ancilla * d_a)
-    psi = PureState(
-        d_a=d_ancilla * d_a, d_b=d_b * d_ancilla_b, amplitudes=amplitudes
-    )
-
-    diag = np.arange(d_a) * (d_b + 1)
-    h_ab = np.zeros((*stack, d_a * d_b, d_a * d_b), dtype=complex)
+    diag = np.arange(d_a) * (d_a + 1)
+    amplitudes = np.zeros((*stack, d_ancilla, n, d_ancilla), dtype=complex)
+    amplitudes[..., alpha, diag[beta], alpha] = coeffs.c.reshape(*stack, d_ancilla * d_a)
+    h_ab = np.zeros((*stack, n, n), dtype=complex)
     h_ab[..., diag[:, None], diag] = 1j * g.g
-    h = build_structured_hamiltonian(h_ab, d_ancilla, d_ancilla_b)
-    rates = _fd_rates(psi.amplitudes.reshape(-1, total), h.reshape(-1, total, total),
-                      psi.d_a, psi.d_b)
+    rates = _fd_rates(amplitudes.reshape(-1, d_ancilla, n, d_ancilla),
+                      h_ab.reshape(-1, n, n), d_a, d_a)
     return _scalar(rates.reshape(stack))

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import SchmidtState, ValidationError, _dot, _scalar
+from .qcore import SchmidtState, ValidationError, _dot, _log_positive, _scalar
 from .rate import gamma_rate_k, schmidt_columns
 
 __all__ = [
@@ -67,9 +67,8 @@ def surprisal_variance(p: np.ndarray) -> float | np.ndarray:
     if bad.any():
         worst = float(total[bad].flat[0]) if total.ndim else float(total)
         raise ValidationError(f"probabilities sum to {worst!r}, not 1")
-    positive = p > 0
-    pos = np.where(positive, p, 0.0)
-    logs = np.log(np.where(positive, p, 1.0))
+    pos = np.where(p > 0, p, 0.0)
+    logs = _log_positive(p)
     mean = _dot(pos, logs)
     f = _dot(pos, (logs - mean[..., None]) ** 2)
     return _scalar(np.maximum(f, 0.0))
@@ -188,8 +187,7 @@ def _optimal_k(c: np.ndarray) -> np.ndarray:
     +-2 log d; the zero vector is returned once |k| <= 1e-14 |a|, which is
     off by at most that bound.
     """
-    mask = c > 0
-    a = np.where(mask, -4.0 * c * np.log(np.where(mask, c, 1.0)), 0.0)
+    a = np.where(c > 0, -4.0 * c * _log_positive(c), 0.0)
     k = a - _dot(c, a)[..., None] * c
     k -= _dot(c, k)[..., None] * c
     norm = np.sqrt(_dot(k, k))[..., None]

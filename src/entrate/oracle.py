@@ -39,9 +39,10 @@ STENCIL = (1, -1, 2, -2)
 # 2 * MAX_PHASE = 4e-3 is ever asked of it (see fd_rate), which takes 6.
 _TAYLOR_TERMS = 16
 # (-i m)^k for each stencil point m (rows) and k < _TAYLOR_TERMS (columns):
-# exact, as products of +-1, +-i and powers of two.
+# exact, as products of +-1, +-i and powers of two.  Three trailing axes of
+# size one broadcast over a state's (K_A, n, K_B) axes (see _fd_rates).
 _STENCIL_POWERS = np.array([[(-1j * m) ** k for k in range(_TAYLOR_TERMS)]
-                            for m in STENCIL])
+                            for m in STENCIL])[:, :, None, None, None]
 # Truncation target for the Taylor series: unit roundoff of float64.
 _TAYLOR_TOL = 2.0**-53
 
@@ -74,18 +75,23 @@ def _step(norm: float) -> tuple[float, int]:
 
 
 def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """fd_rate of each instance of a stack: ``amplitudes`` of shape (S, n) and
-    ``h`` of shape (S, n, n), both already validated.
+    """fd_rate of each instance of a stack under I (x) H (x) I, both already
+    validated: ``amplitudes`` of shape (S, K_A, n, K_B) on A' x A x B x B',
+    with n = d_a d_b, and ``h`` of shape (S, n, n) on A x B.
 
-    Each instance takes its own |H|_1, and from it its own step and number
-    of Taylor terms (``_step``).  The terms q_k = (s H)^k psi / k! of the
-    whole stack are formed together until every instance has its own; an
-    instance whose bound is met leaves the later terms out of its sum, so
-    each row holds the bits of the call on that instance alone.  The step
-    rule and the final stencil run on Python floats, one instance at a
-    time: they round as float64 arrays do, and cost less than array
-    operations on a stack of one.
+    H acts on axis 2 alone, so I (x) H (x) I is applied without being
+    built, and its 1-norm is that of H.  The entropy is that of the cut
+    A' A | B B', a (K_A d_a) x (d_b K_B) amplitude matrix; K_A = K_B = 1 is
+    a plain d_a x d_b state.  Each instance takes its own |H|_1, and from
+    it its own step and number of Taylor terms (``_step``).  The terms
+    q_k = (s H)^k psi / k! of the whole stack are formed together until
+    every instance has its own; an instance whose bound is met leaves the
+    later terms out of its sum, so each row holds the bits of the call on
+    that instance alone.  The step rule and the final stencil run on
+    Python floats, one instance at a time: they round as float64 arrays
+    do, and cost less than array operations on a stack of one.
     """
+    _, k_a, _, k_b = amplitudes.shape
     steps = [_step(norm) for norm in _norm_1(h).tolist()]
     s = np.array([step for step, _ in steps])
     counts = [terms for _, terms in steps]
@@ -93,15 +99,15 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
     # The coefficients (-im)^k are exact, so each row holds the bits a
-    # separate sum per point would.  q is kept as a column for the products.
-    q = amplitudes[:, :, None]
-    phis = np.zeros((len(q), len(STENCIL), q.shape[1]), dtype=complex)
-    phis += _STENCIL_POWERS[:, 0, None] * q.swapaxes(1, 2)
+    # separate sum per point would.
+    q = amplitudes
+    phis = np.zeros((len(q), len(STENCIL), *q.shape[1:]), dtype=complex)
+    phis += _STENCIL_POWERS[:, 0] * q[:, None]
     for k in range(1, max(counts, default=1)):
-        q = (s / k)[:, None, None] * (h @ q)
-        taken = k < min(counts) or (terms > k)[:, None, None]
-        np.add(phis, _STENCIL_POWERS[:, k, None] * q.swapaxes(1, 2), out=phis, where=taken)
-    sv = np.linalg.svd(phis.reshape(-1, d_a, d_b), compute_uv=False)
+        q = (s / k)[:, None, None, None] * (h[:, None] @ q)
+        taken = k < min(counts) or (terms > k)[:, None, None, None, None]
+        np.add(phis, _STENCIL_POWERS[:, k] * q[:, None], out=phis, where=taken)
+    sv = np.linalg.svd(phis.reshape(-1, k_a * d_a, d_b * k_b), compute_uv=False)
     entropies = spectrum_entropy(sv**2).reshape(-1, len(STENCIL)).tolist()
     return np.array([(8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * step)
                      for (s_1, s_m1, s_2, s_m2), (step, _) in zip(entropies, steps)])
@@ -118,13 +124,14 @@ def fd_rate(psi: PureState, h: np.ndarray) -> float:
     matrices gives the singular values whose squares are each point's
     entropy spectrum, and one stacked ``spectrum_entropy`` call their
     entropies.  The work is that of the stacked core ``_fd_rates`` on a
-    stack of one.
+    stack of one, with ancilla axes of size one (K_A = K_B = 1).
     """
     if psi.amplitudes.ndim != 1:
         raise ValidationError("fd_rate takes one state, not a stack")
     n = psi.d_a * psi.d_b
     h = _check_hamiltonian(h, n, ())
-    return float(_fd_rates(psi.amplitudes[None], h[None], psi.d_a, psi.d_b)[0])
+    amplitudes = psi.amplitudes[None, None, :, None]
+    return float(_fd_rates(amplitudes, h[None], psi.d_a, psi.d_b)[0])
 
 
 def direct_stats(psi: PureState, h: np.ndarray) -> tuple[float, float]:

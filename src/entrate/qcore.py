@@ -96,6 +96,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _log_positive(x: np.ndarray) -> np.ndarray:
+    """Entrywise log x where x > 0, and 0 elsewhere."""
+    return np.log(np.where(x > 0, x, 1.0))
+
+
 def _vector_norm(v: np.ndarray) -> np.ndarray:
     """Norm of a complex vector, or of each vector of a stack along the last
     axis, as np.linalg.norm takes it: the real and imaginary parts' dot

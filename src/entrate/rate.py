@@ -18,6 +18,7 @@ from .qcore import (
     ValidationError,
     _check_hamiltonian,
     _dot,
+    _log_positive,
     _scalar,
     hermiticity_defect,
 )
@@ -60,10 +61,6 @@ class SchmidtBlock:
     @property
     def m_i(self) -> np.ndarray:
         return self.m.imag
-
-    @property
-    def dim(self) -> int:
-        return int(self.m.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -132,9 +129,8 @@ def gamma_rate_k(state: SchmidtState, k: np.ndarray) -> float | np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.shape != c.shape:
         raise ValidationError(f"expected k of shape {c.shape}, got {k.shape}")
-    mask = c > 0
-    terms = k * c * np.log(np.where(mask, c, 1.0))
-    return _scalar(-4.0 * np.add.reduce(terms, axis=-1, where=mask))
+    terms = k * c * _log_positive(c)
+    return _scalar(-4.0 * np.add.reduce(terms, axis=-1, where=c > 0))
 
 
 def mean_energy(state: SchmidtState, block: SchmidtBlock) -> float | np.ndarray:

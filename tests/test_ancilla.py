@@ -21,14 +21,14 @@ from entrate.ancilla import (
     SingularityError,
     ancilla_objective,
     assemble_and_arbitrate,
-    build_structured_hamiltonian,
     lambda_sq,
     recover_g,
     sup_search,
     variance_constraint,
 )
 from entrate.optimum import optimal_gamma
-from entrate.qcore import ValidationError, random_hermitian
+from entrate.oracle import _norm_1, _step, fd_rate
+from entrate.qcore import PureState, ValidationError
 
 from ancilla_reference import inner_opt_over_g, sup_search_one_by_one, zero_block
 
@@ -42,22 +42,25 @@ def worked_coeffs() -> AncillaCoeffs:
     return AncillaCoeffs(c=np.array([[math.sqrt(0.9), math.sqrt(0.1)]]))
 
 
-def structure_defect(h, d_ancilla_a, d_a, d_b, d_ancilla_b) -> float:
-    """Reference: largest matrix element connecting different ancilla labels.
-
-    Zero exactly when H acts as identity on both ancilla factors of the
-    ordering A' x A x B x B'.
-    """
-    h = np.asarray(h, dtype=complex)
-    n = d_ancilla_a * d_a * d_b * d_ancilla_b
-    assert h.shape == (n, n)
-    t = h.reshape(
-        d_ancilla_a, d_a * d_b, d_ancilla_b, d_ancilla_a, d_a * d_b, d_ancilla_b
-    ).copy()
-    for a_p in range(d_ancilla_a):
-        for b_p in range(d_ancilla_b):
-            t[a_p, :, b_p, a_p, :, b_p] = 0.0
-    return float(np.max(np.abs(t)))
+def dense_arbitration(k, d, seed):
+    """Two (C, G) pairs at each of the scales 1e-4, 1 and 1e4 of G, with the
+    assembled states and the dense Hamiltonians I (x) H_AB (x) I built
+    entry by entry and by np.kron, on A' x A x B x B'."""
+    rng = np.random.default_rng(seed)
+    coeffs = AncillaCoeffs.normalized(np.abs(rng.normal(size=(6, k, d))) + 0.01)
+    m = rng.normal(size=(6, d, d)) * np.repeat([1e-4, 1.0, 1e4], 2)[:, None, None]
+    g = GBlock.from_matrix(m - m.swapaxes(-1, -2))
+    psi, h = [], []
+    for c, gi in zip(coeffs.c, g.g):
+        t = np.zeros((k, d, d, k), dtype=complex)
+        h_ab = np.zeros((d, d, d, d), dtype=complex)
+        for a in range(d):
+            t[:, a, a, :] = np.diag(c[:, a])
+            for b in range(d):
+                h_ab[a, a, b, b] = 1j * gi[a, b]
+        psi.append(t.reshape(-1))
+        h.append(np.kron(np.eye(k), np.kron(h_ab.reshape(d * d, d * d), np.eye(k))))
+    return coeffs, g, psi, np.array(h)
 
 
 def random_coeffs(shape, seed, floor=0.05) -> AncillaCoeffs:
@@ -185,46 +188,6 @@ class TestGBlock:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError):
                 GBlock.from_matrix(np.array(m))
-
-
-class TestStructuredHamiltonian:
-    def test_trivial_ancillas_unchanged(self):
-        h_ab = random_hermitian(4, 1)
-        assert np.array_equal(build_structured_hamiltonian(h_ab, 1, 1), h_ab)
-
-    def test_trace_multiplicativity(self):
-        h_ab = random_hermitian(4, 2)
-        h = build_structured_hamiltonian(h_ab, 2, 3)
-        assert np.trace(h) == pytest.approx(6 * np.trace(h_ab), abs=1e-10)
-
-    def test_spectrum_replicated(self):
-        h_ab = random_hermitian(4, 3)
-        h = build_structured_hamiltonian(h_ab, 2, 2)
-        base = np.sort(np.linalg.eigvalsh(h_ab))
-        assert np.linalg.eigvalsh(h) == pytest.approx(
-            np.sort(np.repeat(base, 4)), abs=1e-10
-        )
-
-    def test_sparsity_pattern(self):
-        h_ab = random_hermitian(4, 4)
-        h = build_structured_hamiltonian(h_ab, 2, 2)
-        assert structure_defect(h, 2, 4, 1, 2) < 1e-12
-        # coupling the ancillas breaks the pattern
-        bad = h.copy()
-        bad[0, -1] += 1.0
-        bad[-1, 0] += 1.0
-        assert structure_defect(bad, 2, 4, 1, 2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            build_structured_hamiltonian(np.triu(np.ones((2, 2))) * 1j, 2, 2)
-
-    @pytest.mark.parametrize("ancillas", [(1, 3), (2, 2), (3, 1)])
-    def test_equals_kron_reference(self, ancillas):
-        a, b = ancillas
-        h_ab = random_hermitian(4, 5)
-        want = np.kron(np.eye(a), np.kron(h_ab, np.eye(b)))
-        assert np.array_equal(build_structured_hamiltonian(h_ab, a, b), want)
 
 
 class TestObjectiveAndConstraint:
@@ -624,6 +587,40 @@ class TestArbitration:
         assert assemble_and_arbitrate(coeffs, g) == pytest.approx(
             ancilla_objective(coeffs, g), abs=2e-6
         )
+
+    @pytest.mark.parametrize("k, d", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_equals_the_dense_oracle_per_slice(self, k, d):
+        # For d <= 3 a row of H_AB holds at most two nonzero entries, so the
+        # dense I (x) H_AB (x) I adds the same two terms per row as the
+        # product on the A x B axis does, and each slice keeps its bits.
+        coeffs, g, psi, h = dense_arbitration(k, d, 55)
+        # The scales of G take three or more numbers of Taylor terms.
+        assert len({_step(norm)[1] for norm in _norm_1(h).tolist()}) >= 3
+        want = [fd_rate(PureState(k * d, d * k, p), hi) for p, hi in zip(psi, h)]
+        assert assemble_and_arbitrate(coeffs, g).tolist() == want
+
+    @pytest.mark.parametrize("k, d", [(4, 4), (6, 6), (3, 4), (2, 5)])
+    def test_rounds_as_the_dense_oracle(self, k, d):
+        # From d = 4 on, the dense product and its 1-norm may group a row's
+        # d - 1 nonzero terms in another order, which moves last bits.
+        coeffs, g, psi, h = dense_arbitration(k, d, 56)
+        assert len({_step(norm)[1] for norm in _norm_1(h).tolist()}) >= 3
+        want = [fd_rate(PureState(k * d, d * k, p), hi) for p, hi in zip(psi, h)]
+        assert assemble_and_arbitrate(coeffs, g) == pytest.approx(want, rel=1e-12)
+
+    def test_largest_system_builds_no_dense_hamiltonian(self):
+        # At (K, d) = (8, 8) the assembled dimension is the cap, 4096, and a
+        # dense I (x) H_AB (x) I alone would take 268 MB.
+        coeffs = random_coeffs((8, 8), 57)
+        g = random_gblock(8, 58)
+        tracemalloc.start()
+        try:
+            rate = assemble_and_arbitrate(coeffs, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert rate == pytest.approx(ancilla_objective(coeffs, g), abs=2e-6)
 
     def test_dimension_cap(self):
         # 9 * 8 * 8 * 9 = 5184 exceeds the default cap of 4096.

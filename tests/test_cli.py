@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ def write_worked_pair(tmp_path):
     state_file = tmp_path / "state.json"
     ham_file = tmp_path / "ham.json"
     state_file.write_text(json.dumps(state_to_json(PureState(2, 2, amp))))
+    ham_file.write_text(json.dumps(matrix_to_json(h)))
+    return str(state_file), str(ham_file)
+
+
+def write_pair(tmp_path, psi, h):
+    state_file = tmp_path / "s.json"
+    ham_file = tmp_path / "h.json"
+    state_file.write_text(json.dumps(state_to_json(psi)))
     ham_file.write_text(json.dumps(matrix_to_json(h)))
     return str(state_file), str(ham_file)
 
@@ -145,10 +154,36 @@ class TestRateCommand:
         assert main(["rate", state_file, ham_file]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("norm", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("zero_eigenvalue", [False, True])
+    @pytest.mark.parametrize("column", [0, 7])
+    def test_eigenstate_passes(self, tmp_path, capsys, norm, zero_eigenvalue, column):
+        # Rounding leaves Delta H a few eps |H|_1 above zero here, so a
+        # tolerance relative to it alone could not be met.
+        h = norm * random_hermitian(16, (0, 2))
+        eigenvalues, vectors = np.linalg.eigh(h)
+        if zero_eigenvalue:
+            h -= eigenvalues[column] * np.eye(16)
+        files = write_pair(tmp_path, PureState(4, 4, vectors[:, column]), h)
+        assert main(["rate", *files]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["difference"]) <= 1e-5
+
+    def test_multiple_of_identity_passes(self, tmp_path, capsys):
+        files = write_pair(tmp_path, random_state(3, 3, (0, 3)), 2.5 * np.eye(9))
+        assert main(["rate", *files]) == 0
+        capsys.readouterr()
+
+    def test_eigenstate_keeps_an_absolute_tolerance(self, tmp_path, capsys, monkeypatch):
+        h = random_hermitian(16, (0, 2))
+        files = write_pair(tmp_path, PureState(4, 4, np.linalg.eigh(h)[1][:, 0]), h)
+        monkeypatch.setattr(entrate.cli, "gamma_rate", lambda state, block: 2e-5)
+        assert main(["rate", *files]) == 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize("bad", [None, "abc"])
     def test_non_numeric_entry_is_input_failure(self, tmp_path, capsys, bad):
         state_file, ham_file = write_worked_pair(tmp_path)
-        ham = json.loads(open(ham_file).read())
+        ham = json.loads(Path(ham_file).read_text())
         ham["re_im"][5] = [bad, 0.0]
         (tmp_path / "bad.json").write_text(json.dumps(ham))
         assert main(["rate", state_file, str(tmp_path / "bad.json")]) == 2
@@ -159,7 +194,7 @@ class TestRateCommand:
         ("hamiltonian", "NaN"), ("hamiltonian", "Infinity"), ("state", "NaN")])
     def test_non_finite_entry_is_input_failure(self, tmp_path, capsys, which, token):
         files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
-        obj = json.loads(open(files[which]).read())
+        obj = json.loads(Path(files[which]).read_text())
         obj["re_im"][0] = [float(token), 0.0]
         text = json.dumps(obj)
         assert token in text
@@ -252,7 +287,7 @@ class TestBulkReaderCommand:
         files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
         assert main(["rate", files["state"], files["hamiltonian"]]) == 0
         want = capsys.readouterr().out
-        text = open(files[which]).read()
+        text = Path(files[which]).read_text()
         obj = json.loads(text)
         if case == "indent-2":
             text = json.dumps(obj, indent=2)
@@ -273,7 +308,7 @@ class TestBulkReaderCommand:
     def test_malformed_file_fails_as_json_load_does(self, tmp_path, capsys, monkeypatch,
                                                     which, case):
         files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
-        text = open(files[which]).read()
+        text = Path(files[which]).read_text()
         if case == "truncated":
             text = text[:-7]
         elif case == "duplicate-key":
@@ -301,7 +336,7 @@ class TestBulkReaderCommand:
     def test_text_that_is_not_utf8_is_input_failure(self, tmp_path, capsys, monkeypatch,
                                                     which, where):
         files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
-        data = open(files[which], "rb").read()
+        data = Path(files[which]).read_bytes()
         at = data.index(b"re_im") if where == "header" else data.index(b"[[") + 2
         files[which] = str(tmp_path / "bad.json")
         (tmp_path / "bad.json").write_bytes(data[:at] + b"\xff" + data[at:])
@@ -320,7 +355,7 @@ class TestBulkReaderCommand:
     def test_integer_too_large_is_input_failure(self, tmp_path, capsys, monkeypatch,
                                                 which, digits, message):
         files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
-        text = with_first_number(open(files[which]).read(), "1" + "0" * digits)
+        text = with_first_number(Path(files[which]).read_text(), "1" + "0" * digits)
         files[which] = str(tmp_path / "big.json")
         (tmp_path / "big.json").write_text(text)
         fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
@@ -392,8 +427,8 @@ class TestOptimizeCommand:
         prefix = str(tmp_path / "opt")
         assert main(["optimize", "--dim", "3", "--out", prefix]) == 0
         report = json.loads(capsys.readouterr().out)
-        psi = state_from_json(json.loads(open(report["state"]).read()))
-        h = matrix_from_json(json.loads(open(report["hamiltonian"]).read()))
+        psi = state_from_json(json.loads(Path(report["state"]).read_text()))
+        h = matrix_from_json(json.loads(Path(report["hamiltonian"]).read_text()))
         assert psi.d_a == 3
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
@@ -402,9 +437,9 @@ class TestOptimizeCommand:
         assert main(["optimize", "--dim", "3", "--out", prefix]) == 0
         capsys.readouterr()
         design = optimal_design(3)
-        assert open(prefix + "_state.json").read() == json.dumps(
+        assert Path(prefix + "_state.json").read_text() == json.dumps(
             state_to_json(assemble_state(design.state)))
-        assert open(prefix + "_hamiltonian.json").read() == json.dumps(
+        assert Path(prefix + "_hamiltonian.json").read_text() == json.dumps(
             matrix_to_json(design.hamiltonian))
 
     def test_output_files_are_byte_identical_across_runs(self, tmp_path, capsys):
@@ -412,7 +447,7 @@ class TestOptimizeCommand:
         for run in ("a", "b"):
             prefix = str(tmp_path / run)
             assert main(["optimize", "--dim", "3", "--out", prefix]) == 0
-            files.append([open(prefix + suffix, "rb").read()
+            files.append([Path(prefix + suffix).read_bytes()
                           for suffix in ("_state.json", "_hamiltonian.json")])
         capsys.readouterr()
         assert files[0] == files[1]

@@ -12,7 +12,6 @@ from entrate.ancilla import (
     GBlock,
     ancilla_objective,
     assemble_and_arbitrate,
-    build_structured_hamiltonian,
     lambda_sq,
     recover_g,
     variance_constraint,
@@ -203,12 +202,6 @@ class TestAncillaStackEqualsLoop:
         for fn in (ancilla_objective, variance_constraint, assemble_and_arbitrate):
             same(fn(coeffs, g), [fn(c, gi) for c, gi in looped])
 
-    def test_structured_hamiltonian(self, shape):
-        k, d = shape
-        _, h = instances(d, d, 22)
-        same(build_structured_hamiltonian(h, k, 2),
-             [build_structured_hamiltonian(hi, k, 2) for hi in h])
-
     def test_stack_of_one_is_the_unstacked_call(self, shape):
         (coeffs, g), looped = ancilla_pairs(*shape, 23)
         one = AncillaCoeffs(c=coeffs.c[:1]), GBlock(upper=g.upper[:1], d=shape[1])
@@ -225,7 +218,8 @@ def test_oracle_core_is_fd_rate_per_slice(dims):
     h = h / 10.0 ** np.arange(-3, STACK - 3)[:, None, None]
     h *= np.array([1e-4, 1.0, 1e4, 0.0] * (STACK // 4))[:, None, None]
     assert len({_step(norm)[1] for norm in _norm_1(h).tolist()}) == 4
-    same(_fd_rates(amps, h, *dims), [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
+    same(_fd_rates(amps[:, None, :, None], h, *dims),
+         [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -237,7 +231,28 @@ def test_oracle_core_leaves_out_terms_past_each_slices_bound(dims):
     h[::2] *= (1.4e-8 / (2 * STEP * _norm_1(h[::2])))[:, None, None]
     h[1::2] *= (1e4 / _norm_1(h[1::2]))[:, None, None]
     assert {_step(norm)[1] for norm in _norm_1(h).tolist()} == {2, 6}
-    same(_fd_rates(amps, h, *dims), [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
+    same(_fd_rates(amps[:, None, :, None], h, *dims),
+         [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
+
+
+@pytest.mark.parametrize("k_a, k_b", [(2, 3), (3, 1), (1, 2)])
+def test_oracle_core_applies_h_between_the_ancillas(k_a, k_b):
+    # A state of shape (S, K_A, n, K_B) under H is the state of a
+    # (K_A d_a) x (d_b K_B) system under I (x) H (x) I.  The dense product
+    # may group a row's terms in another order.  That moves last bits of the
+    # evolved states, which the stencil's 1/s raises to about 1e-11 of the
+    # rate at H x 1e-4.
+    d_a, d_b = 2, 3
+    rng = np.random.default_rng(26)
+    z = rng.normal(size=(6, k_a * d_a * d_b * k_b, 2)) @ np.array([1.0, 1j])
+    amps = (z / np.linalg.norm(z, axis=1)[:, None]).reshape(6, k_a, d_a * d_b, k_b)
+    _, h = instances(d_a, d_b, 27)
+    h = h[:6] / np.linalg.norm(h[:6], axis=(1, 2))[:, None, None]
+    h *= np.repeat([1e-4, 1.0, 1e4], 2)[:, None, None]
+    want = [fd_rate(PureState(k_a * d_a, d_b * k_b, a.reshape(-1)),
+                    np.kron(np.eye(k_a), np.kron(hi, np.eye(k_b))))
+            for a, hi in zip(amps, h)]
+    assert _fd_rates(amps, h, d_a, d_b) == pytest.approx(want, rel=1e-9)
 
 
 def spoil(array, index, value):
@@ -351,11 +366,6 @@ class TestAncillaStackRejection:
         with pytest.raises(ValidationError, match="finite"):
             GBlock(upper=spoil(g.upper, (6, 2), math.inf), d=3)
 
-    def test_hamiltonian(self):
-        _, h = instances(2, 2, 34)
-        with pytest.raises(ValidationError, match="Hermitian"):
-            build_structured_hamiltonian(spoil(h, (6, 0, 1), h[6, 0, 1] + 1.0), 2, 2)
-
     def test_fixed_c_maximum_takes_one_matrix(self):
         coeffs = ancilla_pairs(2, 2, 36)[0][0]
         for fn in (lambda_sq, recover_g):
@@ -387,7 +397,7 @@ def test_empty_stack_gives_empty_results():
         assert result.shape == (0,)
     assert assemble_state(state).amplitudes.shape == (0, 6)
     assert hermiticity_defect(h) == 0.0
-    assert _fd_rates(psi.amplitudes, h, 2, 3).shape == (0,)
+    assert _fd_rates(psi.amplitudes[:, None, :, None], h, 2, 3).shape == (0,)
     coeffs = AncillaCoeffs.normalized(np.zeros((0, 2, 3)))
     g = GBlock.from_matrix(np.zeros((0, 3, 3)))
     assert coeffs.c.shape == coeffs.k.shape == (0, 2, 3)
@@ -396,7 +406,6 @@ def test_empty_stack_gives_empty_results():
     for result in (ancilla_objective(coeffs, g), variance_constraint(coeffs, g),
                    assemble_and_arbitrate(coeffs, g)):
         assert result.shape == (0,)
-    assert build_structured_hamiltonian(h, 2, 3).shape == (0, 36, 36)
 
 
 def test_empty_coefficient_matrix_is_a_validation_error():
