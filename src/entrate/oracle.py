@@ -35,16 +35,18 @@ STEP = 1e-5
 MAX_PHASE = 2e-3
 # The stencil points t = m s, in the order fd_rate reads their entropies.
 STENCIL = (1, -1, 2, -2)
-# Terms of the Taylor series the table below covers.  At most
-# 2 * MAX_PHASE = 4e-3 is ever asked of it (see fd_rate), which takes 6.
-_TAYLOR_TERMS = 16
+# Terms of the Taylor series of exp(-iHt) psi, k = 0.._TAYLOR_TERMS - 1.  The
+# step rule (see fd_rate) keeps theta = |t| |H|_1 <= 2 * MAX_PHASE = 4e-3 at
+# every stencil point, where the first term left out is at most
+# theta^6 / 6! = 5.7e-18 <= 2^-53 of |psi|, within float64 roundoff for every
+# H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); five terms would leave
+# 8.5e-15.
+_TAYLOR_TERMS = 6
 # (-i m)^k for each stencil point m (rows) and k < _TAYLOR_TERMS (columns):
 # exact, as products of +-1, +-i and powers of two.  Three trailing axes of
 # size one broadcast over a state's (K_A, n, K_B) axes (see _fd_rates).
 _STENCIL_POWERS = np.array([[(-1j * m) ** k for k in range(_TAYLOR_TERMS)]
                             for m in STENCIL])[:, :, None, None, None]
-# Truncation target for the Taylor series: unit roundoff of float64.
-_TAYLOR_TOL = 2.0**-53
 
 
 def _norm_1(h: np.ndarray) -> np.ndarray:
@@ -55,25 +57,6 @@ def _norm_1(h: np.ndarray) -> np.ndarray:
         for start in range(0, h.shape[-1], HERM_BLOCK)))
 
 
-def _step(norm: float) -> tuple[float, int]:
-    """The stencil step s and the number of Taylor terms for |H|_1 = norm.
-
-    s is STEP capped at MAX_PHASE / norm (STEP itself when H = 0).  The
-    terms number K + 1, for K the smallest integer with
-    theta^(K+1) / (K+1)! <= 2^-53 at theta = 2 s norm, the largest
-    |t| |H|_1 of the stencil; that bounds the truncation error of the
-    series of exp(-iHt) psi (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-    2011).
-    """
-    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
-    theta = 2 * s * norm
-    terms, bound = 1, theta
-    while bound > _TAYLOR_TOL:
-        terms += 1
-        bound *= theta / terms
-    return s, terms
-
-
 def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """fd_rate of each instance of a stack under I (x) H (x) I, both already
     validated: ``amplitudes`` of shape (S, K_A, n, K_B) on A' x A x B x B',
@@ -82,35 +65,30 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     H acts on axis 2 alone, so I (x) H (x) I is applied without being
     built, and its 1-norm is that of H.  The entropy is that of the cut
     A' A | B B', a (K_A d_a) x (d_b K_B) amplitude matrix; K_A = K_B = 1 is
-    a plain d_a x d_b state.  Each instance takes its own |H|_1, and from
-    it its own step and number of Taylor terms (``_step``).  The terms
-    q_k = (s H)^k psi / k! of the whole stack are formed together until
-    every instance has its own; an instance whose bound is met leaves the
-    later terms out of its sum, so each row holds the bits of the call on
-    that instance alone.  The step rule and the final stencil run on
-    Python floats, one instance at a time: they round as float64 arrays
-    do, and cost less than array operations on a stack of one.
+    a plain d_a x d_b state.  Each instance takes its own |H|_1 and from it
+    its own step; every instance sums the same _TAYLOR_TERMS terms
+    q_k = (s H)^k psi / k!, so each row holds the bits of the call on that
+    instance alone.  The step rule and the final stencil run on Python
+    floats, one instance at a time: they round as float64 arrays do, and
+    cost less than array operations on a stack of one.
     """
     _, k_a, _, k_b = amplitudes.shape
-    steps = [_step(norm) for norm in _norm_1(h).tolist()]
-    s = np.array([step for step, _ in steps])
-    counts = [terms for _, terms in steps]
-    terms = np.array(counts, dtype=int)
+    steps = [min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
+             for norm in _norm_1(h).tolist()]
+    s = np.array(steps)[:, None, None, None]
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
     # The coefficients (-im)^k are exact, so each row holds the bits a
     # separate sum per point would.
     q = amplitudes
-    phis = np.zeros((len(q), len(STENCIL), *q.shape[1:]), dtype=complex)
-    phis += _STENCIL_POWERS[:, 0] * q[:, None]
-    for k in range(1, max(counts, default=1)):
-        q = (s / k)[:, None, None, None] * (h[:, None] @ q)
-        taken = k < min(counts) or (terms > k)[:, None, None, None, None]
-        np.add(phis, _STENCIL_POWERS[:, k] * q[:, None], out=phis, where=taken)
+    phis = _STENCIL_POWERS[:, 0] * q[:, None]
+    for k in range(1, _TAYLOR_TERMS):
+        q = (s / k) * (h[:, None] @ q)
+        phis += _STENCIL_POWERS[:, k] * q[:, None]
     sv = np.linalg.svd(phis.reshape(-1, k_a * d_a, d_b * k_b), compute_uv=False)
     entropies = spectrum_entropy(sv**2).reshape(-1, len(STENCIL)).tolist()
     return np.array([(8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * step)
-                     for (s_1, s_m1, s_2, s_m2), (step, _) in zip(entropies, steps)])
+                     for (s_1, s_m1, s_2, s_m2), step in zip(entropies, steps)])
 
 
 def fd_rate(psi: PureState, h: np.ndarray) -> float:
@@ -119,11 +97,11 @@ def fd_rate(psi: PureState, h: np.ndarray) -> float:
     Takes one state and one Hamiltonian, not stacks.  Richardson's
     four-point stencil at +-s, +-2s, whose truncation error is O(s^4), with
     the step s = STEP capped at MAX_PHASE / |H|_1 (STEP itself when H = 0).
-    The four evolved states are summed from one set of Taylor terms into
-    one (4, n) array, and one stacked SVD of their d_a x d_b amplitude
-    matrices gives the singular values whose squares are each point's
-    entropy spectrum, and one stacked ``spectrum_entropy`` call their
-    entropies.  The work is that of the stacked core ``_fd_rates`` on a
+    The four evolved states are summed from the same six Taylor terms
+    (``_TAYLOR_TERMS``) into one (4, n) array, and one stacked SVD of
+    their d_a x d_b amplitude matrices gives the singular values whose
+    squares are each point's entropy spectrum, and one stacked
+    ``spectrum_entropy`` call their entropies.  The work is that of the stacked core ``_fd_rates`` on a
     stack of one, with ancilla axes of size one (K_A = K_B = 1).
     """
     if psi.amplitudes.ndim != 1:

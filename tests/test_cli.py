@@ -132,6 +132,15 @@ class TestRateCommand:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["difference"]) < 1e-5
 
+    @pytest.mark.parametrize("norm", [1e6, 1e8, 1e10])
+    def test_very_large_norm_pair_passes(self, tmp_path, capsys, norm):
+        # H is exactly Hermitian; its rounded Schmidt block was rejected
+        # against an absolute tolerance at x 1e6.
+        files = write_pair(tmp_path, random_state(3, 4, 5), norm * random_hermitian(12, 6))
+        assert main(["rate", *files]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["difference"]) <= 1e-11 * abs(report["gamma_rate"])
+
     @pytest.mark.parametrize("norm", [1e-4, 1e4])
     def test_tolerance_is_relative_to_the_rate_scale(self, tmp_path, capsys, norm):
         state_file, ham_file = write_scaled_pair(tmp_path, norm)

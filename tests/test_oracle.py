@@ -11,6 +11,7 @@ import pytest
 import entrate.oracle
 from entrate.oracle import (
     MAX_PHASE,
+    STENCIL,
     STEP,
     _norm_1,
     direct_stats,
@@ -117,15 +118,11 @@ def eigh_fd_rate(psi, h):
             - (entropy_at(2 * s) - entropy_at(-2 * s))) / (12 * s)
 
 
-def taylor_terms(h, psi, step, theta):
-    """q_k = (step H)^k psi / k! for k = 0..K of one instance, K the smallest
-    integer with theta^(K+1) / (K+1)! <= 2^-53."""
+def taylor_terms(h, psi, step):
+    """q_k = (step H)^k psi / k! for k = 0..5 of one instance."""
     terms = [psi]
-    bound = theta
-    while bound > 2.0**-53:
-        k = len(terms)
+    for k in range(1, 6):
         terms.append((step / k) * (h @ terms[-1]))
-        bound *= theta / (k + 1)
     return terms
 
 
@@ -134,7 +131,7 @@ def separate_svd_fd_rate(psi, h):
     the Taylor terms formed for this instance alone."""
     norm = _norm_1(h)
     s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
-    terms = taylor_terms(h, psi.amplitudes, s, 2 * s * norm)
+    terms = taylor_terms(h, psi.amplitudes, s)
 
     def entropy_at(m):
         phi = sum((-1j * m) ** k * q for k, q in enumerate(terms))
@@ -197,6 +194,15 @@ class TestTaylorAction:
             assert fd_rate(psi, h) == pytest.approx(
                 eigh_fd_rate(psi, h), rel=1e-9, abs=1e-9
             )
+
+    def test_taylor_terms_meet_the_roundoff_bound(self):
+        # The least K with theta^K / K! <= 2^-53 at the largest |t| |H|_1 the
+        # stencil reaches: the first term left out is within float64 roundoff.
+        theta = max(abs(m) for m in STENCIL) * MAX_PHASE
+        k = 1
+        while theta**k / math.factorial(k) > 2.0**-53:
+            k += 1
+        assert k == entrate.oracle._TAYLOR_TERMS
 
     def test_zero_hamiltonian_gives_zero(self):
         psi = random_state(2, 3, 52)

@@ -74,6 +74,21 @@ class TestSchmidtBlock:
         with pytest.raises(ValidationError, match="Hermitian"):
             SchmidtBlock(m=np.array(m))
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e8])
+    def test_rejects_an_asymmetry_relative_to_the_largest_entry(self, scale):
+        m = scale * random_hermitian(4, 7)
+        m[0, 1] += 1e-5 * np.abs(m).max()
+        with pytest.raises(ValidationError, match="Hermitian"):
+            SchmidtBlock(m=m)
+
+    def test_each_slice_of_a_stack_has_its_own_scale(self):
+        # A large slice does not widen the tolerance of a small one.
+        m = np.stack([1e8 * random_hermitian(3, 8), random_hermitian(3, 9)])
+        SchmidtBlock(m=m)
+        m[1, 0, 1] += 1e-8
+        with pytest.raises(ValidationError, match="Hermitian"):
+            SchmidtBlock(m=m)
+
     def test_readout_matches_direct_elements(self):
         psi = random_state(3, 3, 17)
         state = schmidt_decompose(psi)

@@ -17,7 +17,7 @@ from entrate.ancilla import (
     variance_constraint,
 )
 from entrate.optimum import _optimal_k, brute_force_max_k, max_rate, surprisal_variance
-from entrate.oracle import STEP, _fd_rates, _norm_1, _step, direct_stats, fd_rate
+from entrate.oracle import _fd_rates, direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
     SchmidtState,
@@ -213,24 +213,11 @@ class TestAncillaStackEqualsLoop:
 
 @pytest.mark.parametrize("dims", SHAPES)
 def test_oracle_core_is_fd_rate_per_slice(dims):
-    # |H| x 1e-4, x 1 and x 1e4 and H = 0 take different numbers of terms.
+    # |H| x 1e-4, x 1 and x 1e4 and H = 0 take both the step STEP and the
+    # step capped at MAX_PHASE / |H|_1.
     amps, h = instances(*dims, 24)
     h = h / 10.0 ** np.arange(-3, STACK - 3)[:, None, None]
     h *= np.array([1e-4, 1.0, 1e4, 0.0] * (STACK // 4))[:, None, None]
-    assert len({_step(norm)[1] for norm in _norm_1(h).tolist()}) == 4
-    same(_fd_rates(amps[:, None, :, None], h, *dims),
-         [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
-
-
-@pytest.mark.parametrize("dims", SHAPES)
-def test_oracle_core_leaves_out_terms_past_each_slices_bound(dims):
-    # At theta = 1.4e-8 two terms meet the bound, and the third, -4 q_2 at
-    # the points +-2s, is large enough to move a last bit of the state; the
-    # slices at |H|_1 = 1e4 run the stack on to six terms.
-    amps, h = instances(*dims, 25)
-    h[::2] *= (1.4e-8 / (2 * STEP * _norm_1(h[::2])))[:, None, None]
-    h[1::2] *= (1e4 / _norm_1(h[1::2]))[:, None, None]
-    assert {_step(norm)[1] for norm in _norm_1(h).tolist()} == {2, 6}
     same(_fd_rates(amps[:, None, :, None], h, *dims),
          [fd_rate(PureState(*dims, a), hi) for a, hi in zip(amps, h)])
 
