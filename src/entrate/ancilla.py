@@ -11,12 +11,18 @@ assembled global system, whose I (x) H_AB (x) I the oracle applies
 factor by factor and never builds.  The fixed-C maximum and its gradient
 take a stack of matrices, so the search over C ascends all its starts at
 once, one stacked SVD per step.  The coefficients, blocks, objective,
-constraint and arbitration take stacks too, in
-the package's convention (see ``qcore``): leading axes index instances,
-and each slice holds the bits of the call on that slice alone.  At every
-tested (d, K) the supremum is the no-ancilla optimum
-``optimal_gamma(d).rate``: measured, not proved, and a statement about
-this family only.
+constraint and arbitration take stacks too, in the package's convention
+(see ``qcore``): leading axes index instances, and each slice holds the
+bits of the call on that slice alone.
+
+The family's supremum is f(d) = ``optimal_gamma(d).rate``, the optimum
+without ancillas.  I (x) H_AB (x) I keeps each ancilla row a apart, so
+rho_A'A is block-diagonal over the rows and the rate is
+sum_a w_a^2 Gamma_a, w_a = |C_a|.  The law of total variance gives
+DeltaH^2 >= sum_a w_a^2 DeltaH_a^2, each row has Gamma_a <= f(d) DeltaH_a
+as ``max_rate`` <= f(d), and Jensen's inequality gives Gamma <= f(d) DeltaH.
+Equality holds at rank-one C = u c*^T with the no-ancilla generator.  This
+bounds the family only, not general states on A'A x BB'.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ import numpy as np
 from .optimum import optimal_gamma
 from .oracle import _fd_rates
 from .qcore import (
-    HERM_TOL,
     ValidationError,
     _check_cap,
+    _check_hermitian,
     _dot,
     _log_positive,
     _scalar,
@@ -160,18 +166,16 @@ class GBlock:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "GBlock":
-        """Block of a finite real matrix antisymmetric to within HERM_TOL, or
-        the stack of blocks of a stack of such matrices."""
+        """Block of (m - m^T) / 2 for a finite real m, or a stack of them,
+        antisymmetric within rounding: i m Hermitian by qcore's rule."""
         m = np.asarray(m, dtype=float)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValidationError("block must be a square matrix")
-        mt = m.swapaxes(-1, -2)
-        # Finiteness first, so that inf + (-inf) is never computed.
-        if m.size and not (
-            np.isfinite(m).all() and np.max(np.abs(m + mt)) <= HERM_TOL
-        ):
+        # Finiteness first, so that 1j * inf (a 0 * inf) is never computed.
+        if not np.isfinite(m).all():
             raise ValidationError("block must be finite and antisymmetric")
-        sym = (m - mt) / 2.0
+        _check_hermitian(1j * m, "block must be finite and antisymmetric")
+        sym = (m - m.swapaxes(-1, -2)) / 2.0
         return cls(upper=sym[..., _strict_upper(m.shape[-1])], d=m.shape[-1])
 
 
@@ -349,8 +353,7 @@ def recover_g(coeffs: AncillaCoeffs, regularization: float) -> GBlock:
     when the objective vanishes.  Takes one coefficient matrix, not a
     stack.
     """
-    raw = _inner_max(_one_matrix(coeffs)[None], regularization)[1][0]
-    return GBlock.from_matrix((raw - raw.T) / 2.0)
+    return GBlock.from_matrix(_inner_max(_one_matrix(coeffs)[None], regularization)[1][0])
 
 
 # --- supremum over coefficient matrices ------------------------------------

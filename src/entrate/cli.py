@@ -220,7 +220,7 @@ def _sweep_rows(dim_range: str | None, gamma_grid: int | None, dim: int):
             raise ValidationError("gamma grid size must be >= 1")
         for i in range(gamma_grid):
             gamma = (i + 1) / (gamma_grid + 1)
-            yield gamma, float(opt.gamma_curve(np.array([gamma]), dim)[0])
+            yield gamma, float(opt.gamma_curve(gamma, dim))
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
@@ -330,7 +330,7 @@ def _verify_checks(seed: int, trials: int, sign: float):
             c = state.coefficients
             k = block_m.m_i @ c[..., None]
             err_orth = _worst(err_orth, abs(c[..., None, :] @ k))
-            bound = opt.max_rate(state) * np.sqrt(np.maximum(stats.variance, 0.0))
+            bound = opt.max_rate(state) * np.sqrt(stats.variance)
             err_bound = _worst(err_bound, abs(closed) - bound)
     yield "rate_vs_oracle", err_rate, 2e-6
     yield "variance_decomposition", err_var, 1e-9

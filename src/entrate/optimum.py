@@ -71,7 +71,7 @@ def surprisal_variance(p: np.ndarray) -> float | np.ndarray:
     logs = _log_positive(p)
     mean = _dot(pos, logs)
     f = _dot(pos, (logs - mean[..., None]) ** 2)
-    return _scalar(np.maximum(f, 0.0))
+    return _scalar(f)
 
 
 def max_rate(state: SchmidtState) -> float | np.ndarray:
@@ -96,7 +96,7 @@ def build_optimal_state(gamma: float, d: int) -> SchmidtState:
     return SchmidtState(coefficients=c, d_a=d, d_b=d, basis_a=eye, basis_b=eye)
 
 
-def build_optimal_hamiltonian(d_a: int, d_b: int) -> np.ndarray:
+def build_optimal_hamiltonian(d: int) -> np.ndarray:
     """Rate-optimal Hamiltonian i(|phi><00| - |00><phi|) at unit variance.
 
     phi is the uniform superposition of |ii> for i >= 1; the sign is
@@ -109,9 +109,6 @@ def build_optimal_hamiltonian(d_a: int, d_b: int) -> np.ndarray:
     real part -0.0 that the product i * (0 - phi) gives.  H is Hermitian and
     traceless by construction.
     """
-    if d_a != d_b:
-        raise ValidationError("optimal construction requires d_a == d_b")
-    d = d_a
     if d < 2:
         raise ValidationError("dimension must be >= 2")
     amp = 1.0 / math.sqrt(d - 1)
@@ -122,7 +119,7 @@ def build_optimal_hamiltonian(d_a: int, d_b: int) -> np.ndarray:
     return h
 
 
-def gamma_curve(gamma: np.ndarray, d: int) -> np.ndarray:
+def gamma_curve(gamma: float | np.ndarray, d: int) -> float | np.ndarray:
     """Signed rate 2 sqrt(g(1-g)) log(g(d-1)/(1-g)) of the optimal family.
 
     Negative below the balance point g = 1/d, where the distinguished
@@ -158,7 +155,7 @@ def optimal_gamma(d: int) -> GammaOptimum:
             lo = gamma
         else:
             hi = gamma
-    return GammaOptimum(gamma=gamma, rate=float(gamma_curve(np.array([gamma]), d)[0]))
+    return GammaOptimum(gamma=gamma, rate=float(gamma_curve(gamma, d)))
 
 
 def optimal_design(d: int) -> OptimalDesign:
@@ -168,7 +165,7 @@ def optimal_design(d: int) -> OptimalDesign:
         gamma=gamma,
         d=d,
         state=build_optimal_state(gamma, d),
-        hamiltonian=build_optimal_hamiltonian(d, d),
+        hamiltonian=build_optimal_hamiltonian(d),
         rate=rate,
     )
 

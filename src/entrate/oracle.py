@@ -98,11 +98,9 @@ def fd_rate(psi: PureState, h: np.ndarray) -> float:
     four-point stencil at +-s, +-2s, whose truncation error is O(s^4), with
     the step s = STEP capped at MAX_PHASE / |H|_1 (STEP itself when H = 0).
     The four evolved states are summed from the same six Taylor terms
-    (``_TAYLOR_TERMS``) into one (4, n) array, and one stacked SVD of
-    their d_a x d_b amplitude matrices gives the singular values whose
-    squares are each point's entropy spectrum, and one stacked
-    ``spectrum_entropy`` call their entropies.  The work is that of the stacked core ``_fd_rates`` on a
-    stack of one, with ancilla axes of size one (K_A = K_B = 1).
+    (``_TAYLOR_TERMS``), and one stacked SVD and one ``spectrum_entropy``
+    call give their entropies: the work of the stacked core ``_fd_rates``
+    on a stack of one, with ancilla axes of size one (K_A = K_B = 1).
     """
     if psi.amplitudes.ndim != 1:
         raise ValidationError("fd_rate takes one state, not a stack")

@@ -50,10 +50,6 @@ UNITARY_TOL = 1e-10
 # Largest product dimension accepted when ENTRATE_DIM_CAP is unset or empty.
 DEFAULT_DIM_CAP = 4096
 
-# Eigenvalues below this floor contribute nothing to entropies (the
-# x log x -> 0 limit).
-ENTROPY_EIGEN_FLOOR = 1e-12
-
 
 class ValidationError(ValueError):
     """An input violated a documented precondition."""
@@ -129,6 +125,20 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return defect
 
 
+def _check_hermitian(m: np.ndarray, message: str) -> None:
+    """Raise ValidationError(message) unless each slice of m has a
+    hermiticity_defect within HERM_TOL of its largest entry, or of 1 if that
+    is smaller: rounding grows with the entries.  The scale is at least 1,
+    so one absolute pass settles the common case.  A NaN or infinite entry
+    fails: its defect is inf, over a finite scale or (as NaN) over inf."""
+    if hermiticity_defect(m) <= HERM_TOL:
+        return
+    for i in np.ndindex(m.shape[:-2]):
+        scale = max(1.0, float(np.abs(m[i]).max(initial=0.0)))
+        if not hermiticity_defect(m[i]) / scale <= HERM_TOL:
+            raise ValidationError(message)
+
+
 def _check_hamiltonian(h: np.ndarray, n: int, stack: tuple) -> np.ndarray:
     """h as a complex array, checked to be a Hermitian n x n matrix, or a
     stack of them of shape ``stack``."""
@@ -136,8 +146,7 @@ def _check_hamiltonian(h: np.ndarray, n: int, stack: tuple) -> np.ndarray:
     if h.shape != (*stack, n, n):
         of = f" stack of shape {stack}" if stack else ""
         raise ValidationError(f"expected a {n}x{n} Hamiltonian{of}, got {h.shape}")
-    if hermiticity_defect(h) > HERM_TOL:
-        raise ValidationError("Hamiltonian must be Hermitian")
+    _check_hermitian(h, "Hamiltonian must be Hermitian")
     return h
 
 
@@ -262,11 +271,11 @@ def spectrum_entropy(p: np.ndarray) -> float | np.ndarray:
     """Entropy -sum p log p of a probability spectrum, in nats, or of each
     spectrum of a stack along the last axis.
 
-    Entries at or below ENTROPY_EIGEN_FLOOR contribute nothing: they are
-    masked out of the sum, so a sorted spectrum, whose kept entries are
-    contiguous, sums exactly as its kept entries would alone.
+    Entries at or below zero contribute nothing (the x log x -> 0 limit):
+    they are masked out of the sum, so a sorted spectrum, whose positive
+    entries are contiguous, sums exactly as its positive entries would alone.
     """
-    kept = p > ENTROPY_EIGEN_FLOOR
+    kept = p > 0
     terms = p * np.log(np.where(kept, p, 1.0))
     return _scalar(-np.add.reduce(terms, axis=-1, where=kept))
 

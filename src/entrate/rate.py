@@ -12,15 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (
-    HERM_TOL,
     PureState,
     SchmidtState,
     ValidationError,
     _check_hamiltonian,
+    _check_hermitian,
     _dot,
     _log_positive,
     _scalar,
-    hermiticity_defect,
 )
 
 __all__ = [
@@ -50,14 +49,7 @@ class SchmidtBlock:
         m = np.asarray(self.m, dtype=complex)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise ValidationError(f"block must be square, got shape {m.shape}")
-        # V^H (H V) rounds in proportion to its entries, so each block's
-        # defect is taken relative to its largest entry, or to 1 if that is
-        # smaller.  A NaN or infinite entry leaves a NaN, whose defect is inf.
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
-        with np.errstate(invalid="ignore"):
-            defect = hermiticity_defect(m / scale[..., None, None])
-        if defect > HERM_TOL:
-            raise ValidationError("block must be Hermitian")
+        _check_hermitian(m, "block must be Hermitian")
         object.__setattr__(self, "m", m)
 
     @property

@@ -25,6 +25,8 @@ from entrate.ancilla import (
 from entrate.optimum import (
     achieving_hamiltonian,
     brute_force_max_k,
+    build_optimal_hamiltonian,
+    build_optimal_state,
     max_rate,
     optimal_gamma,
 )
@@ -198,6 +200,27 @@ def test_rate_scales_linearly_while_mean_energy_stays_put():
             assert abs(direct_stats(psi, h_s)[0] - mean0) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_mean_energy_does_not_bound_the_rate_but_variance_does(eps):
+    # psi = sqrt(1-eps)|00> + sqrt(eps)|11> and H = lam |v><v| with
+    # v = sqrt(eps)|00> + i sqrt(1-eps)|11> and lam = 1/(2 eps (1-eps)):
+    # H >= 0 and <H> = 1 all along the family, yet the rate
+    # log((1-eps)/eps) grows without bound.  The variance lam - 1 grows
+    # faster, so the rate per unit of Delta H stays below f(2).
+    psi = PureState(2, 2, np.array([math.sqrt(1 - eps), 0, 0, math.sqrt(eps)], dtype=complex))
+    v = np.array([math.sqrt(eps), 0, 0, 1j * math.sqrt(1 - eps)])
+    lam = 1 / (2 * eps * (1 - eps))
+    h = lam * np.outer(v, v.conj())
+    state = schmidt_decompose(psi)
+    rate = gamma_rate(state, schmidt_block(h, state))
+    assert rate == pytest.approx(math.log((1 - eps) / eps), rel=2e-15, abs=0)
+    assert fd_rate(psi, h) == pytest.approx(rate, rel=1e-9, abs=0)
+    stats = energy_stats(psi, h, state)
+    assert stats.mean == pytest.approx(1.0, rel=2e-15, abs=0)
+    assert stats.variance == pytest.approx(lam - 1, rel=2e-15, abs=0)
+    assert rate / math.sqrt(stats.variance) < optimal_gamma(2).rate
+
+
 def test_rate_is_invariant_under_local_unitaries():
     rng = np.random.default_rng((17, 0))
     worst = 0.0
@@ -295,3 +318,25 @@ def test_enlarging_the_ancilla_never_lowers_the_supremum():
         with_anc = sup_search(d, 2, starts=6, seed=0).value
         without = sup_search(d, 1, starts=6, seed=0).value
         assert with_anc >= without - 1e-6
+
+
+@pytest.mark.parametrize("k, d", [(1, 3), (2, 2), (2, 5), (3, 2), (4, 4)])
+def test_ancilla_family_never_beats_the_optimum_without_ancillas(k, d):
+    # The proof in entrate.ancilla's docstring: rate <= f(d) Delta H for
+    # every (C, G) of the family, with equality at rank-one C = u c*^T and
+    # the generator of the no-ancilla optimum.  Checked at random G and at
+    # each C's own maximizer, which comes closest.
+    f = optimal_gamma(d).rate
+    rng = np.random.default_rng((k, d, 70))
+    coeffs = AncillaCoeffs.normalized(np.abs(rng.normal(size=(30, k, d))))
+    raw = rng.normal(size=(30, d, d))
+    best = np.stack([recover_g(AncillaCoeffs(c=c), 1e-12).upper for c in coeffs.c])
+    for g in (GBlock.from_matrix(raw - raw.swapaxes(-1, -2)), GBlock(upper=best, d=d)):
+        assert (ancilla_objective(coeffs, g) < f * np.sqrt(variance_constraint(coeffs, g))).all()
+    optimum = build_optimal_state(optimal_gamma(d).gamma, d)
+    generator = GBlock.from_matrix(schmidt_block(build_optimal_hamiltonian(d), optimum).m_i)
+    u = np.abs(rng.normal(size=k))
+    rank_one = AncillaCoeffs(c=np.outer(u / np.linalg.norm(u), optimum.coefficients))
+    value = ancilla_objective(rank_one, generator)
+    assert value == pytest.approx(
+        f * math.sqrt(variance_constraint(rank_one, generator)), rel=1e-12, abs=0)

@@ -180,6 +180,31 @@ class TestGBlock:
         with pytest.raises(ValidationError, match="finite"):
             GBlock(upper=np.array([bad]), d=2)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e8])
+    def test_from_matrix_rejects_an_asymmetry_relative_to_the_largest_entry(self, scale):
+        m = scale * random_gblock(4, 8).g
+        m[0, 1] += 1e-5 * np.abs(m).max()
+        with pytest.raises(ValidationError, match="antisymmetric"):
+            GBlock.from_matrix(m)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e10])
+    def test_from_matrix_accepts_a_rotated_block_at_every_scale(self, scale):
+        # O G O^T is antisymmetric only to rounding, which grows with G.
+        q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(5, 5)))
+        m = q @ (scale * random_gblock(5, 10).g) @ q.T
+        assert np.abs(m + m.T).max() > 0.0
+        block = GBlock.from_matrix(m)
+        assert np.array_equal(block.g, (m - m.T) / 2.0)
+
+    def test_from_matrix_of_a_raw_maximizer_is_its_antisymmetric_part(self):
+        # recover_g passes its maximizer straight in: the bits are those of
+        # antisymmetrizing first, as (a - a^T) / 2 = a exactly when a = -a^T.
+        for seed in range(10):
+            raw = _inner_max(random_coeffs((3, 4), (seed, 11)).c[None], 1e-7)[1][0]
+            sym = (raw - raw.T) / 2.0
+            assert np.abs(raw + raw.T).max() > 0.0
+            assert np.array_equal(GBlock.from_matrix(raw).upper, GBlock.from_matrix(sym).upper)
+
     @pytest.mark.parametrize("m", [[[0.0, math.nan], [math.nan, 0.0]],
                                    [[0.0, math.inf], [-math.inf, 0.0]],
                                    [[0.0, math.inf], [math.inf, 0.0]]])

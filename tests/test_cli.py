@@ -141,6 +141,16 @@ class TestRateCommand:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["difference"]) <= 1e-11 * abs(report["gamma_rate"])
 
+    @pytest.mark.parametrize("norm", [1e6, 1e8, 1e10])
+    def test_eigh_rebuilt_large_norm_hamiltonian_passes(self, tmp_path, capsys, norm):
+        # H rebuilt from its eigenpairs is Hermitian to about 5e-16 of its
+        # largest entry, so an absolute tolerance rejected it at x 1e6.
+        w, v = np.linalg.eigh(random_hermitian(16, 6))
+        files = write_pair(tmp_path, random_state(4, 4, 5), norm * ((v * w) @ v.conj().T))
+        assert main(["rate", *files]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["difference"]) <= 1e-9 * abs(report["gamma_rate"])
+
     @pytest.mark.parametrize("norm", [1e-4, 1e4])
     def test_tolerance_is_relative_to_the_rate_scale(self, tmp_path, capsys, norm):
         state_file, ham_file = write_scaled_pair(tmp_path, norm)

@@ -150,7 +150,7 @@ class TestOptimalFamily:
             build_optimal_state(0.0, 2)
 
     def test_hamiltonian_structure_d2(self):
-        h = build_optimal_hamiltonian(2, 2)
+        h = build_optimal_hamiltonian(2)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0] = 1j
         expected[0, 3] = -1j
@@ -158,7 +158,7 @@ class TestOptimalFamily:
 
     def test_hamiltonian_hermitian_traceless(self):
         for d in (2, 3, 4):
-            h = build_optimal_hamiltonian(d, d)
+            h = build_optimal_hamiltonian(d)
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
             assert abs(np.trace(h)) < 1e-14
 
@@ -171,7 +171,7 @@ class TestOptimalFamily:
         e00 = np.zeros(n, dtype=complex)
         e00[0] = 1.0
         reference = 1j * (np.outer(phi, e00.conj()) - np.outer(e00, phi.conj()))
-        h = build_optimal_hamiltonian(d, d)
+        h = build_optimal_hamiltonian(d)
         assert h.dtype == complex and h.shape == (n, n)
         assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
 
@@ -179,13 +179,13 @@ class TestOptimalFamily:
         for d in (2, 3, 4):
             gamma = optimal_gamma(d).gamma
             psi = assemble_state(build_optimal_state(gamma, d))
-            h = build_optimal_hamiltonian(d, d)
+            h = build_optimal_hamiltonian(d)
             stats = energy_stats(psi, h, schmidt_decompose(psi))
             assert stats.variance == pytest.approx(1.0, abs=1e-10)
 
     def test_block_sign_convention(self):
         # first column of M_I positive so the rate at the paired state is +
-        h = build_optimal_hamiltonian(3, 3)
+        h = build_optimal_hamiltonian(3)
         state = build_optimal_state(optimal_gamma(3).gamma, 3)
         m_i = schmidt_block(h, state).m_i
         assert m_i[1, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)

@@ -171,7 +171,9 @@ class TestStackedStencil:
 
     def test_long_spectra_with_dropped_eigenvalues(self):
         # A rank-10 state on 12 x 12 under a small H: at each stencil point
-        # 10 eigenvalues stay above ENTROPY_EIGEN_FLOOR and 2 drop out.
+        # 10 eigenvalues are above 1e-5 and 2 sit at rounding level, about
+        # 1e-19 to 1e-17.  Only exact zeros leave the entropy sum, so all 12
+        # enter it.
         for seed in range(5):
             rng = np.random.default_rng((seed, 64))
             z = rng.normal(size=(12, 10)) + 1j * rng.normal(size=(12, 10))

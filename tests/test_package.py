@@ -1,5 +1,5 @@
-"""Package-wide guards: numpy is the only runtime dependency, and every
-exported name exists."""
+"""Package-wide guards: numpy is the only runtime dependency, every
+exported name exists, and Hermiticity has one rule."""
 
 import ast
 import importlib
@@ -28,3 +28,19 @@ def test_module_imports_no_scipy_and_exports_resolve(name):
             imported.update(alias.name for alias in node.names)
     assert "scipy" not in {name.split(".")[0] for name in imported}
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_herm_tol_is_compared_only_in_the_hermiticity_rule():
+    # qcore._check_hermitian is the one place a matrix is held to HERM_TOL,
+    # so no second rule can drift from it.
+    src = Path(entrate.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if "HERM_TOL" in p.read_text())
+    assert users == ["qcore.py"]
+    tree = ast.parse((src / "qcore.py").read_text())
+    readers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "HERM_TOL" for n in ast.walk(fn))
+    }
+    assert readers == {"_check_hermitian"}

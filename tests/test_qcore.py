@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from entrate.qcore import (
     SchmidtState,
     ValidationError,
     DUMP_CHUNK,
+    _check_hamiltonian,
     _entries_from_json,
     assemble_state,
     compact_entries,
@@ -69,8 +71,8 @@ def partial_trace_b(rho: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 def von_neumann_entropy(rho: np.ndarray, log_base: float | None = None) -> float:
     """Entropy -sum lambda log lambda of a density matrix.
 
-    Eigenvalues at or below the floor are clamped to zero; anything
-    below NEG_EIGENVALUE_LIMIT is rejected as non-positive-semidefinite.
+    Eigenvalues at or below zero add nothing; anything below
+    NEG_EIGENVALUE_LIMIT is rejected as non-positive-semidefinite.
     ``log_base`` of None means natural log.
     """
     rho = _require_hermitian(np.asarray(rho, dtype=complex), "density matrix")
@@ -229,6 +231,15 @@ class TestEntropy:
         with pytest.raises(ValidationError):
             von_neumann_entropy(np.diag([1.001, -1e-3]))
 
+    def test_only_exact_zero_is_zero(self):
+        # A tiny positive entry adds its -p log p; zero and negative entries
+        # add nothing.
+        big, tiny = 1.0 - 1e-15, 1e-15
+        expected = -(big * math.log(big) + tiny * math.log(tiny))
+        got = spectrum_entropy(np.array([big, tiny]))
+        assert got == pytest.approx(expected, rel=1e-12, abs=0)
+        assert spectrum_entropy(np.array([1.0, 0.0, -1e-17])) == 0.0
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(11)
         rho = density(random_state(2, 2, 3))
@@ -267,6 +278,48 @@ class TestRandomGenerators:
         for m in (a, (a + a.conj().T) / 2):
             dense = float(np.max(np.abs(m - m.conj().T)))
             assert hermiticity_defect(m) == dense
+
+
+def eigh_rebuilt(n, seed):
+    """random_hermitian(n, seed) rebuilt from its eigenpairs: Hermitian to
+    about 5e-16 of its largest entry, not exactly."""
+    w, v = np.linalg.eigh(random_hermitian(n, seed))
+    return (v * w) @ v.conj().T
+
+
+class TestHermiticityRule:
+    """qcore._check_hermitian, through the Hamiltonian check."""
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4, 1e6, 1e8, 1e10])
+    def test_accepts_a_rebuilt_hamiltonian_at_every_scale(self, scale):
+        for seed in range(20):
+            h = scale * eigh_rebuilt(16, (seed, 7))
+            _check_hamiltonian(h, 16, ())
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e8])
+    def test_rejects_an_asymmetry_relative_to_the_largest_entry(self, scale):
+        h = scale * random_hermitian(6, 3)
+        h[0, 1] += 1e-5 * np.abs(h).max()
+        with pytest.raises(ValidationError, match="Hamiltonian must be Hermitian"):
+            _check_hamiltonian(h, 6, ())
+
+    def test_each_slice_of_a_stack_has_its_own_scale(self):
+        # A large slice does not widen the tolerance of a small one.
+        h = np.stack([1e8 * eigh_rebuilt(4, 8), random_hermitian(4, 9)])
+        _check_hamiltonian(h, 4, (2,))
+        h[1, 0, 1] += 1e-8
+        with pytest.raises(ValidationError, match="Hermitian"):
+            _check_hamiltonian(h, 4, (2,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_rejects_non_finite_entries_without_warning(self, bad):
+        h = 1e8 * random_hermitian(3, 10)
+        h[0, 1] = bad
+        h[1, 0] = np.conj(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="Hermitian"):
+                _check_hamiltonian(h, 3, ())
 
 
 class TestJsonCodec:
@@ -406,7 +459,7 @@ class TestJsonStreaming:
         assert dumped(m) == json.dumps(matrix_to_json(m))
 
     def test_writer_never_builds_the_entry_list(self, tmp_path):
-        h = build_optimal_hamiltonian(32, 32)
+        h = build_optimal_hamiltonian(32)
         path = tmp_path / "h.json"
         tracemalloc.start()
         try:

@@ -127,7 +127,8 @@ class TestStackEqualsLoop:
         same(max_rate(state), [max_rate(s) for s in states])
         same(_optimal_k(c), [_optimal_k(s.coefficients) for s in states])
         same(brute_force_max_k(state), [brute_force_max_k(s) for s in states])
-        # Spectra in both orders, with entries at or below the entropy floor.
+        # Spectra in both orders, with exact zeros, entries near 1e-18 and
+        # entries at rounding level.
         for p in (c**2, c[:, ::-1] ** 2):
             same(spectrum_entropy(p), [spectrum_entropy(row) for row in p])
 
