@@ -29,13 +29,11 @@ from .ancilla import (
     sup_search,
 )
 from .optimum import (
-    OptimalDesign,
     brute_force_max_k,
     build_optimal_hamiltonian,
     build_optimal_state,
     gamma_curve,
     max_rate,
-    optimal_design,
     optimal_gamma,
     surprisal_variance,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "AncillaOptimum",
     "EnergyStats",
     "GBlock",
-    "OptimalDesign",
     "PureState",
     "SchmidtBlock",
     "SchmidtState",
@@ -86,7 +83,6 @@ __all__ = [
     "lambda_sq",
     "max_rate",
     "mean_energy",
-    "optimal_design",
     "optimal_gamma",
     "random_hermitian",
     "random_state",

@@ -7,6 +7,7 @@ non-convergence), 2 input failure (bad files, flags, or dimensions).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -71,14 +72,8 @@ def _scale(log_base: str) -> float:
     return 1.0 / LN2 if log_base == "2" else 1.0
 
 
-def _emit(report: dict, fmt: str, out) -> None:
-    if fmt == "csv":
-        for key, value in report.items():
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            print(f"{key},{value}", file=out)
-    else:
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
+def _emit(report: dict, out) -> None:
+    print(json.dumps(report, indent=2, sort_keys=True), file=out)
 
 
 def _load_json(path: str) -> dict:
@@ -145,9 +140,9 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
         "difference": (closed - oracle) * scale,
         "log_base": args.log_base,
         "tolerance": args.tol,
-        "energy_stats": stats.as_dict(),
+        "energy_stats": dataclasses.asdict(stats),
     }
-    _emit(report, args.format, out)
+    _emit(report, out)
     # The rate is bounded by a multiple of Delta H, so the tolerance is
     # relative to that scale; an eigenstate (Delta H = 0) keeps it absolute.
     # |H|_1 is read only once the relative test has failed.
@@ -176,7 +171,7 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
             if search.get(name, 1) < 1:
                 raise ValidationError(f"{_flag(name)} must be >= 1")
         result = anc.sup_search(args.dim, args.ancilla, **search)
-        _emit(result.as_dict(), args.format, out)
+        _emit(result.as_dict(), out)
         if result.converged_fraction == 0:
             print("numeric failure: no start converged", file=sys.stderr)
             return 1
@@ -184,24 +179,21 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
 
     if search:
         raise ValidationError(f"{_flag(next(iter(search)))} needs --ancilla")
-    design = opt.optimal_design(args.dim)
-    psi = assemble_state(design.state)
-    report = {
-        "gamma_star": design.gamma,
-        "rate_nat": design.rate,
-        "rate_bits": design.rate / LN2,
-        "dim": design.d,
-    }
+    gamma, rate = opt.optimal_gamma(args.dim)
+    psi = assemble_state(opt.build_optimal_state(gamma, args.dim))
+    h = opt.build_optimal_hamiltonian(args.dim)
+    report = {"gamma_star": gamma, "rate_nat": rate, "rate_bits": rate / LN2,
+              "dim": args.dim}
     if args.out is not None:
-        for key, value in (("state", psi), ("hamiltonian", design.hamiltonian)):
+        for key, value in (("state", psi), ("hamiltonian", h)):
             path = f"{args.out}_{key}.json"
             with open(path, "w", encoding="utf-8") as fh:
                 dump_json(value, fh)
             report[key] = path
     else:
         report["state"] = state_to_json(psi)
-        report["hamiltonian"] = matrix_to_json(design.hamiltonian)
-    _emit(report, args.format, out)
+        report["hamiltonian"] = matrix_to_json(h)
+    _emit(report, out)
     return 0
 
 
@@ -408,14 +400,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entanglement rates of bipartite dynamics at unit energy variance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    formats = ("json", "csv")
 
     p_rate = sub.add_parser("rate", help="closed-form vs finite-difference rate of a pair")
     p_rate.add_argument("state", help="pure-state JSON file")
     p_rate.add_argument("hamiltonian", help="Hamiltonian JSON file")
     p_rate.add_argument("--tol", type=float, default=1e-5)
     p_rate.add_argument("--log-base", choices=("nat", "2"), default="nat")
-    p_rate.add_argument("--format", choices=formats, default="json")
     p_rate.set_defaults(run=cmd_rate)
 
     p_optimize = sub.add_parser("optimize",
@@ -423,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument("--dim", type=int, required=True)
     p_optimize.add_argument("--ancilla", type=int, default=None)
     p_optimize.add_argument("--out", default=None, help="file prefix; not with --ancilla")
-    p_optimize.add_argument("--format", choices=formats, default="json")
     p_optimize.add_argument("--starts", type=int, help="with --ancilla only")
     p_optimize.add_argument("--max-iter", type=int, help="with --ancilla only")
     p_optimize.add_argument("--seed", type=int, help="with --ancilla only")
@@ -434,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dim-range", default=None, help="inclusive range 'a..b'")
     p_sweep.add_argument("--gamma-grid", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--format", choices=formats, default="csv")
+    p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sweep.set_defaults(run=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="cross-module invariant suite")

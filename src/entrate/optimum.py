@@ -10,7 +10,6 @@ of its stationarity condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,6 @@ from .qcore import SchmidtState, ValidationError, _dot, _log_positive, _scalar
 from .rate import gamma_rate_k, schmidt_columns
 
 __all__ = [
-    "OptimalDesign",
     "GammaOptimum",
     "surprisal_variance",
     "max_rate",
@@ -27,7 +25,6 @@ __all__ = [
     "build_optimal_hamiltonian",
     "gamma_curve",
     "optimal_gamma",
-    "optimal_design",
     "brute_force_max_k",
     "achieving_hamiltonian",
 ]
@@ -35,17 +32,6 @@ __all__ = [
 
 class GammaOptimum(NamedTuple):
     gamma: float
-    rate: float
-
-
-@dataclass(frozen=True)
-class OptimalDesign:
-    """Optimal state/Hamiltonian pair for a given local dimension."""
-
-    gamma: float
-    d: int
-    state: SchmidtState
-    hamiltonian: np.ndarray
     rate: float
 
 
@@ -156,18 +142,6 @@ def optimal_gamma(d: int) -> GammaOptimum:
         else:
             hi = gamma
     return GammaOptimum(gamma=gamma, rate=float(gamma_curve(gamma, d)))
-
-
-def optimal_design(d: int) -> OptimalDesign:
-    """Bundle the optimal gamma, state, and Hamiltonian for dimension d."""
-    gamma, rate = optimal_gamma(d)
-    return OptimalDesign(
-        gamma=gamma,
-        d=d,
-        state=build_optimal_state(gamma, d),
-        hamiltonian=build_optimal_hamiltonian(d),
-        rate=rate,
-    )
 
 
 def _optimal_k(c: np.ndarray) -> np.ndarray:

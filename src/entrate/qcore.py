@@ -398,24 +398,26 @@ def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
     pairs = obj.get(key)
     if not isinstance(pairs, list) or len(pairs) != expected:
         raise ValidationError(f"'{key}' must be a list of {expected} [re, im] pairs")
-    # Bulk path: when every entry is a two-element list, convert them all in
-    # one numpy call.  numpy reads a JSON null as NaN, so entries holding a
-    # NaN take the entry-by-entry path below, which tells the two apart.
-    if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+    # An entry is two JSON numbers: ints or floats, not strings or booleans,
+    # which float() would read too.  Bulk path: when every entry is such a
+    # pair, convert them all in one numpy call; the entry-by-entry path below
+    # finds the entry at fault.
+    if (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+            and set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}):
         try:
             flat = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * expected)
-        except (TypeError, ValueError, OverflowError):
-            flat = None
-        if flat is not None and not np.isnan(flat).any():
             return flat.view(complex)
+        except OverflowError:
+            pass
     out = np.empty(expected, dtype=complex)
     for i, pair in enumerate(pairs):
         try:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and set(map(type, pair)) <= {int, float}):
                 raise TypeError
             out[i] = complex(float(pair[0]), float(pair[1]))
         # OverflowError: an integer too large for a float.
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise ValidationError(f"entry {i} of '{key}' is not an [re, im] pair") from None
     return out
 
@@ -483,12 +485,11 @@ def compact_entries(text: str, expected: int) -> np.ndarray | None:
 def _json_dims(obj: Any, kind: str, keys: tuple[str, str]) -> tuple[int, int]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{kind} JSON must be an object")
-    try:
-        return int(obj[keys[0]]), int(obj[keys[1]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
-            f"{kind} JSON needs integer '{keys[0]}' and '{keys[1]}'"
-        ) from exc
+    dims = obj.get(keys[0]), obj.get(keys[1])
+    # A JSON integer only: int() would also read "1", 2.5 and true.
+    if not (type(dims[0]) is int and type(dims[1]) is int):
+        raise ValidationError(f"{kind} JSON needs integer '{keys[0]}' and '{keys[1]}'")
+    return dims
 
 
 def matrix_json_shape(obj: Any) -> tuple[int, int]:

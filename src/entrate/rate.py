@@ -71,14 +71,6 @@ class EnergyStats:
     variance_real_part: float | np.ndarray
     variance_imag_part: float | np.ndarray
 
-    def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "variance_real_part": self.variance_real_part,
-            "variance_imag_part": self.variance_imag_part,
-        }
-
 
 def _check_block(state: SchmidtState, block: SchmidtBlock) -> None:
     if block.m.shape[:-1] != state.coefficients.shape:

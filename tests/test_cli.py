@@ -12,7 +12,7 @@ import pytest
 
 import entrate.cli
 from entrate.cli import main
-from entrate.optimum import optimal_design, optimal_gamma
+from entrate.optimum import build_optimal_hamiltonian, build_optimal_state, optimal_gamma
 from entrate.qcore import (
     PureState,
     assemble_state,
@@ -67,6 +67,16 @@ class TestRateCommand:
         assert report["gamma_rate"] == pytest.approx(1.3183347464017314, abs=1e-12)
         assert report["fd_rate"] == pytest.approx(1.31833, abs=1e-4)
         assert abs(report["difference"]) < 1e-5
+
+    def test_report_is_sorted_indented_json(self, tmp_path, capsys):
+        assert main(["rate", *write_worked_pair(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert list(report) == ["difference", "energy_stats", "fd_rate", "gamma_rate",
+                                "log_base", "tolerance"]
+        assert list(report["energy_stats"]) == ["mean", "variance", "variance_imag_part",
+                                                "variance_real_part"]
 
     def test_log_base_conversion(self, tmp_path, capsys):
         state_file, ham_file = write_worked_pair(tmp_path)
@@ -199,7 +209,7 @@ class TestRateCommand:
         assert main(["rate", *files]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bad", [None, "abc"])
+    @pytest.mark.parametrize("bad", [None, "abc", "1", True])
     def test_non_numeric_entry_is_input_failure(self, tmp_path, capsys, bad):
         state_file, ham_file = write_worked_pair(tmp_path)
         ham = json.loads(Path(ham_file).read_text())
@@ -322,7 +332,8 @@ class TestBulkReaderCommand:
 
     @pytest.mark.parametrize("which", ["state", "hamiltonian"])
     @pytest.mark.parametrize("case", [
-        "NaN", "Infinity", "-Infinity", "null", '"abc"', "truncated", "duplicate-key",
+        "NaN", "Infinity", "-Infinity", "null", '"abc"', '"1"', "true", "truncated",
+        "duplicate-key",
         "+1", "01", ".5", "5.", "1.e5", "1 2", "", "1e", "--1"])
     def test_malformed_file_fails_as_json_load_does(self, tmp_path, capsys, monkeypatch,
                                                     which, case):
@@ -342,13 +353,30 @@ class TestBulkReaderCommand:
         assert (rc, out) == (2, "")
         if case in ("NaN", "Infinity", "-Infinity"):
             assert err.startswith("error: ") and "Traceback" not in err
-        elif case in ("null", '"abc"'):
+        elif case in ("null", '"abc"', '"1"', "true"):
             assert err == "error: entry 0 of 're_im' is not an [re, im] pair\n"
         elif case == "duplicate-key":
             size = 4 if which == "state" else 16
             assert err == f"error: 're_im' must be a list of {size} [re, im] pairs\n"
         else:
             assert err == json_error(text)
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("value", ["1", 2.5, 2.0, True])
+    def test_dimension_that_is_not_an_integer_is_input_failure(
+            self, tmp_path, capsys, monkeypatch, which, value):
+        # int() would read each of these; only a JSON integer is a dimension.
+        key, message = {
+            "state": ("d_a", "state JSON needs integer 'd_a' and 'd_b'"),
+            "hamiltonian": ("rows", "matrix JSON needs integer 'rows' and 'cols'"),
+        }[which]
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        obj = json.loads(Path(files[which]).read_text())
+        obj[key] = value
+        files[which] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(json.dumps(obj))
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("which", ["state", "hamiltonian"])
     @pytest.mark.parametrize("where", ["header", "entries"])
@@ -434,6 +462,22 @@ class TestOptimizeCommand:
         assert report["rate_nat"] == pytest.approx(1.3255, abs=1e-3)
         assert report["rate_bits"] == pytest.approx(1.9123, abs=2e-3)
 
+    def test_dim_two_stdout_is_pinned(self, capsys):
+        # Closed form: bisection and scalar logs, no BLAS-dependent bits.
+        assert main(["optimize", "--dim", "2"]) == 0
+        zero, i = [0.0, 0.0], [0.0, 1.0]
+        want = {
+            "dim": 2,
+            "gamma_star": 0.9167782798004824,
+            "hamiltonian": {"cols": 4, "rows": 4, "re_im": [
+                zero, zero, zero, [-0.0, -1.0], *[zero] * 8, i, zero, zero, zero]},
+            "rate_bits": 1.912273288953718,
+            "rate_nat": 1.3254868386983631,
+            "state": {"d_a": 2, "d_b": 2, "re_im": [
+                [0.9574853940402863, 0.0], zero, zero, [0.2884817502018413, 0.0]]},
+        }
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
     def test_inline_payloads_round_trip(self, capsys):
         assert main(["optimize", "--dim", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -455,11 +499,11 @@ class TestOptimizeCommand:
         prefix = str(tmp_path / "opt")
         assert main(["optimize", "--dim", "3", "--out", prefix]) == 0
         capsys.readouterr()
-        design = optimal_design(3)
+        state = build_optimal_state(optimal_gamma(3).gamma, 3)
         assert Path(prefix + "_state.json").read_text() == json.dumps(
-            state_to_json(assemble_state(design.state)))
+            state_to_json(assemble_state(state)))
         assert Path(prefix + "_hamiltonian.json").read_text() == json.dumps(
-            matrix_to_json(design.hamiltonian))
+            matrix_to_json(build_optimal_hamiltonian(3)))
 
     def test_output_files_are_byte_identical_across_runs(self, tmp_path, capsys):
         files = []
@@ -744,9 +788,8 @@ UNRECOGNIZED = object()  # argparse's rejection of an undeclared flag
 
 # The flags each subcommand reads, and no others.
 PARSER_SURFACE = {
-    "rate": {"--tol", "--log-base", "--format"},
-    "optimize": {"--dim", "--ancilla", "--out", "--format", "--starts", "--max-iter",
-                 "--seed"},
+    "rate": {"--tol", "--log-base"},
+    "optimize": {"--dim", "--ancilla", "--out", "--starts", "--max-iter", "--seed"},
     "sweep": {"--dim", "--dim-range", "--gamma-grid", "--out", "--format"},
     "verify": {"--seed", "--trials", "--inject-sign-flip"},
 }
@@ -762,7 +805,7 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
         for name, sub in subparsers.choices.items()
     }
     assert surface == PARSER_SURFACE
-    assert sum(map(len, surface.values())) == 18
+    assert sum(map(len, surface.values())) == 16
 
 
 class TestInputFailures:
@@ -839,12 +882,15 @@ class TestInputFailures:
         pytest.param(["rate", PAIR, "--max-iter", "1"], UNRECOGNIZED,
                      id="rate-max-iter"),
         pytest.param(["rate", PAIR, "--seed", "9"], UNRECOGNIZED, id="rate-seed"),
+        pytest.param(["rate", PAIR, "--format", "json"], UNRECOGNIZED, id="rate-format"),
         pytest.param(["optimize", "--dim", "3", "--dim-b", "3"], UNRECOGNIZED,
                      id="optimize-dim-b"),
         pytest.param(["optimize", "--dim", "2", "--tol", "1e-30"], UNRECOGNIZED,
                      id="optimize-tol"),
         pytest.param(["optimize", "--dim", "2", "--log-base", "2"], UNRECOGNIZED,
                      id="optimize-log-base"),
+        pytest.param(["optimize", "--dim", "2", "--format", "csv"], UNRECOGNIZED,
+                     id="optimize-format"),
         pytest.param(["sweep", "--dim-range", "2..3", "--log-base", "2"],
                      UNRECOGNIZED, id="sweep-log-base"),
         pytest.param(["sweep", "--dim-range", "2..3", "--seed", "4"], UNRECOGNIZED,

@@ -24,7 +24,6 @@ from entrate.optimum import (
     build_optimal_hamiltonian,
     build_optimal_state,
     max_rate,
-    optimal_design,
     optimal_gamma,
     surprisal_variance,
 )
@@ -365,15 +364,14 @@ class TestAchievingHamiltonian:
 
 class TestOptimalDesign:
     def test_bundle_consistency(self):
-        design = optimal_design(3)
-        assert design.rate == pytest.approx(optimal_gamma(3).rate, abs=1e-12)
-        assert design.state.coefficients[0] == pytest.approx(
-            math.sqrt(design.gamma), abs=1e-12
-        )
+        gamma, rate = optimal_gamma(3)
+        state = build_optimal_state(gamma, 3)
+        assert max_rate(state) == pytest.approx(rate, abs=1e-12)
+        assert state.coefficients[0] == pytest.approx(math.sqrt(gamma), abs=1e-12)
 
     def test_design_rate_is_attained(self):
-        design = optimal_design(2)
-        psi = assemble_state(design.state)
+        gamma, rate = optimal_gamma(2)
+        psi = assemble_state(build_optimal_state(gamma, 2))
         state = schmidt_decompose(psi)
-        got = gamma_rate(state, schmidt_block(design.hamiltonian, state))
-        assert got == pytest.approx(design.rate, abs=1e-10)
+        got = gamma_rate(state, schmidt_block(build_optimal_hamiltonian(2), state))
+        assert got == pytest.approx(rate, abs=1e-10)

@@ -1,5 +1,6 @@
 """Closed-form rate, Schmidt blocks, and the energy-variance split."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -257,7 +258,7 @@ class TestEnergyStats:
         stats = EnergyStats(
             mean=0.5, variance=1.0, variance_real_part=0.25, variance_imag_part=0.75
         )
-        assert stats.as_dict() == {
+        assert dataclasses.asdict(stats) == {
             "mean": 0.5,
             "variance": 1.0,
             "variance_real_part": 0.25,
