@@ -321,8 +321,14 @@ def random_hermitian(n: int, seed: Any) -> np.ndarray:
 # Entries per json.dumps call when dump_json streams a file.
 DUMP_CHUNK = 4096
 
-# An entry whose bits are all zero, as json.dumps writes it.
+# An entry whose bits are all zero, as json.dumps writes it, and the step
+# from one entry's text to the next in a list.
 ZERO_PAIR = "[0.0, 0.0]"
+_PAIR_STEP = len(ZERO_PAIR + ", ")
+
+# DUMP_CHUNK zero entries and the separators between them: the text of a
+# run of k zero entries is its first k * _PAIR_STEP - 2 characters.
+_ZERO_RUN = ", ".join([ZERO_PAIR] * DUMP_CHUNK)
 
 
 # The layouts return the header fields and the entries as one contiguous
@@ -336,7 +342,15 @@ def _matrix_layout(m: np.ndarray) -> tuple[dict, np.ndarray]:
 
 
 def _state_layout(psi: PureState) -> tuple[dict, np.ndarray]:
+    if psi.amplitudes.ndim != 1:
+        raise ValidationError("only a single state serializes, not a stack")
     return {"d_a": psi.d_a, "d_b": psi.d_b}, np.ascontiguousarray(psi.amplitudes)
+
+
+def _layout(value: PureState | np.ndarray) -> tuple[dict, np.ndarray]:
+    if isinstance(value, PureState):
+        return _state_layout(value)
+    return _matrix_layout(value)
 
 
 def _pairs(flat: np.ndarray) -> list:
@@ -355,22 +369,43 @@ def state_to_json(psi: PureState) -> dict:
 
 
 def _chunk_text(flat: np.ndarray) -> str:
-    """``json.dumps(_pairs(flat))`` without its outer brackets.
+    """``json.dumps(_pairs(flat))`` without its outer brackets, for a
+    nonempty vector of at most DUMP_CHUNK entries.
 
-    Entries whose two words are both zero are written as the constant
-    ZERO_PAIR and only the others go through the C encoder.  The test is on
-    bits, not values: -0.0 is not zero here, since its text differs.
+    The entries fall into runs of zero and of nonzero entries.  The nonzero
+    entries go through the C encoder in one call, a zero run is a slice of
+    _ZERO_RUN, and a chunk with no zero entry is that call alone.  The zero
+    test is on bits, not values: -0.0 is not zero here, since its text
+    differs.
     """
-    words = flat.view(np.uint64).reshape(-1, 2)
-    nonzero = (words[:, 0] | words[:, 1]) != 0
-    if not nonzero.any():
-        return ZERO_PAIR + (", " + ZERO_PAIR) * (flat.size - 1)
-    # Encode the nonzero entries in one call and splice them in between the
-    # zeros; a pair's text holds no bracket, so the list splits at "], [".
-    texts = np.empty(flat.size, dtype=object)
-    texts.fill(ZERO_PAIR[1:-1])
-    texts[nonzero] = json.dumps(_pairs(flat[nonzero]))[2:-2].split("], [")
-    return "[" + "], [".join(texts.tolist()) + "]"
+    words = flat.view(np.uint64)
+    if not words.any():
+        return _ZERO_RUN[:_PAIR_STEP * flat.size - 2]
+    zero = (words[0::2] | words[1::2]) == 0
+    if not zero.any():
+        return json.dumps(_pairs(flat))[1:-1]
+    # The first and the last entry of each zero run.
+    first = zero.copy()
+    first[1:] &= ~zero[:-1]
+    last = zero.copy()
+    last[:-1] &= ~zero[1:]
+    # One item per nonzero entry and one per zero run, each without its outer
+    # brackets, to be joined by "], ["; a pair's text holds no bracket, so
+    # the encoder's text splits into its entries there.
+    is_run = first[~zero | first]
+    items = np.empty(is_run.size, dtype=object)
+    items[~is_run] = json.dumps(_pairs(flat[~zero]))[2:-2].split("], [")
+    sizes = (np.flatnonzero(last) - np.flatnonzero(first) + 1).tolist()
+    runs = {k: _ZERO_RUN[1:_PAIR_STEP * k - 3] for k in set(sizes)}
+    items[is_run] = list(map(runs.__getitem__, sizes))
+    return "[" + "], [".join(items.tolist()) + "]"
+
+
+def _chunk_texts(flat: np.ndarray):
+    """The texts of :func:`_chunk_text` for DUMP_CHUNK entries at a time;
+    joined by ", " they are ``json.dumps(_pairs(flat))[1:-1]``."""
+    for start in range(0, flat.size, DUMP_CHUNK):
+        yield _chunk_text(flat[start:start + DUMP_CHUNK])
 
 
 def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
@@ -379,18 +414,16 @@ def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
 
     The entries go out DUMP_CHUNK at a time through :func:`_chunk_text`,
     so the full list of [re, im] pairs is never built and zero entries are
-    never formatted.
+    never formatted.  A stack of states or anything but a 2-D matrix is
+    rejected before anything is written.
     """
-    if isinstance(value, PureState):
-        head, flat = _state_layout(value)
-    else:
-        head, flat = _matrix_layout(value)
+    head, flat = _layout(value)
     # json.dumps of the header with an empty entry list ends in '[]}'.
     fh.write(json.dumps({**head, "re_im": []})[:-2])
-    for start in range(0, flat.size, DUMP_CHUNK):
-        if start:
+    for i, text in enumerate(_chunk_texts(flat)):
+        if i:
             fh.write(", ")
-        fh.write(_chunk_text(flat[start:start + DUMP_CHUNK]))
+        fh.write(text)
     fh.write("]}")
 
 

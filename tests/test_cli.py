@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import entrate.cli
+import entrate.qcore
 from entrate.cli import main
 from entrate.optimum import build_optimal_hamiltonian, build_optimal_state, optimal_gamma
 from entrate.qcore import (
@@ -520,10 +522,37 @@ class TestOptimizeCommand:
         def refuse(_):
             raise AssertionError("--out built the full re_im list")
 
-        monkeypatch.setattr(entrate.cli, "matrix_to_json", refuse)
-        monkeypatch.setattr(entrate.cli, "state_to_json", refuse)
+        monkeypatch.setattr(entrate.qcore, "matrix_to_json", refuse)
+        monkeypatch.setattr(entrate.qcore, "state_to_json", refuse)
         assert main(["optimize", "--dim", "3", "--out", str(tmp_path / "opt")]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16])
+    def test_stdout_is_json_dumps_of_the_report(self, dim, capsys):
+        assert main(["optimize", "--dim", str(dim)]) == 0
+        gamma, rate = optimal_gamma(dim)
+        report = {
+            "gamma_star": gamma, "rate_nat": rate, "rate_bits": rate / math.log(2),
+            "dim": dim,
+            "state": state_to_json(assemble_state(build_optimal_state(gamma, dim))),
+            "hamiltonian": matrix_to_json(build_optimal_hamiltonian(dim)),
+        }
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_stdout_never_builds_the_entry_list(self):
+        class Sink:
+            def write(self, text):
+                pass
+
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Sink()):
+                assert main(["optimize", "--dim", "16"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The Hamiltonian takes 1 MB; its list of [re, im] pairs about 8 MB.
+        assert peak < 4 * 2**20
 
     def test_monotone_in_dimension(self, capsys):
         main(["optimize", "--dim", "2"])

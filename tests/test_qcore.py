@@ -440,9 +440,14 @@ class TestJsonStreaming:
     @pytest.mark.parametrize("case", [
         "zero_head_and_tail", "zeros_across_chunks", "all_zero", "one_nonzero",
         "signed_zero_and_subnormal_in_zero_runs", "random_sparse",
+        "chunk_without_zero", "alternating", "nonzero_first_and_last_of_chunk",
+        "zero_run_ends_on_chunk_boundary", "final_partial_chunk_of_zeros",
+        "signed_zero_and_subnormal_inside_runs",
     ])
     def test_zero_runs_bytes_equal_json_dumps(self, case):
-        rows, cols = (40, 100) if case == "random_sparse" else (3, DUMP_CHUNK)
+        rows, cols = {"random_sparse": (40, 100),
+                      "final_partial_chunk_of_zeros": (1, 2 * DUMP_CHUNK + 100)
+                      }.get(case, (3, DUMP_CHUNK))
         m = np.zeros((rows, cols), dtype=complex)
         flat = m.reshape(-1)
         if case == "zero_head_and_tail":
@@ -459,7 +464,60 @@ class TestJsonStreaming:
             mask = rng.random(m.shape) < 0.1
             m[mask] = rng.choice(EDGE_VALUES, size=mask.sum()) + 1j * rng.choice(
                 EDGE_VALUES, size=mask.sum())
+        elif case == "chunk_without_zero":
+            flat[DUMP_CHUNK:2 * DUMP_CHUNK] = np.arange(1, DUMP_CHUNK + 1) * (0.5 - 1j)
+        elif case == "alternating":
+            flat[::2] = np.arange(flat.size // 2) + 0.25j
+        elif case == "nonzero_first_and_last_of_chunk":
+            flat[[0, DUMP_CHUNK - 1, DUMP_CHUNK, 2 * DUMP_CHUNK - 1, 3 * DUMP_CHUNK - 1]] = [
+                1.0, -2j, 3.5, 0.1 + 0.2j, -1.0]
+        elif case == "zero_run_ends_on_chunk_boundary":
+            flat[:10] = 1.0
+            flat[DUMP_CHUNK:DUMP_CHUNK + 3] = -1j
+            flat[2 * DUMP_CHUNK - 1] = 2.0
+        elif case == "final_partial_chunk_of_zeros":
+            flat[[7, DUMP_CHUNK + 5]] = [1j, -0.5]
+        elif case == "signed_zero_and_subnormal_inside_runs":
+            flat[3:9] = [1.0, complex(-0.0, 0.0), complex(0.0, 5e-324), -0.0j, 2.0, 1j]
+            flat[DUMP_CHUNK - 2:DUMP_CHUNK + 2] = [
+                complex(-0.0, -0.0), 5e-324, complex(0.0, -0.0), complex(-5e-324, 0.0)]
         assert dumped(m) == json.dumps(matrix_to_json(m))
+
+    def test_random_runs_bytes_equal_json_dumps(self):
+        rng = np.random.default_rng(20)
+        values = np.array([0.0, -0.0, 5e-324, 1.5, -0.25, 1e300])
+        for _ in range(2000):
+            # Sizes from 1 to 3 * DUMP_CHUNK, log-uniform to keep the test short.
+            n = int(np.exp(rng.uniform(0.0, math.log(3 * DUMP_CHUNK + 1))))
+            density = rng.random()
+            if rng.random() < 0.5:
+                nonzero = rng.random(n) < density
+            else:
+                # Runs of a random length, each all nonzero or all zero.
+                span = int(rng.integers(2, 200))
+                nonzero = np.repeat(rng.random(n // span + 1) < density, span)[:n]
+            m = np.zeros((1, n), dtype=complex)
+            k = int(nonzero.sum())
+            m[0, nonzero] = rng.choice(values, k) + 1j * rng.choice(values, k)
+            assert dumped(m) == json.dumps(matrix_to_json(m)), n
+
+    def test_a_stack_of_states_does_not_serialize(self):
+        amp = np.full((3, 4), 0.5 + 0j)
+        psi = PureState(d_a=2, d_b=2, amplitudes=amp)
+        written = []
+
+        class Sink:
+            def write(self, text):
+                written.append(text)
+
+        with pytest.raises(ValidationError):
+            state_to_json(psi)
+        with pytest.raises(ValidationError):
+            dump_json(psi, Sink())
+        assert written == []
+        # One slice of the stack serializes.
+        one = PureState(d_a=2, d_b=2, amplitudes=amp[0])
+        assert dumped(one) == json.dumps(state_to_json(one))
 
     def test_writer_never_builds_the_entry_list(self, tmp_path):
         h = build_optimal_hamiltonian(32)
