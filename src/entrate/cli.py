@@ -21,8 +21,7 @@ from .qcore import (
     PureState,
     ValidationError,
     _check_cap,
-    _chunk_texts,
-    _layout,
+    _dump_report,
     _random_amplitudes,
     assemble_state,
     compact_entries,
@@ -72,46 +71,8 @@ def _scale(log_base: str) -> float:
     return 1.0 / LN2 if log_base == "2" else 1.0
 
 
-# The entries of a payload in the skeleton of _emit's report.
-_NO_ENTRIES = '"re_im": []'
-
-
-def _indented(text: str, pad: str) -> str:
-    """A text of _chunk_texts in the layout of ``json.dumps(..., indent=2)``,
-    for a list whose items start on a new line at pad."""
-    inner = pad + "  "
-    return (text.replace("], [", "]\t[").replace(", ", "," + inner)
-            .replace("[", "[" + inner).replace("]", pad + "]").replace("\t", "," + pad))
-
-
 def _emit(report: dict, out) -> None:
-    """Print ``json.dumps(report, indent=2, sort_keys=True)``, where each
-    state or matrix value of report stands for its state_to_json or
-    matrix_to_json form.
-
-    Their entries are not built as lists for the pure-Python indent encoder:
-    the report is encoded with empty entry lists, and each payload's chunk
-    texts, laid out as that encoder would lay them out, go in their place.
-    """
-    payloads = {key: _layout(value) for key, value in sorted(report.items())
-                if isinstance(value, (PureState, np.ndarray))}
-    skeleton = {**report, **{key: {**head, "re_im": []}
-                             for key, (head, _) in payloads.items()}}
-    parts = json.dumps(skeleton, indent=2, sort_keys=True).split(_NO_ENTRIES)
-    out.write(parts[0])
-    for (_, flat), before, part in zip(payloads.values(), parts, parts[1:]):
-        # The key's line starts at the last newline of the text before it.
-        indent = "\n" + " " * (len(before) - before.rfind("\n") - 1)
-        pad = indent + "  "
-        out.write('"re_im": [')
-        sep = pad
-        for text in _chunk_texts(flat):
-            out.write(sep)
-            out.write(_indented(text, pad))
-            sep = "," + pad
-        out.write((indent if flat.size else "") + "]")
-        out.write(part)
-    out.write("\n")
+    print(json.dumps(report, indent=2, sort_keys=True), file=out)
 
 
 def _load_json(path: str) -> dict:
@@ -228,9 +189,9 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 dump_json(value, fh)
             report[key] = path
+        _emit(report, out)
     else:
-        report["state"], report["hamiltonian"] = psi, h
-    _emit(report, out)
+        _dump_report(report, {"state": psi, "hamiltonian": h}, out)
     return 0
 
 

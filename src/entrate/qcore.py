@@ -427,6 +427,45 @@ def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
     fh.write("]}")
 
 
+def _indented(text: str, pad: str) -> str:
+    """A text of :func:`_chunk_text` in the layout of ``json.dumps(...,
+    indent=2)``, for a list whose items start on a new line at pad.  A
+    pair's text holds no bracket, and ", " only between its two numbers."""
+    inner = pad + "  "
+    return (text.replace("], [", "]," + pad + "[").replace(", ", "," + inner)
+            .replace("[", "[" + inner).replace("]", pad + "]"))
+
+
+def _dump_report(report: dict, designs: dict, fh: TextIO) -> None:
+    """Write ``json.dumps({**report, **designs}, indent=2, sort_keys=True)``
+    and a newline, where each state or matrix in designs stands for its
+    state_to_json or matrix_to_json form, byte for byte.
+
+    Their entry lists are never built for the pure-Python indent encoder:
+    the report is encoded with an empty entry list per design, and each
+    design's chunk texts, laid out as that encoder lays them out, go in its
+    place.
+    """
+    layouts = {key: _layout(designs[key]) for key in sorted(designs)}
+    skeleton = {**report, **{key: {**head, "re_im": []}
+                             for key, (head, _) in layouts.items()}}
+    parts = json.dumps(skeleton, indent=2, sort_keys=True).split('"re_im": []')
+    fh.write(parts[0])
+    for (_, flat), before, part in zip(layouts.values(), parts, parts[1:]):
+        # The key's line starts at the last newline of the text before it.
+        indent = "\n" + " " * (len(before) - before.rfind("\n") - 1)
+        pad = indent + "  "
+        fh.write('"re_im": [')
+        sep = pad
+        for text in _chunk_texts(flat):
+            fh.write(sep)
+            fh.write(_indented(text, pad))
+            sep = "," + pad
+        fh.write((indent if flat.size else "") + "]")
+        fh.write(part)
+    fh.write("\n")
+
+
 def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
     pairs = obj.get(key)
     if not isinstance(pairs, list) or len(pairs) != expected:

@@ -522,8 +522,9 @@ class TestOptimizeCommand:
         def refuse(_):
             raise AssertionError("--out built the full re_im list")
 
-        monkeypatch.setattr(entrate.qcore, "matrix_to_json", refuse)
-        monkeypatch.setattr(entrate.qcore, "state_to_json", refuse)
+        for module in (entrate.cli, entrate.qcore):
+            monkeypatch.setattr(module, "matrix_to_json", refuse, raising=False)
+            monkeypatch.setattr(module, "state_to_json", refuse, raising=False)
         assert main(["optimize", "--dim", "3", "--out", str(tmp_path / "opt")]) == 0
         capsys.readouterr()
 

@@ -19,6 +19,7 @@ from entrate.qcore import (
     ValidationError,
     DUMP_CHUNK,
     _check_hamiltonian,
+    _dump_report,
     _entries_from_json,
     assemble_state,
     compact_entries,
@@ -501,6 +502,17 @@ class TestJsonStreaming:
             m[0, nonzero] = rng.choice(values, k) + 1j * rng.choice(values, k)
             assert dumped(m) == json.dumps(matrix_to_json(m)), n
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (2, DUMP_CHUNK + 3), (0, 4), (4, 0)])
+    def test_report_bytes_equal_indented_json_dumps(self, shape):
+        m = edge_matrix(*shape)
+        m[:, 1::3] = 0
+        psi = edge_state(2, 3)
+        report = {"b": 1, "z": [0.5, {"y": None}]}
+        fh = io.StringIO()
+        _dump_report(report, {"m": m, "a": psi}, fh)
+        whole = {**report, "m": matrix_to_json(m), "a": state_to_json(psi)}
+        assert fh.getvalue() == json.dumps(whole, indent=2, sort_keys=True) + "\n"
+
     def test_a_stack_of_states_does_not_serialize(self):
         amp = np.full((3, 4), 0.5 + 0j)
         psi = PureState(d_a=2, d_b=2, amplitudes=amp)
@@ -514,6 +526,8 @@ class TestJsonStreaming:
             state_to_json(psi)
         with pytest.raises(ValidationError):
             dump_json(psi, Sink())
+        with pytest.raises(ValidationError):
+            _dump_report({}, {"state": psi}, Sink())
         assert written == []
         # One slice of the stack serializes.
         one = PureState(d_a=2, d_b=2, amplitudes=amp[0])
