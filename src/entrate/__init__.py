@@ -5,8 +5,8 @@ entropy for a pure state evolving under a Hamiltonian, and optimizes
 that rate over states and interactions subject to a unit bound on the
 energy variance.  Core objects:
 
-- :mod:`entrate.qcore` -- states, Schmidt decompositions, spectrum
-  entropies, (de)serialization.
+- :mod:`entrate.qcore` -- states, Schmidt decompositions,
+  (de)serialization.
 - :mod:`entrate.rate` -- the closed-form rate and energy statistics in
   the Schmidt frame.
 - :mod:`entrate.optimum` -- exact optimizers at fixed and free Schmidt

@@ -1,9 +1,9 @@
 """Finite-difference ground truth for entanglement rates and energy moments.
 
 Nothing here touches the closed-form rate expressions: the state is
-evolved by a truncated Taylor series of exp(-iHt) and its entanglement
-differentiated numerically, so agreement with the analytic modules is
-meaningful.
+evolved by a truncated Taylor series of exp(-iHt) and the weights of its
+reduced state differentiated numerically, so agreement with the analytic
+modules is meaningful.
 """
 
 from __future__ import annotations
@@ -19,25 +19,22 @@ from .qcore import (
     _check_hamiltonian,
     _dot,
     _scalar,
-    spectrum_entropy,
 )
 
 __all__ = ["fd_rate", "direct_stats"]
 
-# Largest step of the finite-difference stencil.
-STEP = 1e-5
-# Largest phase step * |H|_1 the oracle takes: the step is capped at
-# MAX_PHASE / |H|_1, so the finite-difference truncation error stays a
-# fixed fraction of the rate whatever the scale of H.  The Richardson error
-# grows as phase^4 and faster still as the smallest Schmidt coefficient
-# shrinks: on 60 random 4 x 4 pairs at H x 1e4 a cap of 1e-2 left 5 gaps
-# above 1e-8 (the worst 3.9e-6, C_min = 0.007), 2e-3 none (worst 6.2e-9).
+# Phase step * |H|_1 of the finite-difference stencil: the step is
+# MAX_PHASE / |H|_1 whatever the scale of H, so the truncation error stays a
+# fixed fraction of the rate.  The Richardson error grows as phase^4 and
+# roundoff as 1/phase: on 60 random pairs at each of H x 1e-4, x 1 and
+# x 1e4, a phase of 1e-2 left relative gaps up to 9.0e-9, 2e-3 up to
+# 5.6e-10 and 1e-3 up to 5.4e-10, at a pair whose rate is 2e-3 |H|_1.
 MAX_PHASE = 2e-3
-# The stencil points t = m s, in the order fd_rate reads their entropies.
+# The stencil points t = m s, in the order _fd_rates reads their weights.
 STENCIL = (1, -1, 2, -2)
 # Terms of the Taylor series of exp(-iHt) psi, k = 0.._TAYLOR_TERMS - 1.  The
-# step rule (see fd_rate) keeps theta = |t| |H|_1 <= 2 * MAX_PHASE = 4e-3 at
-# every stencil point, where the first term left out is at most
+# step keeps theta = |t| |H|_1 <= 2 * MAX_PHASE = 4e-3 at every stencil
+# point, where the first term left out is at most
 # theta^6 / 6! = 5.7e-18 <= 2^-53 of |psi|, within float64 roundoff for every
 # H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); five terms would leave
 # 8.5e-15.
@@ -63,18 +60,24 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     with n = d_a d_b, and ``h`` of shape (S, n, n) on A x B.
 
     H acts on axis 2 alone, so I (x) H (x) I is applied without being
-    built, and its 1-norm is that of H.  The entropy is that of the cut
-    A' A | B B', a (K_A d_a) x (d_b K_B) amplitude matrix; K_A = K_B = 1 is
-    a plain d_a x d_b state.  Each instance takes its own |H|_1 and from it
-    its own step; every instance sums the same _TAYLOR_TERMS terms
-    q_k = (s H)^k psi / k!, so each row holds the bits of the call on that
-    instance alone.  The step rule and the final stencil run on Python
-    floats, one instance at a time: they round as float64 arrays do, and
-    cost less than array operations on a stack of one.
+    built, and its 1-norm is that of H.  The cut is A' A | B B', a
+    (K_A d_a) x (d_b K_B) amplitude matrix; K_A = K_B = 1 is a plain
+    d_a x d_b state.  Each instance takes its own step s = MAX_PHASE / |H|_1
+    (any step when H = 0, whose rate is exactly 0), and every instance sums
+    the same _TAYLOR_TERMS terms q_k = (s H)^k psi / k!, so each row holds
+    the bits of the call on that instance alone.
+
+    With psi(0) = U diag(sigma) V^H, the weights p_i(t) = |(U^H psi(t))_i|^2
+    are the diagonal of rho_A(t) in the eigenbasis of rho_A(0) = U sigma^2
+    U^H, so dS/dt = -Tr(rho_A' log rho_A) = -2 sum_{sigma_i > 0} p_i'
+    log sigma_i.  The stencil is linear, so it differentiates
+    f(t) = sum_i p_i(t) log sigma_i, which is as smooth as the p_i where S
+    is not, and dS/dt = -2 f'(0); rho_A is never formed.  The stencil runs
+    on Python floats, one instance at a time.
     """
     _, k_a, _, k_b = amplitudes.shape
-    steps = [min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
-             for norm in _norm_1(h).tolist()]
+    shape = (-1, k_a * d_a, d_b * k_b)
+    steps = [MAX_PHASE / (norm or 1.0) for norm in _norm_1(h).tolist()]
     s = np.array(steps)[:, None, None, None]
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
@@ -85,10 +88,16 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     for k in range(1, _TAYLOR_TERMS):
         q = (s / k) * (h[:, None] @ q)
         phis += _STENCIL_POWERS[:, k] * q[:, None]
-    sv = np.linalg.svd(phis.reshape(-1, k_a * d_a, d_b * k_b), compute_uv=False)
-    entropies = spectrum_entropy(sv**2).reshape(-1, len(STENCIL)).tolist()
-    return np.array([(8 * (s_1 - s_m1) - (s_2 - s_m2)) / (12 * step)
-                     for (s_1, s_m1, s_2, s_m2), step in zip(entropies, steps)])
+    u, sigma, _ = np.linalg.svd(amplitudes.reshape(shape), full_matrices=False)
+    w = u.conj().swapaxes(-1, -2)[:, None] @ phis.reshape(-1, len(STENCIL), *shape[1:])
+    log_sigma = np.log(sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    # p_i(t), summed over the real and imaginary parts of row i of U^H psi(t)
+    p = np.square(w.view(float)).sum(axis=-1)
+    f = (p * log_sigma[:, None]).sum(axis=-1).tolist()
+    # -2 f'(0), with f'(0) = (8 (f_1 - f_m1) - (f_2 - f_m2)) / (12 s), in the
+    # order that gives +0.0 when H = 0.
+    return np.array([((f_2 - f_m2) - 8 * (f_1 - f_m1)) / (6 * step)
+                     for (f_1, f_m1, f_2, f_m2), step in zip(f, steps)])
 
 
 def fd_rate(psi: PureState, h: np.ndarray) -> float:
@@ -96,11 +105,12 @@ def fd_rate(psi: PureState, h: np.ndarray) -> float:
 
     Takes one state and one Hamiltonian, not stacks.  Richardson's
     four-point stencil at +-s, +-2s, whose truncation error is O(s^4), with
-    the step s = STEP capped at MAX_PHASE / |H|_1 (STEP itself when H = 0).
-    The four evolved states are summed from the same six Taylor terms
-    (``_TAYLOR_TERMS``), and one stacked SVD and one ``spectrum_entropy``
-    call give their entropies: the work of the stacked core ``_fd_rates``
-    on a stack of one, with ancilla axes of size one (K_A = K_B = 1).
+    the step s = MAX_PHASE / |H|_1, differentiates the weights of the
+    reduced state in the eigenbasis of its value at t = 0; dS/dt follows
+    as -Tr(rho_A' log rho_A).  The four evolved states are summed from the
+    same six Taylor terms (``_TAYLOR_TERMS``): the work of the stacked core
+    ``_fd_rates`` on a stack of one, with ancilla axes of size one
+    (K_A = K_B = 1).
     """
     if psi.amplitudes.ndim != 1:
         raise ValidationError("fd_rate takes one state, not a stack")

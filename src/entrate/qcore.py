@@ -27,7 +27,6 @@ __all__ = [
     "SchmidtState",
     "schmidt_decompose",
     "assemble_state",
-    "spectrum_entropy",
     "random_state",
     "random_hermitian",
     "matrix_to_json",
@@ -265,19 +264,6 @@ def assemble_state(state: SchmidtState) -> PureState:
         state.basis_b[..., :d].swapaxes(-1, -2)
     return PureState(d_a=state.d_a, d_b=state.d_b,
                      amplitudes=m.reshape(*m.shape[:-2], state.d_a * state.d_b))
-
-
-def spectrum_entropy(p: np.ndarray) -> float | np.ndarray:
-    """Entropy -sum p log p of a probability spectrum, in nats, or of each
-    spectrum of a stack along the last axis.
-
-    Entries at or below zero contribute nothing (the x log x -> 0 limit):
-    they are masked out of the sum, so a sorted spectrum, whose positive
-    entries are contiguous, sums exactly as its positive entries would alone.
-    """
-    kept = p > 0
-    terms = p * np.log(np.where(kept, p, 1.0))
-    return _scalar(-np.add.reduce(terms, axis=-1, where=kept))
 
 
 def _random_amplitudes(n: int, seeds: list) -> np.ndarray:

@@ -200,7 +200,7 @@ def test_rate_scales_linearly_while_mean_energy_stays_put():
             assert abs(direct_stats(psi, h_s)[0] - mean0) < 1e-10
 
 
-@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
 def test_mean_energy_does_not_bound_the_rate_but_variance_does(eps):
     # psi = sqrt(1-eps)|00> + sqrt(eps)|11> and H = lam |v><v| with
     # v = sqrt(eps)|00> + i sqrt(1-eps)|11> and lam = 1/(2 eps (1-eps)):

@@ -344,6 +344,8 @@ class TestAchievingHamiltonian:
             (4, 2, [0.8, 0.6]),
             (3, 4, [0.8, 0.6, 0.0]),  # rank-deficient
             (3, 3, [0.8, math.sqrt(0.36 - 1e-8), 1e-4]),  # C_min = 1e-4
+            (2, 2, [math.sqrt(1 - 1e-12), 1e-6]),  # C = (1, 1e-6)
+            (2, 2, [math.sqrt(1 - 1e-16), 1e-8]),  # C = (1, 1e-8)
         ],
     )
     def test_attains_max_rate_across_shapes(self, d_a, d_b, c):
@@ -359,7 +361,7 @@ class TestAchievingHamiltonian:
         )
         stats = energy_stats(psi, h, schmidt_decompose(psi))
         assert stats.variance == pytest.approx(1.0, abs=1e-12)
-        assert abs(fd_rate(psi, h) - best) <= 2e-6
+        assert fd_rate(psi, h) == pytest.approx(best, rel=1e-7)
 
 
 class TestOptimalDesign:

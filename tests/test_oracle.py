@@ -12,7 +12,6 @@ import entrate.oracle
 from entrate.oracle import (
     MAX_PHASE,
     STENCIL,
-    STEP,
     _norm_1,
     direct_stats,
     fd_rate,
@@ -23,7 +22,6 @@ from entrate.qcore import (
     random_hermitian,
     random_state,
     schmidt_decompose,
-    spectrum_entropy,
 )
 from entrate.rate import gamma_rate, schmidt_block
 
@@ -45,7 +43,7 @@ def worked_pair():
 
 class TestFDRate:
     def test_worked_example_two_steps(self):
-        # |H|_1 = 1: the step is STEP, and at H x 400 it is capped at 5e-6.
+        # The step is MAX_PHASE / |H|_1: 2e-3 at |H|_1 = 1, 5e-6 at H x 400.
         psi, h = worked_pair()
         for scale in (1.0, 400.0):
             got = fd_rate(psi, scale * h) / scale
@@ -69,18 +67,16 @@ class TestFDRate:
         assert fd_rate(psi, h) == pytest.approx(-fd_rate(psi, -h), abs=2e-6)
 
     def test_near_degenerate_coefficients_relaxed_tolerance(self):
-        # two Schmidt coefficients 1e-8 apart flatten the entropy curve;
-        # agreement degrades to the documented 1e-5
-        c0 = math.sqrt(0.5 + 5e-9)
-        c1 = math.sqrt(0.5 - 5e-9)
-        amp = np.zeros(4, dtype=complex)
-        amp[0], amp[3] = c0, c1
-        psi = PureState(2, 2, amp)
+        # Squared Schmidt coefficients 1e-4 to 1e-10 apart: the weights stay
+        # smooth in t however close they sit.
         h = random_hermitian(4, 77)
-        state = schmidt_decompose(psi)
-        closed = gamma_rate(state, schmidt_block(h, state))
-        got = fd_rate(psi, h)
-        assert got == pytest.approx(closed, abs=1e-5)
+        for split in (1e-4, 1e-6, 1e-8, 1e-10):
+            amp = np.zeros(4, dtype=complex)
+            amp[0], amp[3] = math.sqrt(0.5 + split / 2), math.sqrt(0.5 - split / 2)
+            psi = PureState(2, 2, amp)
+            state = schmidt_decompose(psi)
+            closed = gamma_rate(state, schmidt_block(h, state))
+            assert fd_rate(psi, h) == pytest.approx(closed, abs=2e-12)
 
     def test_rejects_non_hermitian(self):
         psi, _ = worked_pair()
@@ -104,9 +100,10 @@ class TestDirectStats:
 
 
 def eigh_fd_rate(psi, h):
-    """fd_rate's stencil on states evolved exactly through eigh(H)."""
-    norm = np.abs(h).sum(axis=1).max()
-    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
+    """An independent oracle for H near unit scale: Richardson's stencil on
+    the entropy S(t) itself, with the step 1e-5, on states evolved exactly
+    through eigh(H)."""
+    s = 1e-5
     evals, evecs = np.linalg.eigh(h)
     coeff = evecs.conj().T @ psi.amplitudes
 
@@ -126,32 +123,35 @@ def taylor_terms(h, psi, step):
     return terms
 
 
-def separate_svd_fd_rate(psi, h):
-    """fd_rate's stencil with one Taylor sum and one SVD per stencil point,
-    the Taylor terms formed for this instance alone."""
+def separate_weights_fd_rate(psi, h):
+    """fd_rate's stencil with one Taylor sum and one weight product per
+    stencil point, the Taylor terms formed for this instance alone."""
     norm = _norm_1(h)
-    s = min(STEP, MAX_PHASE / norm) if norm > 0 else STEP
+    s = MAX_PHASE / (norm or 1.0)
     terms = taylor_terms(h, psi.amplitudes, s)
+    u, sigma, _ = np.linalg.svd(psi.as_matrix(), full_matrices=False)
+    log_sigma = np.log(sigma, out=np.zeros_like(sigma), where=sigma > 0)
 
-    def entropy_at(m):
+    def weighted_at(m):
         phi = sum((-1j * m) ** k * q for k, q in enumerate(terms))
-        sv = np.linalg.svd(phi.reshape(psi.d_a, psi.d_b), compute_uv=False)
-        return spectrum_entropy(sv**2)
+        w = u.conj().T @ phi.reshape(psi.d_a, psi.d_b)
+        return float((np.square(w.view(float)).sum(axis=-1) * log_sigma).sum())
 
-    return (8 * (entropy_at(1) - entropy_at(-1))
-            - (entropy_at(2) - entropy_at(-2))) / (12 * s)
+    return ((weighted_at(2) - weighted_at(-2))
+            - 8 * (weighted_at(1) - weighted_at(-1))) / (6 * s)
 
 
-def rank_one_state(d_a, d_b, seed):
+def low_rank_state(d_a, d_b, rank, seed):
+    """A random state of Schmidt rank ``rank``."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
-    b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
-    amp = np.outer(a, b).reshape(-1)
+    z = rng.normal(size=(d_a, rank)) + 1j * rng.normal(size=(d_a, rank))
+    w = rng.normal(size=(rank, d_b)) + 1j * rng.normal(size=(rank, d_b))
+    amp = (z @ w).reshape(-1)
     return PureState(d_a, d_b, amp / np.linalg.norm(amp))
 
 
 class TestStackedStencil:
-    """The stacked SVD gives the bits of four separate ones."""
+    """The stacked stencil gives the bits of four separate points."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 5), (1, 4), (4, 1)])
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
@@ -159,29 +159,24 @@ class TestStackedStencil:
         for seed in range(5):
             psi = random_state(*dims, (seed, 60))
             h = scale * random_hermitian(dims[0] * dims[1], (seed, 61))
-            assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
+            assert fd_rate(psi, h) == separate_weights_fd_rate(psi, h)
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4), (9, 10)])
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
     def test_rank_deficient_states(self, dims, scale):
         for seed in range(5):
-            psi = rank_one_state(*dims, (seed, 62))
+            psi = low_rank_state(*dims, 1, (seed, 62))
             h = scale * random_hermitian(dims[0] * dims[1], (seed, 63))
-            assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
+            assert fd_rate(psi, h) == separate_weights_fd_rate(psi, h)
 
     def test_long_spectra_with_dropped_eigenvalues(self):
-        # A rank-10 state on 12 x 12 under a small H: at each stencil point
-        # 10 eigenvalues are above 1e-5 and 2 sit at rounding level, about
-        # 1e-19 to 1e-17.  Only exact zeros leave the entropy sum, so all 12
-        # enter it.
+        # A rank-10 state on 12 x 12 under a small H: 10 singular values of
+        # psi(0) are above 1e-3 and 2 sit at rounding level.  Only exact
+        # zeros leave the sum, so all 12 enter it.
         for seed in range(5):
-            rng = np.random.default_rng((seed, 64))
-            z = rng.normal(size=(12, 10)) + 1j * rng.normal(size=(12, 10))
-            w = rng.normal(size=(10, 12)) + 1j * rng.normal(size=(10, 12))
-            amp = (z @ w).reshape(-1)
-            psi = PureState(12, 12, amp / np.linalg.norm(amp))
+            psi = low_rank_state(12, 12, 10, (seed, 64))
             h = 1e-4 * random_hermitian(144, (seed, 65))
-            assert fd_rate(psi, h) == separate_svd_fd_rate(psi, h)
+            assert fd_rate(psi, h) == separate_weights_fd_rate(psi, h)
 
 
 class TestTaylorAction:
@@ -189,12 +184,13 @@ class TestTaylorAction:
     @pytest.mark.parametrize("scheme", ["richardson"])
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_matches_eigh_evolution(self, dims, scheme, scale):
-        # At H x 1e3 the step is capped, at H x 1 it is not.
+        # The entropy stencil runs at unit scale, where its step suits H;
+        # the rate is linear in H, so it referees H x 1e3 too.
         for seed in range(3):
             psi = random_state(*dims, (seed, 50))
-            h = scale * random_hermitian(dims[0] * dims[1], (seed, 51))
-            assert fd_rate(psi, h) == pytest.approx(
-                eigh_fd_rate(psi, h), rel=1e-9, abs=1e-9
+            h = random_hermitian(dims[0] * dims[1], (seed, 51))
+            assert fd_rate(psi, scale * h) == pytest.approx(
+                scale * eigh_fd_rate(psi, h), rel=1e-9, abs=1e-9
             )
 
     def test_taylor_terms_meet_the_roundoff_bound(self):
@@ -239,7 +235,7 @@ class TestScaledHamiltonians:
     """The step follows |H|_1, so the relative gap does not grow with the scale."""
 
     @pytest.mark.parametrize("dims", [(4, 4), (3, 5)])
-    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e3, 1e4])
     def test_relative_gap(self, dims, scale):
         for seed in range(20):
             psi = random_state(*dims, (seed, 0))
@@ -247,3 +243,19 @@ class TestScaledHamiltonians:
             state = schmidt_decompose(psi)
             closed = gamma_rate(state, schmidt_block(h, state))
             assert abs(fd_rate(psi, h) - closed) <= 1e-8 * abs(closed)
+
+
+class TestRankDeficientStates:
+    """Schmidt rank below min(d_A, d_B), on square and oblong cuts, at every
+    scale of H."""
+
+    @pytest.mark.parametrize("dims, rank", [((3, 6), 2), ((5, 3), 3), ((4, 4), 2),
+                                            ((8, 8), 3), ((6, 2), 2)])
+    def test_relative_gap(self, dims, rank):
+        for scale in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+            for seed in range(5):
+                psi = low_rank_state(*dims, rank, (seed, 70))
+                h = scale * random_hermitian(dims[0] * dims[1], (seed, 71))
+                state = schmidt_decompose(psi)
+                closed = gamma_rate(state, schmidt_block(h, state))
+                assert abs(fd_rate(psi, h) - closed) <= 1e-8 * abs(closed)
