@@ -16,19 +16,22 @@ import numpy as np
 
 from . import ancilla as anc
 from . import optimum as opt
-from .oracle import _norm_1, direct_stats, fd_rate
+from .oracle import _fd_rates, _norm_1, direct_stats, fd_rate
 from .qcore import (
     PureState,
     ValidationError,
     _check_cap,
     _dump_report,
-    _random_amplitudes,
+    _hermitians,
+    _normals,
+    _random_hermitians,
+    _random_states,
+    _unit_vectors,
     assemble_state,
     compact_entries,
     dump_json,
     matrix_from_json,
     matrix_json_shape,
-    random_hermitian,
     schmidt_decompose,
     split_compact,
     state_from_json,
@@ -255,20 +258,17 @@ def _worst(err: float, errs) -> float:
     return float(np.max(errs, initial=err))
 
 
-def _random_states(d_a: int, d_b: int, seed: int, block, j: int) -> PureState:
-    """One stack of random_state(d_a, d_b, (seed, t, j)) over the trials t,
-    validated once as a stack."""
-    return PureState(d_a=d_a, d_b=d_b, amplitudes=_random_amplitudes(
-        d_a * d_b, [(seed, t, j) for t in block]))
+def _seeds(seed: int, trials, j: int) -> list:
+    """The seeds (seed, t, j) of the trials t."""
+    return [(seed, t, j) for t in trials]
 
 
 def _random_unitaries(seed: int, block: range, j: int, dim: int) -> np.ndarray:
     """Q of the QR of a complex Gaussian dim x dim matrix per trial, its real
     and imaginary parts drawn from the seeds (seed, t, j) and (seed, t, j + 1)."""
-    z = np.stack([np.random.default_rng((seed, t, j)).normal(size=(dim, dim))
-                  + 1j * np.random.default_rng((seed, t, j + 1)).normal(size=(dim, dim))
-                  for t in block])
-    return np.linalg.qr(z)[0]
+    x = _normals(_seeds(seed, block, j) + _seeds(seed, block, j + 1), dim * dim)
+    re, im = x.reshape(2, len(block), dim, dim)
+    return np.linalg.qr(re + 1j * im)[0]
 
 
 def _index_form(c: list, g: list) -> float:
@@ -286,14 +286,14 @@ def _index_form(c: list, g: list) -> float:
 def _verify_checks(seed: int, trials: int, sign: float):
     """Yield (name, worst error, tolerance) for each check of ``verify``.
 
-    Each check draws its instances per trial t from numpy generators seeded
-    (seed, t, j), and its dimensions, where they vary, from one generator
-    seeded (seed, 101).  Trials go in blocks of _VERIFY_BLOCK, and within a
-    block every check makes one stacked call per (d_a, d_b), the ancilla
-    checks' arbitration included.  Only the oracle of ``rate_vs_oracle``,
-    the one-instance ``fd_rate``, is called once per trial.  A check's
-    error is the maximum over its trials, and NaN when any trial's is NaN,
-    so that a NaN fails it.
+    Each check draws its instances per trial t with the bits of numpy
+    generators seeded (seed, t, j), through _normals, and its dimensions,
+    where they vary, from one generator seeded (seed, 101).  Trials go in
+    blocks of _VERIFY_BLOCK, and within a block every check makes one
+    stacked call per (d_a, d_b), the oracle of ``rate_vs_oracle`` (its
+    stacked core ``_fd_rates``) and the ancilla checks' arbitration
+    included.  A check's error is the maximum over its trials, and NaN when
+    any trial's is NaN, so that a NaN fails it.
     """
     rng_dims = np.random.default_rng((seed, 101))
     err_rate = err_var = err_mean = err_orth = err_bound = 0.0
@@ -302,12 +302,18 @@ def _verify_checks(seed: int, trials: int, sign: float):
         for t in block:
             d_a = int(rng_dims.integers(2, 4))
             d_b = int(rng_dims.integers(2, 4))
-            groups.setdefault((d_a, d_b), []).append(t)
-        for (d_a, d_b), group in groups.items():
-            psi = _random_states(d_a, d_b, seed, group, 0)
-            h = np.stack([random_hermitian(d_a * d_b, (seed, t, 1)) for t in group])
-            oracle = [fd_rate(PureState(d_a=d_a, d_b=d_b, amplitudes=amp), h_t)
-                      for amp, h_t in zip(psi.amplitudes, h)]
+            groups.setdefault((d_a, d_b), []).append(t - block.start)
+        # One draw per trial at the block's largest n, of which a trial
+        # reads the first 2n and 2n^2 values: the bits of random_state and
+        # random_hermitian of its seeds.
+        n_max = max(d_a * d_b for d_a, d_b in groups)
+        x_psi = _normals(_seeds(seed, block, 0), 2 * n_max)
+        x_h = _normals(_seeds(seed, block, 1), 2 * n_max * n_max)
+        for (d_a, d_b), rows in groups.items():
+            n = d_a * d_b
+            psi = PureState(d_a=d_a, d_b=d_b, amplitudes=_unit_vectors(x_psi[rows, :2 * n]))
+            h = _hermitians(x_h[rows, :2 * n * n], n)
+            oracle = _fd_rates(psi.amplitudes[:, None, :, None], h, d_a, d_b)
             state = schmidt_decompose(psi)
             block_m = schmidt_block(h, state)
             closed = sign * gamma_rate(state, block_m)
@@ -330,8 +336,8 @@ def _verify_checks(seed: int, trials: int, sign: float):
 
     err_lu = 0.0
     for block in _blocks(trials):
-        psi = _random_states(2, 3, seed, block, 2)
-        h = np.stack([random_hermitian(6, (seed, t, 3)) for t in block])
+        psi = _random_states(2, 3, _seeds(seed, block, 2))
+        h = _random_hermitians(6, _seeds(seed, block, 3))
         state = schmidt_decompose(psi)
         base = sign * gamma_rate(state, schmidt_block(h, state))
         ru = _random_unitaries(seed, block, 4, 2)
@@ -347,20 +353,16 @@ def _verify_checks(seed: int, trials: int, sign: float):
 
     err_lagr = 0.0
     for block in _blocks(trials):
-        state = schmidt_decompose(_random_states(3, 3, seed, block, 8))
+        state = schmidt_decompose(_random_states(3, 3, _seeds(seed, block, 8)))
         err_lagr = _worst(err_lagr, abs(opt.max_rate(state) - opt.brute_force_max_k(state)))
     yield "lagrange_vs_bruteforce", err_lagr, 1e-6
 
     err_id = err_arb = 0.0
     for block in _blocks(trials):
-        raw_c, raw_g = [], []
-        for t in block:
-            rng = np.random.default_rng((seed, t, 9))
-            raw_c.append(np.abs(rng.normal(size=(2, 2))) + 0.05)
-            raw = rng.normal(size=(2, 2))
-            raw_g.append(raw - raw.T)
-        coeffs = anc.AncillaCoeffs.normalized(np.stack(raw_c))
-        g = anc.GBlock.from_matrix(np.stack(raw_g))
+        # Per trial, the (2, 2) draw of C, then the (2, 2) draw of G.
+        raw = _normals(_seeds(seed, block, 9), 8).reshape(-1, 2, 2, 2)
+        coeffs = anc.AncillaCoeffs.normalized(np.abs(raw[:, 0]) + 0.05)
+        g = anc.GBlock.from_matrix(raw[:, 1] - raw[:, 1].swapaxes(-1, -2))
         obj = anc.ancilla_objective(coeffs, g)
         index_form = [_index_form(c, g_t) for c, g_t in zip(coeffs.c.tolist(), g.g.tolist())]
         err_id = _worst(err_id, abs(obj - index_form))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Any, TextIO
@@ -266,36 +267,158 @@ def assemble_state(state: SchmidtState) -> PureState:
                      amplitudes=m.reshape(*m.shape[:-2], state.d_a * state.d_b))
 
 
-def _random_amplitudes(n: int, seeds: list) -> np.ndarray:
-    """Normalized complex Gaussian vectors of length n, one per seed, as an
-    array of shape (len(seeds), n).
+# --- Seeded draws -----------------------------------------------------------
+#
+# verify draws hundreds of small instances, each from its own seed, and a
+# numpy generator costs about 15-20 us to build (numpy 2.4, one core of a
+# 2-core x86-64 machine), most of it in the hash of its seed.  _normals runs that hash once over all its seeds, in uint32
+# arrays (which wrap without a warning), and sets one reused PCG64 to each
+# seed's state.  The hash is numpy's SeedSequence: the seed's 32-bit words
+# are mixed into a pool of 4 words, which gives 4 64-bit words of output,
+# and pcg64_set_seed turns those into the 128-bit state of PCG64 in Python
+# ints.  The constants are numpy's; tests/test_qcore.py pins the bits
+# against the numpy installed.
+_POOL = 4
+_HASH_A = (0x43B0D7E5, 0x931E8875)   # mixing the pool: initial value, multiplier
+_HASH_B = (0x8B51F9DD, 0x58F38DED)   # its output: initial value, multiplier
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK_32, _MASK_128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed: Any) -> list:
+    """The 32-bit words of a nonnegative int, least significant first, or
+    those of the parts of a (nested) tuple of them in turn, as SeedSequence
+    reads a seed."""
+    if isinstance(seed, tuple):
+        words = []
+        for part in seed:
+            if type(part) is int and 0 <= part <= _MASK_32:
+                words.append(part)
+            else:
+                words += _seed_words(part)
+        return words
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK_32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK_32)
+    return words
+
+
+def _hash_constants(init_mul: tuple, calls: int) -> np.ndarray:
+    """c_0 = init and c_{k+1} = c_k mul mod 2^32, for k < calls: hash call k
+    reads c_k and c_{k+1}.  The sequence does not depend on the data."""
+    value, mul = init_mul
+    consts = [value]
+    for _ in range(calls):
+        value = value * mul & _MASK_32
+        consts.append(value)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Hash calls k..k + m - 1 on the m columns of values, given c_k..c_{k+m}."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    values = x * _MIX_L - y * _MIX_R
+    return values ^ (values >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, np.uint64) for each row of an
+    (S, L) uint32 array with L >= _POOL, as an (S, 4) uint64 array.  A seed
+    of fewer words reads as if padded with zeros to _POOL words."""
+    length = entropy.shape[1]
+    c = _hash_constants(_HASH_A, _POOL * length)
+    pool = _hashmix(entropy[:, :_POOL], c[:_POOL + 1])
+    k = _POOL
+    # Every pool word into every other, then each word past the pool into all.
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], c[k:k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, length):
+        pool = _mix(pool, _hashmix(entropy[:, src, None], c[k:k + _POOL + 1]))
+        k += _POOL
+    words = _hashmix(np.tile(pool, 2), _hash_constants(_HASH_B, 2 * _POOL))
+    return words.astype("<u4").view("<u8")
+
+
+def _normals(seeds: list, count: int) -> np.ndarray:
+    """An array of shape (len(seeds), count) whose row i holds the bits of
+    np.random.default_rng(seeds[i]).normal(size=count), for seeds that are
+    nonnegative ints or tuples of them, without a generator built per seed."""
+    by_width: dict[int, list] = {}
+    for i, seed in enumerate(seeds):
+        words = _seed_words(seed)
+        width = max(len(words), _POOL)
+        by_width.setdefault(width, []).append((i, words + [0] * (width - len(words))))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    out = np.empty((len(seeds), count))
+    for rows in by_width.values():
+        states = _seed_states(np.array([words for _, words in rows], dtype=np.uint32))
+        for (i, _), (s_hi, s_lo, i_hi, i_lo) in zip(rows, states.tolist()):
+            # pcg64_set_seed: inc = 2 i + 1, then a step, s added, and a step.
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128
+            bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                   "uinteger": 0, "state": {"state": state, "inc": inc}}
+            # normal, not standard_normal: its loc = 0.0 turns -0.0 into +0.0.
+            out[i] = generator.normal(size=count)
+    return out
+
+
+def _unit_vectors(x: np.ndarray) -> np.ndarray:
+    """Normalized complex Gaussian vectors x[:, :n] + i x[:, n:] from real
+    normals x of shape (S, 2n), as an (S, n) array.
 
     Each is divided by its norm as np.linalg.norm takes it, so a row holds
     the bits of the vector drawn and normalized alone.  Nothing is
     validated: wrap the rows in one PureState.
     """
-    z = np.empty((len(seeds), n), dtype=complex)
-    for row, seed in zip(z, seeds):
-        rng = np.random.default_rng(seed)
-        row[:] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    n = x.shape[1] // 2
+    z = x[:, :n] + 1j * x[:, n:]
     return z / _vector_norm(z)[:, None]
+
+
+def _hermitians(x: np.ndarray, n: int) -> np.ndarray:
+    """(A + A^H)/2 for A = x[:, :n^2] + i x[:, n^2:] read as n x n, from real
+    normals x of shape (S, 2 n^2), as an (S, n, n) stack."""
+    a = (x[:, :n * n] + 1j * x[:, n * n:]).reshape(-1, n, n)
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def _random_states(d_a: int, d_b: int, seeds: list) -> PureState:
+    """random_state(d_a, d_b, seed) for each seed of _normals, as one stack
+    validated once."""
+    return PureState(d_a=d_a, d_b=d_b,
+                     amplitudes=_unit_vectors(_normals(seeds, 2 * d_a * d_b)))
+
+
+def _random_hermitians(n: int, seeds: list) -> np.ndarray:
+    """random_hermitian(n, seed) for each seed of _normals, as one stack."""
+    return _hermitians(_normals(seeds, 2 * n * n), n)
 
 
 def random_state(d_a: int, d_b: int, seed: Any) -> PureState:
     """Haar-like random pure state from a normalized complex Gaussian."""
     if d_a < 1 or d_b < 1:
         raise ValidationError("subsystem dimensions must be >= 1")
-    return PureState(d_a=d_a, d_b=d_b,
-                     amplitudes=_random_amplitudes(d_a * d_b, [seed])[0])
+    x = np.random.default_rng(seed).normal(size=(1, 2 * d_a * d_b))
+    return PureState(d_a=d_a, d_b=d_b, amplitudes=_unit_vectors(x)[0])
 
 
 def random_hermitian(n: int, seed: Any) -> np.ndarray:
     """Random n x n Hermitian matrix (A + A^H)/2 of a complex Gaussian A."""
     if n < 1:
         raise ValidationError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2
+    return _hermitians(np.random.default_rng(seed).normal(size=(1, 2 * n * n)), n)[0]
 
 
 # --- JSON codec -----------------------------------------------------------

@@ -696,6 +696,39 @@ class TestSweepCommand:
         capsys.readouterr()
 
 
+def verify_seed_3_output(flip: bool) -> str:
+    # Written by the one-trial-at-a-time version of verify.
+    first = ("FAIL  rate_vs_oracle             max_err= 3.086e+00" if flip else
+             "PASS  rate_vs_oracle             max_err= 1.586e-12")
+    return first + """  tol=2.0e-06
+PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
+PASS  mean_energy_vs_direct      max_err= 1.554e-15  tol=1.0e-10
+PASS  auto_orthogonality         max_err= 2.115e-16  tol=1.0e-12
+PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
+PASS  local_unitary_invariance   max_err= 2.442e-15  tol=1.0e-09
+PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
+PASS  ancilla_identities         max_err= 4.441e-16  tol=1.0e-12
+PASS  ancilla_arbitration        max_err= 2.339e-11  tol=2.0e-06
+%d/9 checks passed (seed=3, trials=20)
+""" % (9 - flip)
+
+
+# Written by verify with a numpy generator built per seed and the public
+# fd_rate called per trial.  130 trials cross a _VERIFY_BLOCK boundary.
+VERIFY_SEED_8_OUTPUT = """\
+PASS  rate_vs_oracle             max_err= 1.815e-12  tol=2.0e-06
+PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
+PASS  mean_energy_vs_direct      max_err= 2.220e-15  tol=1.0e-10
+PASS  auto_orthogonality         max_err= 3.394e-16  tol=1.0e-12
+PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
+PASS  local_unitary_invariance   max_err= 3.553e-15  tol=1.0e-09
+PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
+PASS  ancilla_identities         max_err= 8.882e-16  tol=1.0e-12
+PASS  ancilla_arbitration        max_err= 3.509e-11  tol=2.0e-06
+9/9 checks passed (seed=8, trials=130)
+"""
+
+
 class TestVerifyCommand:
     def test_passes_and_is_byte_identical(self, capsys):
         assert main(["verify", "--seed", "3", "--trials", "4"]) == 0
@@ -744,27 +777,25 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "11", "--trials", "3"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_output_is_pinned(self, capsys, flip):
-        # Written by the one-trial-at-a-time version of verify.
-        assert main(["verify", "--seed", "3", "--trials", "20"]
+    @pytest.mark.parametrize("seed, trials, flip, expected", [
+        pytest.param(3, 20, False, verify_seed_3_output(False), id="False"),
+        pytest.param(3, 20, True, verify_seed_3_output(True), id="True"),
+        pytest.param(8, 130, False, VERIFY_SEED_8_OUTPUT, id="seed8-trials130"),
+    ])
+    def test_output_is_pinned(self, capsys, seed, trials, flip, expected):
+        assert main(["verify", "--seed", str(seed), "--trials", str(trials)]
                     + ["--inject-sign-flip"] * flip) == flip
-        first = ("FAIL  rate_vs_oracle             max_err= 3.086e+00" if flip else
-                 "PASS  rate_vs_oracle             max_err= 1.586e-12")
-        assert capsys.readouterr().out == first + """  tol=2.0e-06
-PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
-PASS  mean_energy_vs_direct      max_err= 1.554e-15  tol=1.0e-10
-PASS  auto_orthogonality         max_err= 2.115e-16  tol=1.0e-12
-PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
-PASS  local_unitary_invariance   max_err= 2.442e-15  tol=1.0e-09
-PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
-PASS  ancilla_identities         max_err= 4.441e-16  tol=1.0e-12
-PASS  ancilla_arbitration        max_err= 2.339e-11  tol=2.0e-06
-%d/9 checks passed (seed=3, trials=20)
-""" % (9 - flip)
+        assert capsys.readouterr().out == expected
 
     def test_nan_from_the_oracle_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(entrate.cli, "fd_rate", lambda psi, h: math.nan)
+        exact = entrate.cli._fd_rates
+
+        def one_nan(amplitudes, h, d_a, d_b):
+            rates = exact(amplitudes, h, d_a, d_b)
+            rates[-1] = math.nan
+            return rates
+
+        monkeypatch.setattr(entrate.cli, "_fd_rates", one_nan)
         assert main(["verify", "--seed", "3", "--trials", "3"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [
@@ -787,10 +818,12 @@ PASS  ancilla_arbitration        max_err= 2.339e-11  tol=2.0e-06
         lines = capsys.readouterr().out.splitlines()
         assert "FAIL  variance_decomposition     max_err= nan  tol=1.0e-09" in lines
 
-    def test_public_oracle_takes_one_instance_per_call(self, capsys, monkeypatch):
+    def test_public_oracle_takes_one_instance_per_call(self, capsys, monkeypatch,
+                                                       tmp_path):
         # A traced benchmark run referees each public fd_rate call by reading
-        # its state as one d_A x d_B matrix; the ancilla arbitration runs
-        # the oracle's stacked core instead, not the public function.
+        # its state as one d_A x d_B matrix.  verify's rate_vs_oracle and the
+        # ancilla arbitration run the oracle's stacked core instead, so
+        # neither calls the public function; entrate rate calls it once.
         exact = entrate.oracle.fd_rate
         calls = []
 
@@ -804,10 +837,13 @@ PASS  ancilla_arbitration        max_err= 2.339e-11  tol=2.0e-06
         # 130 trials cross the boundary of a block of _VERIFY_BLOCK.
         assert main(["verify", "--trials", "130"]) == 0
         assert "9/9 checks passed" in capsys.readouterr().out
-        assert len(calls) == 130
+        assert len(calls) == 0
         assert main(["optimize", "--dim", "3", "--ancilla", "2", "--starts", "2"]) == 0
         capsys.readouterr()
-        assert len(calls) == 130
+        assert len(calls) == 0
+        assert main(["rate", *write_worked_pair(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_memory_stays_within_one_block(self, capsys):
         # Trials run in blocks of _VERIFY_BLOCK, so four blocks peak as one.
