@@ -271,9 +271,9 @@ def assemble_state(state: SchmidtState) -> PureState:
 #
 # verify draws hundreds of small instances, each from its own seed, and a
 # numpy generator costs about 15-20 us to build (numpy 2.4, one core of a
-# 2-core x86-64 machine), most of it in the hash of its seed.  _normals runs that hash once over all its seeds, in uint32
-# arrays (which wrap without a warning), and sets one reused PCG64 to each
-# seed's state.  The hash is numpy's SeedSequence: the seed's 32-bit words
+# 2-core x86-64 machine), most of it in the hash of its seed.  _normals
+# runs that hash once over all its seeds, in uint32 arrays (which wrap
+# without a warning), and sets one reused PCG64 to each seed's state.  The hash is numpy's SeedSequence: the seed's 32-bit words
 # are mixed into a pool of 4 words, which gives 4 64-bit words of output,
 # and pcg64_set_seed turns those into the 128-bit state of PCG64 in Python
 # ints.  The constants are numpy's; tests/test_qcore.py pins the bits
@@ -363,14 +363,15 @@ def _normals(seeds: list, count: int) -> np.ndarray:
     out = np.empty((len(seeds), count))
     for rows in by_width.values():
         states = _seed_states(np.array([words for _, words in rows], dtype=np.uint32))
-        for (i, _), (s_hi, s_lo, i_hi, i_lo) in zip(rows, states.tolist()):
-            # pcg64_set_seed: inc = 2 i + 1, then a step, s added, and a step.
+        for (row, _), (s_hi, s_lo, i_hi, i_lo) in zip(rows, states.tolist()):
+            # pcg64_set_seed(s, i): inc = 2 i + 1, and the state is a step
+            # from 0, plus s, then one more step: (inc + s) * mult + inc.
             inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK_128
             state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128
             bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
                                    "uinteger": 0, "state": {"state": state, "inc": inc}}
             # normal, not standard_normal: its loc = 0.0 turns -0.0 into +0.0.
-            out[i] = generator.normal(size=count)
+            out[row] = generator.normal(size=count)
     return out
 
 
