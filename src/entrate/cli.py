@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -23,9 +24,6 @@ from .qcore import (
     _check_cap,
     _dump_report,
     _hermitians,
-    _normals,
-    _random_hermitians,
-    _random_states,
     _unit_vectors,
     assemble_state,
     compact_entries,
@@ -258,17 +256,17 @@ def _worst(err: float, errs) -> float:
     return float(np.max(errs, initial=err))
 
 
-def _seeds(seed: int, trials, j: int) -> list:
-    """The seeds (seed, t, j) of the trials t."""
-    return [(seed, t, j) for t in trials]
+def _normal_rows(rng: np.random.Generator, block: range, *widths: int) -> list:
+    """The next len(block) rows of rng's normals, one per trial, split into
+    parts of the given widths."""
+    x = rng.normal(size=(len(block), sum(widths)))
+    return np.split(x, np.cumsum(widths)[:-1], axis=1)
 
 
-def _random_unitaries(seed: int, block: range, j: int, dim: int) -> np.ndarray:
-    """Q of the QR of a complex Gaussian dim x dim matrix per trial, its real
-    and imaginary parts drawn from the seeds (seed, t, j) and (seed, t, j + 1)."""
-    x = _normals(_seeds(seed, block, j) + _seeds(seed, block, j + 1), dim * dim)
-    re, im = x.reshape(2, len(block), dim, dim)
-    return np.linalg.qr(re + 1j * im)[0]
+def _unitaries(x: np.ndarray, dim: int) -> np.ndarray:
+    """Q of the QR of the complex Gaussian dim x dim matrix
+    x[:, :dim^2] + i x[:, dim^2:] of each row."""
+    return np.linalg.qr((x[:, :dim * dim] + 1j * x[:, dim * dim:]).reshape(-1, dim, dim))[0]
 
 
 def _index_form(c: list, g: list) -> float:
@@ -286,29 +284,32 @@ def _index_form(c: list, g: list) -> float:
 def _verify_checks(seed: int, trials: int, sign: float):
     """Yield (name, worst error, tolerance) for each check of ``verify``.
 
-    Each check draws its instances per trial t with the bits of numpy
-    generators seeded (seed, t, j), through _normals, and its dimensions,
-    where they vary, from one generator seeded (seed, 101).  Trials go in
-    blocks of _VERIFY_BLOCK, and within a block every check makes one
-    stacked call per (d_a, d_b), the oracle of ``rate_vs_oracle`` (its
-    stacked core ``_fd_rates``) and the ancilla checks' arbitration
-    included.  A check's error is the maximum over its trials, and NaN when
-    any trial's is NaN, so that a NaN fails it.
+    The checks fall in four sections j, each of which draws its instances
+    from one stream of normals, np.random.default_rng((seed, j)): j = 0 for
+    the five checks from ``rate_vs_oracle`` to ``rate_bound_excess``, 1 for
+    ``local_unitary_invariance``, 2 for ``lagrange_vs_bruteforce`` and 3 for
+    the two ancilla checks.  Section j reads its stream in rows of a fixed
+    width w_j (180, 110, 18 and 8), and trial t's instance is row t, the
+    values t w_j to (t + 1) w_j - 1.  Section 0's dimensions (d_a, d_b) are
+    row t, two values, of the integers of default_rng((seed, 101)).  So a
+    trial's instance does not depend on --trials: more trials only add
+    instances.  Trials go in blocks of _VERIFY_BLOCK, and within a block
+    every check makes one stacked call per (d_a, d_b), the oracle of
+    ``rate_vs_oracle`` (its stacked core ``_fd_rates``) and the ancilla
+    checks' arbitration included.  A check's error is the maximum over its
+    trials, and NaN when any trial's is NaN, so that a NaN fails it.
     """
     rng_dims = np.random.default_rng((seed, 101))
+    draws = np.random.default_rng((seed, 0))
     err_rate = err_var = err_mean = err_orth = err_bound = 0.0
     for block in _blocks(trials):
+        dims = rng_dims.integers(2, 4, size=(len(block), 2))
+        # Each trial draws a state and a Hamiltonian at the largest shape,
+        # n = 9; a smaller one reads the first 2n and 2n^2 values of each.
+        x_psi, x_h = _normal_rows(draws, block, 2 * 9, 2 * 81)
         groups: dict[tuple[int, int], list[int]] = {}
-        for t in block:
-            d_a = int(rng_dims.integers(2, 4))
-            d_b = int(rng_dims.integers(2, 4))
-            groups.setdefault((d_a, d_b), []).append(t - block.start)
-        # One draw per trial at the block's largest n, of which a trial
-        # reads the first 2n and 2n^2 values: the bits of random_state and
-        # random_hermitian of its seeds.
-        n_max = max(d_a * d_b for d_a, d_b in groups)
-        x_psi = _normals(_seeds(seed, block, 0), 2 * n_max)
-        x_h = _normals(_seeds(seed, block, 1), 2 * n_max * n_max)
+        for row, shape in enumerate(map(tuple, dims.tolist())):
+            groups.setdefault(shape, []).append(row)
         for (d_a, d_b), rows in groups.items():
             n = d_a * d_b
             psi = PureState(d_a=d_a, d_b=d_b, amplitudes=_unit_vectors(x_psi[rows, :2 * n]))
@@ -334,14 +335,16 @@ def _verify_checks(seed: int, trials: int, sign: float):
     yield "auto_orthogonality", err_orth, 1e-12
     yield "rate_bound_excess", err_bound, 1e-9
 
+    draws = np.random.default_rng((seed, 1))
     err_lu = 0.0
     for block in _blocks(trials):
-        psi = _random_states(2, 3, _seeds(seed, block, 2))
-        h = _random_hermitians(6, _seeds(seed, block, 3))
+        x_psi, x_h, x_u, x_v = _normal_rows(draws, block, 12, 72, 8, 18)
+        psi = PureState(d_a=2, d_b=3, amplitudes=_unit_vectors(x_psi))
+        h = _hermitians(x_h, 6)
         state = schmidt_decompose(psi)
         base = sign * gamma_rate(state, schmidt_block(h, state))
-        ru = _random_unitaries(seed, block, 4, 2)
-        rv = _random_unitaries(seed, block, 6, 3)
+        ru = _unitaries(x_u, 2)
+        rv = _unitaries(x_v, 3)
         # np.kron(ru, rv) per trial: u[(i, k), (j, l)] = ru[i, j] rv[k, l].
         u = (ru[:, :, None, :, None] * rv[:, None, :, None, :]).reshape(-1, 6, 6)
         psi2 = PureState(d_a=2, d_b=3, amplitudes=(u @ psi.amplitudes[..., None])[..., 0])
@@ -351,16 +354,20 @@ def _verify_checks(seed: int, trials: int, sign: float):
         err_lu = _worst(err_lu, abs(base - moved))
     yield "local_unitary_invariance", err_lu, 1e-9
 
+    draws = np.random.default_rng((seed, 2))
     err_lagr = 0.0
     for block in _blocks(trials):
-        state = schmidt_decompose(_random_states(3, 3, _seeds(seed, block, 8)))
+        (x,) = _normal_rows(draws, block, 18)
+        state = schmidt_decompose(PureState(d_a=3, d_b=3, amplitudes=_unit_vectors(x)))
         err_lagr = _worst(err_lagr, abs(opt.max_rate(state) - opt.brute_force_max_k(state)))
     yield "lagrange_vs_bruteforce", err_lagr, 1e-6
 
+    draws = np.random.default_rng((seed, 3))
     err_id = err_arb = 0.0
     for block in _blocks(trials):
         # Per trial, the (2, 2) draw of C, then the (2, 2) draw of G.
-        raw = _normals(_seeds(seed, block, 9), 8).reshape(-1, 2, 2, 2)
+        (x,) = _normal_rows(draws, block, 8)
+        raw = x.reshape(-1, 2, 2, 2)
         coeffs = anc.AncillaCoeffs.normalized(np.abs(raw[:, 0]) + 0.05)
         g = anc.GBlock.from_matrix(raw[:, 1] - raw[:, 1].swapaxes(-1, -2))
         obj = anc.ancilla_objective(coeffs, g)
@@ -394,7 +401,10 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built at the first call only: a
+    process that calls main repeatedly parses with one tree."""
     parser = argparse.ArgumentParser(
         prog="entrate",
         description="Entanglement rates of bipartite dynamics at unit energy variance.",

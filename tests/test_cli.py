@@ -697,34 +697,34 @@ class TestSweepCommand:
 
 
 def verify_seed_3_output(flip: bool) -> str:
-    # Written by the one-trial-at-a-time version of verify.
-    first = ("FAIL  rate_vs_oracle             max_err= 3.086e+00" if flip else
-             "PASS  rate_vs_oracle             max_err= 1.586e-12")
+    # Written by verify with one stream of normals per section of checks.
+    first = ("FAIL  rate_vs_oracle             max_err= 3.168e+00" if flip else
+             "PASS  rate_vs_oracle             max_err= 1.780e-12")
     return first + """  tol=2.0e-06
-PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
-PASS  mean_energy_vs_direct      max_err= 1.554e-15  tol=1.0e-10
-PASS  auto_orthogonality         max_err= 2.115e-16  tol=1.0e-12
+PASS  variance_decomposition     max_err= 1.066e-14  tol=1.0e-09
+PASS  mean_energy_vs_direct      max_err= 1.332e-15  tol=1.0e-10
+PASS  auto_orthogonality         max_err= 1.903e-16  tol=1.0e-12
 PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
-PASS  local_unitary_invariance   max_err= 2.442e-15  tol=1.0e-09
-PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
+PASS  local_unitary_invariance   max_err= 1.776e-15  tol=1.0e-09
+PASS  lagrange_vs_bruteforce     max_err= 2.220e-16  tol=1.0e-06
 PASS  ancilla_identities         max_err= 4.441e-16  tol=1.0e-12
-PASS  ancilla_arbitration        max_err= 2.339e-11  tol=2.0e-06
+PASS  ancilla_arbitration        max_err= 2.064e-11  tol=2.0e-06
 %d/9 checks passed (seed=3, trials=20)
 """ % (9 - flip)
 
 
-# Written by verify with a numpy generator built per seed and the public
-# fd_rate called per trial.  130 trials cross a _VERIFY_BLOCK boundary.
+# Written by verify with one stream of normals per section of checks.  130
+# trials cross a _VERIFY_BLOCK boundary.
 VERIFY_SEED_8_OUTPUT = """\
-PASS  rate_vs_oracle             max_err= 1.815e-12  tol=2.0e-06
-PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
-PASS  mean_energy_vs_direct      max_err= 2.220e-15  tol=1.0e-10
-PASS  auto_orthogonality         max_err= 3.394e-16  tol=1.0e-12
+PASS  rate_vs_oracle             max_err= 1.810e-12  tol=2.0e-06
+PASS  variance_decomposition     max_err= 1.066e-14  tol=1.0e-09
+PASS  mean_energy_vs_direct      max_err= 8.216e-15  tol=1.0e-10
+PASS  auto_orthogonality         max_err= 3.949e-16  tol=1.0e-12
 PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
-PASS  local_unitary_invariance   max_err= 3.553e-15  tol=1.0e-09
+PASS  local_unitary_invariance   max_err= 2.665e-15  tol=1.0e-09
 PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
 PASS  ancilla_identities         max_err= 8.882e-16  tol=1.0e-12
-PASS  ancilla_arbitration        max_err= 3.509e-11  tol=2.0e-06
+PASS  ancilla_arbitration        max_err= 4.012e-11  tol=2.0e-06
 9/9 checks passed (seed=8, trials=130)
 """
 
@@ -845,6 +845,39 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_more_trials_only_add_instances(self, capsys, monkeypatch):
+        # 100 trials end inside the second block of _VERIFY_BLOCK, 130 run
+        # past it: the first 100 instances must be the same in both.
+        fd_rates, arbitrate = entrate.cli._fd_rates, entrate.ancilla.assemble_and_arbitrate
+
+        def instances(trials):
+            oracle, ancilla = {}, []
+
+            def record_oracle(amplitudes, h, d_a, d_b):
+                # Within one shape the rows run in trial order across calls.
+                oracle.setdefault((d_a, d_b), []).extend(zip(amplitudes, h))
+                return fd_rates(amplitudes, h, d_a, d_b)
+
+            def record_ancilla(coeffs, g):
+                ancilla.extend(zip(coeffs.c, g.upper))
+                return arbitrate(coeffs, g)
+
+            monkeypatch.setattr(entrate.cli, "_fd_rates", record_oracle)
+            monkeypatch.setattr(entrate.ancilla, "assemble_and_arbitrate", record_ancilla)
+            assert main(["verify", "--trials", str(trials)]) == 0
+            capsys.readouterr()
+            return oracle, ancilla
+
+        (oracle_100, ancilla_100), (oracle_130, ancilla_130) = instances(100), instances(130)
+        assert sum(map(len, oracle_100.values())) == len(ancilla_100) == 100
+        assert sum(map(len, oracle_130.values())) == len(ancilla_130) == 130
+        for shape, pairs in oracle_100.items():
+            for (amp, h), (amp_130, h_130) in zip(pairs, oracle_130[shape][:len(pairs)],
+                                                  strict=True):
+                assert amp.tobytes() == amp_130.tobytes() and h.tobytes() == h_130.tobytes()
+        for (c, g), (c_130, g_130) in zip(ancilla_100, ancilla_130):
+            assert c.tobytes() == c_130.tobytes() and g.tobytes() == g_130.tobytes()
+
     def test_memory_stays_within_one_block(self, capsys):
         # Trials run in blocks of _VERIFY_BLOCK, so four blocks peak as one.
         block = entrate.cli._VERIFY_BLOCK
@@ -883,6 +916,23 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
     }
     assert surface == PARSER_SURFACE
     assert sum(map(len, surface.values())) == 16
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    entrate.cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["sweep", "--dim-range", "2..3"]) == 0
+    capsys.readouterr()
+    # One tree: the top-level parser and one per subcommand.
+    assert len(built) == 1 + len(PARSER_SURFACE)
 
 
 class TestInputFailures:

@@ -21,9 +21,6 @@ from entrate.qcore import (
     _check_hamiltonian,
     _dump_report,
     _entries_from_json,
-    _normals,
-    _random_hermitians,
-    _random_states,
     assemble_state,
     compact_entries,
     dump_json,
@@ -275,56 +272,7 @@ class TestRandomGenerators:
             assert hermiticity_defect(m) == dense
 
 
-# Ints of one to three 32-bit words, tuples of one to seven words (past the
-# pool of four, the hash mixes each further word in turn), nested tuples.
-DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**20,
-              *(tuple(range(5, 5 + k)) for k in range(1, 8)),
-              ((1, 2), (3, (4, 5))), (2**32, (7,)), (10**20, 2**64 + 3, 0)]
-
-nested_seeds = st.recursive(
-    st.integers(min_value=0, max_value=2**80),
-    lambda parts: st.lists(parts, min_size=1, max_size=4).map(tuple), max_leaves=9)
-
-
-def same_bits(a, b) -> bool:
-    """Equal arrays, -0.0 and +0.0 told apart."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class TestSeededNormals:
-    # Each row must hold the bits of numpy's own generator on its seed, on
-    # the numpy installed: the hash in _normals restates numpy's.
-    @pytest.mark.parametrize("count", [1, 8, 18, 162])
-    def test_rows_are_default_rng_draws(self, count):
-        want = np.stack([np.random.default_rng(seed).normal(size=count)
-                         for seed in DRAW_SEEDS])
-        # Every entropy length in one call, and each seed alone.
-        assert same_bits(_normals(DRAW_SEEDS, count), want)
-        for seed, row in zip(DRAW_SEEDS, want):
-            assert same_bits(_normals([seed], count)[0], row)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(nested_seeds, min_size=1, max_size=6))
-    def test_any_nonnegative_seed(self, draw_seeds):
-        want = np.stack([np.random.default_rng(seed).normal(size=8) for seed in draw_seeds])
-        assert same_bits(_normals(draw_seeds, 8), want)
-
-    @pytest.mark.parametrize("seed", [-1, (3, -1), (1, (2, -2**40))])
-    def test_negative_seed_is_rejected_as_numpy_does(self, seed):
-        with pytest.raises(ValueError):
-            np.random.default_rng(seed)
-        with pytest.raises(ValueError):
-            _normals([0, seed], 4)
-
-    @pytest.mark.parametrize("d_a, d_b", [(1, 1), (2, 3), (3, 3)])
-    def test_stacked_draws_are_the_public_draws(self, d_a, d_b):
-        draw_seeds = [(8, t, 0) for t in range(5)] + [2**40, (1, 2, 3, 4, 5)]
-        states = _random_states(d_a, d_b, draw_seeds)
-        hermitians = _random_hermitians(d_a * d_b, draw_seeds)
-        for seed, amp, h in zip(draw_seeds, states.amplitudes, hermitians):
-            assert same_bits(amp, random_state(d_a, d_b, seed).amplitudes)
-            assert same_bits(h, random_hermitian(d_a * d_b, seed))
-
     @pytest.mark.parametrize("seed", [3, (7, 1), 2**64 + 3])
     def test_public_draws_keep_their_bits(self, seed):
         # random_state and random_hermitian as they were first written: a
