@@ -44,7 +44,6 @@ __all__ = [
 # Tolerances shared by the validators below.
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 # Largest product dimension accepted when ENTRATE_DIM_CAP is unset or empty.
 DEFAULT_DIM_CAP = 4096
@@ -149,18 +148,6 @@ def _check_hamiltonian(h: np.ndarray, n: int, stack: tuple) -> np.ndarray:
     return h
 
 
-def _unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm distance of U^H U from the identity over a stack, subtracted
-    on the diagonal only.  A matrix with a NaN or infinite entry reads inf,
-    before any product is formed."""
-    if not np.isfinite(u).all():
-        return math.inf
-    gram = u.conj().swapaxes(-1, -2) @ u
-    diag = np.arange(u.shape[-1])
-    gram[..., diag, diag] -= 1.0
-    return float(np.abs(gram).max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state of a d_a x d_b bipartite system, or a stack of
@@ -196,10 +183,15 @@ class SchmidtState:
     """Schmidt form of a pure state, or of a stack of them.
 
     ``coefficients`` holds the nonincreasing Schmidt coefficients C_i
-    (their squares sum to one) and ``basis_a`` / ``basis_b`` are the
-    unitaries whose columns are the Schmidt vectors, so the state is
+    (their squares sum to the squared norm of the state, 1 within
+    PureState's rule) and ``basis_a`` / ``basis_b`` are the unitaries whose
+    columns are the Schmidt vectors, so the state is
     sum_i C_i basis_a[:, i] (x) basis_b[:, i].  A stack has coefficients of
     shape (..., d) and bases of shape (..., d_a, d_a) and (..., d_b, d_b).
+
+    An output record of :func:`schmidt_decompose` and
+    ``optimum.build_optimal_state``, which guarantee these properties; it
+    is not validated on construction.
     """
 
     coefficients: np.ndarray
@@ -207,29 +199,6 @@ class SchmidtState:
     d_b: int
     basis_a: np.ndarray
     basis_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=float)
-        d = min(self.d_a, self.d_b)
-        if c.ndim == 0 or c.shape[-1] != d:
-            raise ValidationError(f"expected {d} coefficients, got shape {c.shape}")
-        stack = c.shape[:-1]
-        # Each test is written so that a NaN fails it.
-        if c.size and not c.min() >= 0:
-            raise ValidationError("Schmidt coefficients must be nonnegative")
-        if not (np.abs(_dot(c, c) - 1.0) <= NORM_TOL).all():
-            raise ValidationError("squared Schmidt coefficients must sum to 1")
-        if d > 1 and c.size and not (c[..., 1:] - c[..., :-1]).max() <= 1e-14:
-            raise ValidationError("Schmidt coefficients must be sorted nonincreasing")
-        for name, u, dim in (("basis_a", self.basis_a, self.d_a),
-                             ("basis_b", self.basis_b, self.d_b)):
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (*stack, dim, dim):
-                raise ValidationError(f"{name} must be {dim}x{dim}")
-            if not _unitarity_defect(u) <= UNITARY_TOL:
-                raise ValidationError(f"{name} is not unitary")
-            object.__setattr__(self, name, u)
-        object.__setattr__(self, "coefficients", c)
 
     @property
     def rank_dim(self) -> int:

@@ -16,7 +16,6 @@ from .qcore import (
     SchmidtState,
     ValidationError,
     _check_hamiltonian,
-    _check_hermitian,
     _dot,
     _log_positive,
     _scalar,
@@ -41,16 +40,11 @@ class SchmidtBlock:
 
     Hermiticity of H makes M Hermitian, so the real part is symmetric
     and the imaginary part antisymmetric; only the latter feeds the rate.
+    An output record of :func:`schmidt_block`, whose H passed the
+    Hamiltonian check; it is not validated on construction.
     """
 
     m: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=complex)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-            raise ValidationError(f"block must be square, got shape {m.shape}")
-        _check_hermitian(m, "block must be Hermitian")
-        object.__setattr__(self, "m", m)
 
     @property
     def m_r(self) -> np.ndarray:

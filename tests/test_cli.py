@@ -18,6 +18,7 @@ from entrate.optimum import build_optimal_hamiltonian, build_optimal_state, opti
 from entrate.qcore import (
     PureState,
     assemble_state,
+    dump_json,
     matrix_from_json,
     matrix_to_json,
     random_hermitian,
@@ -144,6 +145,18 @@ class TestRateCommand:
         assert main(["rate", str(state_file), str(ham_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["difference"]) < 1e-5
+
+    def test_state_within_the_norm_tolerance_passes(self, tmp_path, capsys):
+        # PureState accepts |norm - 1| <= 1e-12, so sum C_i^2 = norm^2 may
+        # miss 1 by about twice that; here by 1.6e-12.
+        psi = random_state(3, 4, 7)
+        state_file, ham_file = tmp_path / "s.json", tmp_path / "h.json"
+        with state_file.open("w") as fh:
+            dump_json(PureState(3, 4, (1 + 8e-13) * psi.amplitudes), fh)
+        with ham_file.open("w") as fh:
+            dump_json(random_hermitian(12, 8), fh)
+        assert main(["rate", str(state_file), str(ham_file)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("norm", [1e6, 1e8, 1e10])
     def test_very_large_norm_pair_passes(self, tmp_path, capsys, norm):

@@ -1,6 +1,7 @@
 """Foundation layer: states, Schmidt forms, entropy, JSON codec."""
 
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ from entrate.optimum import build_optimal_hamiltonian
 from entrate.qcore import (
     HERM_TOL,
     PureState,
-    SchmidtState,
     ValidationError,
     DUMP_CHUNK,
     _check_hamiltonian,
@@ -36,6 +36,8 @@ from entrate.qcore import (
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+EPS = np.finfo(float).eps
 
 # Density-matrix references, also used by test_oracle's exact-evolution
 # stencil; von_neumann_entropy rejects eigenvalues below this limit.
@@ -145,44 +147,41 @@ class TestSchmidtDecompose:
         back = assemble_state(state)
         assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-10
 
-    def test_validates_basis_unitarity(self):
-        with pytest.raises(ValidationError):
-            SchmidtState(
-                coefficients=np.array([1.0, 0.0]),
-                d_a=2,
-                d_b=2,
-                basis_a=np.ones((2, 2)),
-                basis_b=np.eye(2),
-            )
-
-    def test_rejects_unsorted_coefficients(self):
-        with pytest.raises(ValidationError):
-            SchmidtState(
-                coefficients=np.array([0.1, 0.9949874371066199]),
-                d_a=2,
-                d_b=2,
-                basis_a=np.eye(2),
-                basis_b=np.eye(2),
-            )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["basis_a", "basis_b"])
-    def test_rejects_non_finite_basis(self, name, bad):
-        bases = {"basis_a": np.eye(2), "basis_b": np.eye(2)}
-        bases[name] = np.array([[bad, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError, match=f"{name} is not unitary"):
-            SchmidtState(coefficients=np.array([1.0, 0.0]), d_a=2, d_b=2, **bases)
-
-    @pytest.mark.parametrize("coefficients", [[math.nan, 0.0], [1.0, math.nan],
-                                              [math.inf, 0.0]])
-    def test_rejects_non_finite_coefficients(self, coefficients):
-        with pytest.raises(ValidationError):
-            SchmidtState(coefficients=np.array(coefficients), d_a=2, d_b=2,
-                         basis_a=np.eye(2), basis_b=np.eye(2))
-
-    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 2), (3, 4)])
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 2), (3, 4), (4, 3), (2, 5), (4, 4)])
     def test_accepts_every_decomposition(self, dims):
-        assert schmidt_decompose(random_state(*dims, 9)).rank_dim == min(dims)
+        # What SchmidtState documents but does not check holds for the SVD,
+        # at every rank and stack shape: unitary bases, nonnegative sorted
+        # coefficients, and squares that sum to the squared norm of the state.
+        d_a, d_b = dims
+        rng = np.random.default_rng(9)
+        for stack, rank in itertools.product([(), (3,), (2, 2)], range(1, min(dims) + 1)):
+            a, b = (rng.normal(size=(*stack, *shape)) + 1j * rng.normal(size=(*stack, *shape))
+                    for shape in ((d_a, rank), (rank, d_b)))
+            amp = (a @ b).reshape(*stack, d_a * d_b)
+            psi = PureState(d_a, d_b, amp / np.linalg.norm(amp, axis=-1, keepdims=True))
+            state = schmidt_decompose(psi)
+            assert state.rank_dim == min(dims)
+            c = state.coefficients
+            assert c.shape == (*stack, min(dims))
+            assert c.min() >= 0.0
+            assert (np.diff(c, axis=-1) <= 0.0).all()
+            assert np.sum(c**2, axis=-1) == pytest.approx(
+                np.sum(np.abs(psi.amplitudes) ** 2, axis=-1), rel=0, abs=16 * EPS)
+            for u in (state.basis_a, state.basis_b):
+                gram = u.conj().swapaxes(-1, -2) @ u
+                assert np.abs(gram - np.eye(u.shape[-1])).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1 - 9e-13, 1 - 6e-13, 1 + 6e-13, 1 + 9e-13])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_decomposes_every_state_pure_state_accepts(self, scale, stacked):
+        # PureState allows |norm - 1| <= 1e-12, so sum C_i^2 = norm^2 may
+        # miss 1 by about twice that.
+        amp = np.stack([random_state(3, 4, seed).amplitudes for seed in (7, 8, 9)])
+        psi = PureState(3, 4, scale * (amp if stacked else amp[0]))
+        squares = np.sum(schmidt_decompose(psi).coefficients ** 2, axis=-1)
+        assert squares == pytest.approx(
+            np.sum(np.abs(psi.amplitudes) ** 2, axis=-1), rel=0, abs=16 * EPS)
+        assert (np.abs(squares - 1.0) > 1e-12).all()
 
 
 class TestPartialTrace:

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from entrate.oracle import direct_stats, fd_rate
 from entrate.qcore import (
+    HERM_TOL,
     PureState,
     SchmidtState,
     ValidationError,
+    hermiticity_defect,
     random_hermitian,
     random_state,
     schmidt_decompose,
@@ -62,34 +64,6 @@ class TestSchmidtBlock:
         assert np.max(np.abs(block.m_r - block.m_r.T)) < 1e-12
         assert np.max(np.abs(block.m_i + block.m_i.T)) < 1e-12
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            SchmidtBlock(m=np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    @pytest.mark.parametrize(
-        "m",
-        [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
-         [[0.0, 1j * math.inf], [-1j * math.inf, 0.0]]],
-    )
-    def test_rejects_non_finite_entries(self, m):
-        with pytest.raises(ValidationError, match="Hermitian"):
-            SchmidtBlock(m=np.array(m))
-
-    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e8])
-    def test_rejects_an_asymmetry_relative_to_the_largest_entry(self, scale):
-        m = scale * random_hermitian(4, 7)
-        m[0, 1] += 1e-5 * np.abs(m).max()
-        with pytest.raises(ValidationError, match="Hermitian"):
-            SchmidtBlock(m=m)
-
-    def test_each_slice_of_a_stack_has_its_own_scale(self):
-        # A large slice does not widen the tolerance of a small one.
-        m = np.stack([1e8 * random_hermitian(3, 8), random_hermitian(3, 9)])
-        SchmidtBlock(m=m)
-        m[1, 0, 1] += 1e-8
-        with pytest.raises(ValidationError, match="Hermitian"):
-            SchmidtBlock(m=m)
-
     def test_readout_matches_direct_elements(self):
         psi = random_state(3, 3, 17)
         state = schmidt_decompose(psi)
@@ -102,6 +76,11 @@ class TestSchmidtBlock:
                 assert block.m[i, j] == pytest.approx(
                     complex(vi.conj() @ h @ vj), abs=1e-12
                 )
+        # SchmidtBlock does not check what V^H H V inherits from H: the
+        # block is Hermitian by qcore's rule at any scale of H.
+        for scale in (1e-4, 1.0, 1e10):
+            m = schmidt_block(scale * h, state).m
+            assert hermiticity_defect(m) <= HERM_TOL * np.abs(m).max()
 
     def test_antisymmetric_generator_block(self):
         state = identity_schmidt([math.sqrt(0.9), math.sqrt(0.1)])

@@ -20,7 +20,6 @@ from entrate.optimum import _optimal_k, brute_force_max_k, max_rate, surprisal_v
 from entrate.oracle import _fd_rates, direct_stats, fd_rate
 from entrate.qcore import (
     PureState,
-    SchmidtState,
     ValidationError,
     assemble_state,
     hermiticity_defect,
@@ -259,8 +258,6 @@ class TestStackRejection:
             schmidt_block(bad, state)
         with pytest.raises(ValidationError, match="Hermitian"):
             energy_stats(psi, bad, state)
-        with pytest.raises(ValidationError, match="Hermitian"):
-            SchmidtBlock(m=bad)
 
     def test_hamiltonian_stack_of_another_shape(self):
         psi, _, h = build(2, 3, 9)
@@ -282,32 +279,6 @@ class TestStackRejection:
             gamma_rate(schmidt_decompose(slices[0]), block)
         with pytest.raises(ValidationError, match="expected k of shape"):
             gamma_rate_k(state, np.zeros(2))
-
-    @pytest.mark.parametrize("index, value, message", [
-        ((4, 0), math.nan, "nonnegative"),
-        ((4, 1), -0.1, "nonnegative"),
-        ((4, 0), 0.2, "sum to 1"),
-    ])
-    def test_coefficients(self, index, value, message):
-        state = schmidt_decompose(build(2, 3, 11)[0])
-        with pytest.raises(ValidationError, match=message):
-            SchmidtState(coefficients=spoil(state.coefficients, index, value), d_a=2, d_b=3,
-                         basis_a=state.basis_a, basis_b=state.basis_b)
-
-    def test_unsorted_coefficients(self):
-        state = schmidt_decompose(build(2, 3, 12)[0])
-        c = np.array(state.coefficients)
-        c[2] = c[2, ::-1]
-        with pytest.raises(ValidationError, match="sorted"):
-            SchmidtState(coefficients=c, d_a=2, d_b=3,
-                         basis_a=state.basis_a, basis_b=state.basis_b)
-
-    @pytest.mark.parametrize("value", [2.0, math.nan])
-    def test_basis(self, value):
-        state = schmidt_decompose(build(2, 3, 13)[0])
-        with pytest.raises(ValidationError, match="basis_b is not unitary"):
-            SchmidtState(coefficients=state.coefficients, d_a=2, d_b=3, basis_a=state.basis_a,
-                         basis_b=spoil(state.basis_b, (3, 1, 1), value))
 
     def test_probabilities(self):
         p = schmidt_decompose(build(3, 3, 14)[0]).coefficients ** 2
