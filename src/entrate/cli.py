@@ -241,8 +241,9 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 
 
 # Trials per stacked call in verify: it holds the instances of one block at
-# a time, whatever --trials is.
-_VERIFY_BLOCK = 64
+# a time, whatever --trials is, about 2 MiB at 256.  Output does not depend
+# on it.
+_VERIFY_BLOCK = 256
 
 
 def _blocks(trials: int):

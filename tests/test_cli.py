@@ -742,6 +742,22 @@ PASS  ancilla_arbitration        max_err= 4.012e-11  tol=2.0e-06
 """
 
 
+# Written by verify with one stream of normals per section of checks.  300
+# trials cross a _VERIFY_BLOCK boundary.
+VERIFY_SEED_8_TRIALS_300_OUTPUT = """\
+PASS  rate_vs_oracle             max_err= 2.685e-12  tol=2.0e-06
+PASS  variance_decomposition     max_err= 1.243e-14  tol=1.0e-09
+PASS  mean_energy_vs_direct      max_err= 8.216e-15  tol=1.0e-10
+PASS  auto_orthogonality         max_err= 6.634e-16  tol=1.0e-12
+PASS  rate_bound_excess          max_err= 0.000e+00  tol=1.0e-09
+PASS  local_unitary_invariance   max_err= 5.329e-15  tol=1.0e-09
+PASS  lagrange_vs_bruteforce     max_err= 4.441e-16  tol=1.0e-06
+PASS  ancilla_identities         max_err= 8.882e-16  tol=1.0e-12
+PASS  ancilla_arbitration        max_err= 4.012e-11  tol=2.0e-06
+9/9 checks passed (seed=8, trials=300)
+"""
+
+
 class TestVerifyCommand:
     def test_passes_and_is_byte_identical(self, capsys):
         assert main(["verify", "--seed", "3", "--trials", "4"]) == 0
@@ -794,6 +810,7 @@ class TestVerifyCommand:
         pytest.param(3, 20, False, verify_seed_3_output(False), id="False"),
         pytest.param(3, 20, True, verify_seed_3_output(True), id="True"),
         pytest.param(8, 130, False, VERIFY_SEED_8_OUTPUT, id="seed8-trials130"),
+        pytest.param(8, 300, False, VERIFY_SEED_8_TRIALS_300_OUTPUT, id="seed8-trials300"),
     ])
     def test_output_is_pinned(self, capsys, seed, trials, flip, expected):
         assert main(["verify", "--seed", str(seed), "--trials", str(trials)]
@@ -847,8 +864,8 @@ class TestVerifyCommand:
 
         for module in (entrate.oracle, entrate.cli, entrate.ancilla):
             monkeypatch.setattr(module, "fd_rate", one_instance, raising=False)
-        # 130 trials cross the boundary of a block of _VERIFY_BLOCK.
-        assert main(["verify", "--trials", "130"]) == 0
+        # These trials cross the boundary of a block of _VERIFY_BLOCK.
+        assert main(["verify", "--trials", str(entrate.cli._VERIFY_BLOCK + 44)]) == 0
         assert "9/9 checks passed" in capsys.readouterr().out
         assert len(calls) == 0
         assert main(["optimize", "--dim", "3", "--ancilla", "2", "--starts", "2"]) == 0
@@ -859,8 +876,11 @@ class TestVerifyCommand:
         assert len(calls) == 1
 
     def test_more_trials_only_add_instances(self, capsys, monkeypatch):
-        # 100 trials end inside the second block of _VERIFY_BLOCK, 130 run
-        # past it: the first 100 instances must be the same in both.
+        # The shorter run ends inside the first block of _VERIFY_BLOCK, the
+        # longer runs past it: the shorter run's instances must be the first
+        # instances of the longer.
+        block = entrate.cli._VERIFY_BLOCK
+        short, long = block - 56, block + 44
         fd_rates, arbitrate = entrate.cli._fd_rates, entrate.ancilla.assemble_and_arbitrate
 
         def instances(trials):
@@ -881,15 +901,16 @@ class TestVerifyCommand:
             capsys.readouterr()
             return oracle, ancilla
 
-        (oracle_100, ancilla_100), (oracle_130, ancilla_130) = instances(100), instances(130)
-        assert sum(map(len, oracle_100.values())) == len(ancilla_100) == 100
-        assert sum(map(len, oracle_130.values())) == len(ancilla_130) == 130
-        for shape, pairs in oracle_100.items():
-            for (amp, h), (amp_130, h_130) in zip(pairs, oracle_130[shape][:len(pairs)],
-                                                  strict=True):
-                assert amp.tobytes() == amp_130.tobytes() and h.tobytes() == h_130.tobytes()
-        for (c, g), (c_130, g_130) in zip(ancilla_100, ancilla_130):
-            assert c.tobytes() == c_130.tobytes() and g.tobytes() == g_130.tobytes()
+        (oracle_short, ancilla_short), (oracle_long, ancilla_long) = (
+            instances(short), instances(long))
+        assert sum(map(len, oracle_short.values())) == len(ancilla_short) == short
+        assert sum(map(len, oracle_long.values())) == len(ancilla_long) == long
+        for shape, pairs in oracle_short.items():
+            for (amp, h), (amp_long, h_long) in zip(pairs, oracle_long[shape][:len(pairs)],
+                                                    strict=True):
+                assert amp.tobytes() == amp_long.tobytes() and h.tobytes() == h_long.tobytes()
+        for (c, g), (c_long, g_long) in zip(ancilla_short, ancilla_long):
+            assert c.tobytes() == c_long.tobytes() and g.tobytes() == g_long.tobytes()
 
     def test_memory_stays_within_one_block(self, capsys):
         # Trials run in blocks of _VERIFY_BLOCK, so four blocks peak as one.
@@ -904,6 +925,19 @@ class TestVerifyCommand:
                 tracemalloc.stop()
         capsys.readouterr()
         assert peaks[1] <= 1.5 * peaks[0]
+        # One block peaks at about 8 KiB per trial, about 2 MiB at 256.
+        assert peaks[0] < 4 * 2**20
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_block_size_never_changes_output(self, capsys, monkeypatch, flip):
+        args = ["verify", "--seed", "3", "--trials", "40"] + ["--inject-sign-flip"] * flip
+        runs = set()
+        for block in (1, 7, 64, 256):
+            monkeypatch.setattr(entrate.cli, "_VERIFY_BLOCK", block)
+            code = main(args)
+            runs.add((code, capsys.readouterr().out))
+        assert len(runs) == 1
+        assert runs.pop()[0] == flip
 
 
 PAIR = object()          # stands for the two files of the worked pair
