@@ -49,7 +49,6 @@ from .qcore import (
 )
 from .rate import (
     EnergyStats,
-    SchmidtBlock,
     energy_stats,
     gamma_rate,
     gamma_rate_k,
@@ -65,7 +64,6 @@ __all__ = [
     "EnergyStats",
     "GBlock",
     "PureState",
-    "SchmidtBlock",
     "SchmidtState",
     "ValidationError",
     "ancilla_objective",

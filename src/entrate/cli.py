@@ -128,8 +128,7 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
     psi, h = _load_pair(args.state, args.hamiltonian)
 
     state = schmidt_decompose(psi)
-    block = schmidt_block(h, state)
-    closed = gamma_rate(state, block)
+    closed = gamma_rate(state, schmidt_block(h, state))
     oracle = fd_rate(psi, h)
     stats = energy_stats(psi, h, state)
     scale = _scale(args.log_base)
@@ -317,17 +316,16 @@ def _verify_checks(seed: int, trials: int, sign: float):
             h = _hermitians(x_h[rows, :2 * n * n], n)
             oracle = _fd_rates(psi.amplitudes[:, None, :, None], h, d_a, d_b)
             state = schmidt_decompose(psi)
-            block_m = schmidt_block(h, state)
-            closed = sign * gamma_rate(state, block_m)
+            m = schmidt_block(h, state)
+            closed = sign * gamma_rate(state, m)
             err_rate = _worst(err_rate, abs(closed - oracle))
             stats = energy_stats(psi, h, state)
             mean_direct, var_direct = direct_stats(psi, h)
             err_var = _worst(err_var, abs(
                 var_direct - stats.variance_real_part - stats.variance_imag_part))
-            err_mean = _worst(err_mean, abs(mean_energy(state, block_m) - mean_direct))
+            err_mean = _worst(err_mean, abs(mean_energy(state, m) - mean_direct))
             c = state.coefficients
-            k = block_m.m_i @ c[..., None]
-            err_orth = _worst(err_orth, abs(c[..., None, :] @ k))
+            err_orth = _worst(err_orth, abs(c[..., None, :] @ (m.imag @ c[..., None])))
             bound = opt.max_rate(state) * np.sqrt(stats.variance)
             err_bound = _worst(err_bound, abs(closed) - bound)
     yield "rate_vs_oracle", err_rate, 2e-6
@@ -453,7 +451,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

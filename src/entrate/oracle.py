@@ -72,13 +72,13 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     U^H, so dS/dt = -Tr(rho_A' log rho_A) = -2 sum_{sigma_i > 0} p_i'
     log sigma_i.  The stencil is linear, so it differentiates
     f(t) = sum_i p_i(t) log sigma_i, which is as smooth as the p_i where S
-    is not, and dS/dt = -2 f'(0); rho_A is never formed.  The stencil runs
-    on Python floats, one instance at a time.
+    is not, and dS/dt = -2 f'(0); rho_A is never formed.
     """
     _, k_a, _, k_b = amplitudes.shape
     shape = (-1, k_a * d_a, d_b * k_b)
-    steps = [MAX_PHASE / (norm or 1.0) for norm in _norm_1(h).tolist()]
-    s = np.array(steps)[:, None, None, None]
+    norm = _norm_1(h)
+    steps = MAX_PHASE / np.where(norm == 0.0, 1.0, norm)
+    s = steps[:, None, None, None]
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.
     # The coefficients (-im)^k are exact, so each row holds the bits a
@@ -93,11 +93,10 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     log_sigma = np.log(sigma, out=np.zeros_like(sigma), where=sigma > 0)
     # p_i(t), summed over the real and imaginary parts of row i of U^H psi(t)
     p = np.square(w.view(float)).sum(axis=-1)
-    f = (p * log_sigma[:, None]).sum(axis=-1).tolist()
+    f_1, f_m1, f_2, f_m2 = (p * log_sigma[:, None]).sum(axis=-1).T
     # -2 f'(0), with f'(0) = (8 (f_1 - f_m1) - (f_2 - f_m2)) / (12 s), in the
     # order that gives +0.0 when H = 0.
-    return np.array([((f_2 - f_m2) - 8 * (f_1 - f_m1)) / (6 * step)
-                     for (f_1, f_m1, f_2, f_m2), step in zip(f, steps)])
+    return ((f_2 - f_m2) - 8 * (f_1 - f_m1)) / (6 * steps)
 
 
 def fd_rate(psi: PureState, h: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 The instantaneous rate of a state with Schmidt coefficients C under a
 Hamiltonian H depends only on the imaginary part of the Schmidt-diagonal
-block M_ij = <ii|H|jj>; everything here is expressed in that block.
+block M_ij = <ii|H|jj>, a complex array; everything here is expressed in M.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "SchmidtBlock",
     "EnergyStats",
     "schmidt_block",
     "gamma_rate",
@@ -31,28 +30,6 @@ __all__ = [
     "energy_stats",
     "schmidt_columns",
 ]
-
-
-@dataclass(frozen=True)
-class SchmidtBlock:
-    """The d x d block M_ij = <ii|H|jj> in a state's Schmidt bases, or a
-    stack of them of shape (..., d, d).
-
-    Hermiticity of H makes M Hermitian, so the real part is symmetric
-    and the imaginary part antisymmetric; only the latter feeds the rate.
-    An output record of :func:`schmidt_block`, whose H passed the
-    Hamiltonian check; it is not validated on construction.
-    """
-
-    m: np.ndarray
-
-    @property
-    def m_r(self) -> np.ndarray:
-        return self.m.real
-
-    @property
-    def m_i(self) -> np.ndarray:
-        return self.m.imag
 
 
 @dataclass(frozen=True)
@@ -66,9 +43,12 @@ class EnergyStats:
     variance_imag_part: float | np.ndarray
 
 
-def _check_block(state: SchmidtState, block: SchmidtBlock) -> None:
-    if block.m.shape[:-1] != state.coefficients.shape:
+def _check_block(state: SchmidtState, m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    c = state.coefficients
+    if m.shape != (*c.shape, c.shape[-1]):
         raise ValidationError("block dimension does not match the state")
+    return m
 
 
 def schmidt_columns(state: SchmidtState) -> np.ndarray:
@@ -82,25 +62,25 @@ def schmidt_columns(state: SchmidtState) -> np.ndarray:
     return v.reshape(*v.shape[:-3], state.d_a * state.d_b, d)
 
 
-def schmidt_block(h: np.ndarray, state: SchmidtState) -> SchmidtBlock:
-    """Extract M_ij = <ii|H|jj> as V^H (H V), an O(n^2 d) product.
+def schmidt_block(h: np.ndarray, state: SchmidtState) -> np.ndarray:
+    """The complex array M_ij = <ii|H|jj> as V^H (H V), an O(n^2 d) product.
 
     A stack of states takes a stack of Hamiltonians of the same shape.
     """
     h = _check_hamiltonian(h, state.d_a * state.d_b, state.coefficients.shape[:-1])
     v = schmidt_columns(state)
-    return SchmidtBlock(m=v.conj().swapaxes(-1, -2) @ (h @ v))
+    return v.conj().swapaxes(-1, -2) @ (h @ v)
 
 
-def gamma_rate(state: SchmidtState, block: SchmidtBlock) -> float | np.ndarray:
+def gamma_rate(state: SchmidtState, m: np.ndarray) -> float | np.ndarray:
     """Rate 4 sum_{i>j} C_i C_j log(C_i/C_j) M_I[j, i] in natural-log units.
 
     Evaluated as :func:`gamma_rate_k` at k = M_I C; pairing the (i, j) and
     (j, i) terms of that sum through M_I[i, j] = -M_I[j, i] gives this one.
     A float for one state, an array over the stack for a stack.
     """
-    _check_block(state, block)
-    return gamma_rate_k(state, (block.m_i @ state.coefficients[..., None])[..., 0])
+    m = _check_block(state, m)
+    return gamma_rate_k(state, (m.imag @ state.coefficients[..., None])[..., 0])
 
 
 def gamma_rate_k(state: SchmidtState, k: np.ndarray) -> float | np.ndarray:
@@ -114,15 +94,16 @@ def gamma_rate_k(state: SchmidtState, k: np.ndarray) -> float | np.ndarray:
     if k.shape != c.shape:
         raise ValidationError(f"expected k of shape {c.shape}, got {k.shape}")
     terms = k * c * _log_positive(c)
-    return _scalar(-4.0 * np.add.reduce(terms, axis=-1, where=c > 0))
+    # The sign goes on the terms, so that a vanishing sum reads +0.0.
+    return _scalar(4.0 * np.add.reduce(-terms, axis=-1, where=c > 0))
 
 
-def mean_energy(state: SchmidtState, block: SchmidtBlock) -> float | np.ndarray:
-    """Mean energy sum_ij C_i C_j M_R[i, j]: a float for one state, an
-    array over the stack for a stack."""
-    _check_block(state, block)
+def mean_energy(state: SchmidtState, m: np.ndarray) -> float | np.ndarray:
+    """Mean energy sum_ij C_i C_j M_R[i, j] of the block M: a float for one
+    state, an array over the stack for a stack."""
+    m = _check_block(state, m)
     c = state.coefficients
-    return _scalar((c[..., None, :] @ block.m_r @ c[..., :, None])[..., 0, 0])
+    return _scalar((c[..., None, :] @ m.real @ c[..., :, None])[..., 0, 0])
 
 
 def energy_stats(

@@ -189,7 +189,7 @@ def test_rate_scales_linearly_while_mean_energy_stays_put():
         for i in range(d):
             for j in range(i + 1, d):
                 cross = np.outer(paired[i], paired[j].conj())
-                bump = bump + 1j * block.m_i[i, j] * (cross - cross.conj().T)
+                bump = bump + 1j * block.imag[i, j] * (cross - cross.conj().T)
         base = gamma_rate(state, block)
         assert abs(base) > 1e-3
         mean0 = direct_stats(psi, h)[0]
@@ -334,7 +334,7 @@ def test_ancilla_family_never_beats_the_optimum_without_ancillas(k, d):
     for g in (GBlock.from_matrix(raw - raw.swapaxes(-1, -2)), GBlock(upper=best, d=d)):
         assert (ancilla_objective(coeffs, g) < f * np.sqrt(variance_constraint(coeffs, g))).all()
     optimum = build_optimal_state(optimal_gamma(d).gamma, d)
-    generator = GBlock.from_matrix(schmidt_block(build_optimal_hamiltonian(d), optimum).m_i)
+    generator = GBlock.from_matrix(schmidt_block(build_optimal_hamiltonian(d), optimum).imag)
     u = np.abs(rng.normal(size=k))
     rank_one = AncillaCoeffs(c=np.outer(u / np.linalg.norm(u), optimum.coefficients))
     value = ancilla_objective(rank_one, generator)

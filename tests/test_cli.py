@@ -5,6 +5,10 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -93,16 +97,15 @@ class TestRateCommand:
     def test_real_hamiltonian_gives_zero(self, tmp_path, capsys):
         amp = np.zeros(4, dtype=complex)
         amp[0], amp[3] = math.sqrt(0.9), math.sqrt(0.1)
-        state_file = tmp_path / "s.json"
-        ham_file = tmp_path / "h.json"
-        state_file.write_text(json.dumps(state_to_json(PureState(2, 2, amp))))
-        ham_file.write_text(
-            json.dumps(matrix_to_json(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)))
-        )
-        assert main(["rate", str(state_file), str(ham_file)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["gamma_rate"] == 0.0
-        assert report["fd_rate"] == pytest.approx(0.0, abs=1e-6)
+        psi = PureState(2, 2, amp)
+        for h in (np.diag([1.0, 2.0, 3.0, 4.0]), random_hermitian(4, 3).real, np.zeros((4, 4))):
+            assert main(["rate", *write_pair(tmp_path, psi, h.astype(complex))]) == 0
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            # +0.0: a vanishing rate prints no minus sign.
+            assert '"gamma_rate": 0.0,' in out
+            assert re.search(r"-0\.0\b", out) is None
+            assert report["fd_rate"] == pytest.approx(0.0, abs=1e-6)
 
     def test_corrupt_json_is_input_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -980,6 +983,20 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     capsys.readouterr()
     # One tree: the top-level parser and one per subcommand.
     assert len(built) == 1 + len(PARSER_SURFACE)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--trials", "3"], 0),
+    (["optimize", "--dim", "0"], 2),
+], ids=["verify", "input-failure"])
+def test_python_m_entrate_is_main(capsys, argv, code):
+    src = str(Path(entrate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "entrate", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
+    assert (run.returncode, main(argv)) == (code, code)
+    captured = capsys.readouterr()
+    assert (run.stdout, run.stderr) == (captured.out, captured.err)
 
 
 class TestInputFailures:

@@ -186,7 +186,7 @@ class TestOptimalFamily:
         # first column of M_I positive so the rate at the paired state is +
         h = build_optimal_hamiltonian(3)
         state = build_optimal_state(optimal_gamma(3).gamma, 3)
-        m_i = schmidt_block(h, state).m_i
+        m_i = schmidt_block(h, state).imag
         assert m_i[1, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
         assert m_i[0, 1] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
 
@@ -300,7 +300,7 @@ class TestBruteForce:
 class TestAchievingHamiltonian:
     def test_antisymmetric_solve_properties(self):
         state = schmidt_decompose(random_state(4, 4, 21))
-        m = schmidt_block(achieving_hamiltonian(state), state).m_i
+        m = schmidt_block(achieving_hamiltonian(state), state).imag
         k = _optimal_k(state.coefficients)
         assert np.max(np.abs(m + m.T)) < 1e-14
         assert m @ state.coefficients == pytest.approx(k, abs=1e-12)
@@ -321,7 +321,7 @@ class TestAchievingHamiltonian:
         m_ls = np.zeros((d, d))
         m_ls[iu] = x
         m_ls = m_ls - m_ls.T
-        m = schmidt_block(achieving_hamiltonian(state), state).m_i
+        m = schmidt_block(achieving_hamiltonian(state), state).imag
         assert m == pytest.approx(m_ls, abs=1e-10)
 
     def test_attains_max_rate_with_unit_imag_variance(self):

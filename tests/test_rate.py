@@ -23,7 +23,6 @@ from entrate.qcore import (
 from entrate.optimum import max_rate
 from entrate.rate import (
     EnergyStats,
-    SchmidtBlock,
     energy_stats,
     gamma_rate,
     gamma_rate_k,
@@ -50,20 +49,18 @@ def identity_schmidt(c) -> SchmidtState:
 def worked_example():
     """C = (sqrt .9, sqrt .1) with M_I = [[0, -1], [1, 0]]; rate 1.31833..."""
     state = identity_schmidt([math.sqrt(0.9), math.sqrt(0.1)])
-    block = SchmidtBlock(m=1j * np.array([[0.0, -1.0], [1.0, 0.0]]))
+    block = 1j * np.array([[0.0, -1.0], [1.0, 0.0]])
     return state, block
 
 
 WORKED_RATE = 1.3183347464017314
 
 
-class TestSchmidtBlock:
-    def test_parts_split(self):
-        h = random_hermitian(3, 5)
-        block = SchmidtBlock(m=h)
-        assert np.max(np.abs(block.m_r - block.m_r.T)) < 1e-12
-        assert np.max(np.abs(block.m_i + block.m_i.T)) < 1e-12
+def assert_plus_zero(x):
+    assert x == 0.0 and math.copysign(1.0, x) == 1.0
 
+
+class TestSchmidtBlock:
     def test_readout_matches_direct_elements(self):
         psi = random_state(3, 3, 17)
         state = schmidt_decompose(psi)
@@ -73,13 +70,13 @@ class TestSchmidtBlock:
             vi = np.kron(state.basis_a[:, i], state.basis_b[:, i])
             for j in range(3):
                 vj = np.kron(state.basis_a[:, j], state.basis_b[:, j])
-                assert block.m[i, j] == pytest.approx(
+                assert block[i, j] == pytest.approx(
                     complex(vi.conj() @ h @ vj), abs=1e-12
                 )
-        # SchmidtBlock does not check what V^H H V inherits from H: the
+        # schmidt_block does not check what V^H H V inherits from H: the
         # block is Hermitian by qcore's rule at any scale of H.
         for scale in (1e-4, 1.0, 1e10):
-            m = schmidt_block(scale * h, state).m
+            m = schmidt_block(scale * h, state)
             assert hermiticity_defect(m) <= HERM_TOL * np.abs(m).max()
 
     def test_antisymmetric_generator_block(self):
@@ -88,30 +85,30 @@ class TestSchmidtBlock:
         h[0, 3] = 1j
         h[3, 0] = -1j
         block = schmidt_block(h, state)
-        assert block.m_i == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]), abs=1e-14)
+        assert block.imag == pytest.approx(np.array([[0.0, 1.0], [-1.0, 0.0]]), abs=1e-14)
 
     def test_off_diagonal_support_reads_zero(self):
         state = identity_schmidt([math.sqrt(0.9), math.sqrt(0.1)])
         h = np.zeros((4, 4), dtype=complex)
         h[1, 2] = h[2, 1] = 1.0
-        assert np.max(np.abs(schmidt_block(h, state).m)) == 0.0
+        assert np.max(np.abs(schmidt_block(h, state))) == 0.0
 
     def test_real_hamiltonian_has_no_imag_block(self):
         state = identity_schmidt([math.sqrt(0.7), math.sqrt(0.3)])
         h = random_hermitian(4, 3).real.astype(complex)
-        assert np.max(np.abs(schmidt_block(h, state).m_i)) < 1e-14
+        assert np.max(np.abs(schmidt_block(h, state).imag)) < 1e-14
 
 
 class TestGammaRate:
     def test_uniform_coefficients_give_zero(self):
         state = identity_schmidt([1 / math.sqrt(2)] * 2)
         _, block = worked_example()
-        assert gamma_rate(state, block) == 0.0
+        assert_plus_zero(gamma_rate(state, block))
 
     def test_zero_imag_block_gives_zero(self):
         state, _ = worked_example()
-        block = SchmidtBlock(m=np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex))
-        assert gamma_rate(state, block) == 0.0
+        block = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex)
+        assert_plus_zero(gamma_rate(state, block))
 
     def test_worked_value(self):
         state, block = worked_example()
@@ -120,12 +117,11 @@ class TestGammaRate:
     def test_zero_coefficient_terms_dropped(self):
         state = identity_schmidt([1.0, 0.0])
         _, block = worked_example()
-        assert gamma_rate(state, block) == 0.0
+        assert_plus_zero(gamma_rate(state, block))
 
     def test_antisymmetry_under_negation(self):
         state, block = worked_example()
-        flipped = SchmidtBlock(m=-block.m)
-        assert gamma_rate(state, flipped) == -gamma_rate(state, block)
+        assert gamma_rate(state, -block) == -gamma_rate(state, block)
 
     @given(
         a=st.floats(-3, 3, allow_nan=False),
@@ -137,21 +133,18 @@ class TestGammaRate:
         state = schmidt_decompose(random_state(3, 3, seed))
         m1 = random_hermitian(3, (seed, 1))
         m2 = random_hermitian(3, (seed, 2))
-        blended = SchmidtBlock(m=a * m1 + b * m2)
-        expected = a * gamma_rate(state, SchmidtBlock(m=m1)) + b * gamma_rate(
-            state, SchmidtBlock(m=m2)
-        )
-        assert gamma_rate(state, blended) == pytest.approx(expected, abs=1e-10)
+        expected = a * gamma_rate(state, m1) + b * gamma_rate(state, m2)
+        assert gamma_rate(state, a * m1 + b * m2) == pytest.approx(expected, abs=1e-10)
 
 
 class TestGammaRateK:
     def test_zero_k(self):
         state, _ = worked_example()
-        assert gamma_rate_k(state, np.zeros(2)) == 0.0
+        assert_plus_zero(gamma_rate_k(state, np.zeros(2)))
 
     def test_matches_gamma_rate_through_k(self):
         state, block = worked_example()
-        k = block.m_i @ state.coefficients
+        k = block.imag @ state.coefficients
         assert gamma_rate_k(state, k) == pytest.approx(
             gamma_rate(state, block), abs=1e-12
         )
@@ -174,7 +167,7 @@ class TestMeanEnergy:
 
     def test_single_basis_state(self):
         state = identity_schmidt([1.0, 0.0])
-        block = SchmidtBlock(m=np.array([[3.0, 0.0], [0.0, -7.0]], dtype=complex))
+        block = np.array([[3.0, 0.0], [0.0, -7.0]], dtype=complex)
         assert mean_energy(state, block) == pytest.approx(3.0, abs=1e-14)
 
     @given(seed=seeds)
@@ -186,6 +179,33 @@ class TestMeanEnergy:
         block = schmidt_block(h, state)
         direct = float(np.real(psi.amplitudes.conj() @ h @ psi.amplitudes))
         assert mean_energy(state, block) == pytest.approx(direct, abs=1e-10)
+
+
+class TestBlockArrays:
+    """gamma_rate and mean_energy take M as any array of shape (..., d, d)."""
+
+    REAL = [[1.0, 0.5], [0.5, -2.0]]
+    IMAG = [[0.0, -1.0], [1.0, 0.0]]
+
+    def test_complex_real_and_nested_list_blocks(self):
+        state, _ = worked_example()
+        c = state.coefficients
+        m = np.array(self.REAL) + 1j * np.array(self.IMAG)
+        mean = float(c @ np.array(self.REAL) @ c)
+        for block in (m, m.tolist()):
+            assert gamma_rate(state, block) == pytest.approx(WORKED_RATE, abs=1e-14)
+            assert mean_energy(state, block) == pytest.approx(mean, abs=1e-15)
+        for block in (np.array(self.REAL), self.REAL):
+            assert_plus_zero(gamma_rate(state, block))
+            assert mean_energy(state, block) == pytest.approx(mean, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 3), (1, 1), (2,), (2, 2, 2)])
+    def test_rejects_a_block_of_another_shape(self, shape):
+        state, _ = worked_example()
+        block = np.zeros(shape, dtype=complex)
+        for fn in (gamma_rate, mean_energy):
+            with pytest.raises(ValidationError, match="block dimension"):
+                fn(state, block)
 
 
 class TestEnergyStats:
@@ -294,7 +314,7 @@ class TestInvariances:
     def test_auto_orthogonality(self, seed):
         state = schmidt_decompose(random_state(3, 4, seed))
         block = schmidt_block(random_hermitian(12, (seed, 1)), state)
-        k = block.m_i @ state.coefficients
+        k = block.imag @ state.coefficients
         assert abs(float(state.coefficients @ k)) < 1e-12
 
     def test_rate_bounded_by_surprisal_budget(self):
@@ -365,7 +385,7 @@ class TestFactoredAlgebra:
         state = schmidt_decompose(psi)
         h = scale * random_hermitian(psi.d_a * psi.d_b, 44)
         ref = kron_block(h, state)
-        got = schmidt_block(h, state).m
+        got = schmidt_block(h, state)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
@@ -414,7 +434,7 @@ def loop_gamma_rate(state, block):
         for j in range(i):
             if c[i] == 0.0 or c[j] == 0.0 or c[i] == c[j]:
                 continue
-            total += 4.0 * c[i] * c[j] * np.log(c[i] / c[j]) * block.m_i[j, i]
+            total += 4.0 * c[i] * c[j] * np.log(c[i] / c[j]) * block.imag[j, i]
     return total
 
 

@@ -27,7 +27,6 @@ from entrate.qcore import (
     schmidt_decompose,
 )
 from entrate.rate import (
-    SchmidtBlock,
     energy_stats,
     gamma_rate,
     gamma_rate_k,
@@ -101,8 +100,7 @@ class TestStackEqualsLoop:
         block = schmidt_block(h, state)
         blocks = [schmidt_block(hi, s) for hi, s in zip(h, states)]
         same(schmidt_columns(state), [schmidt_columns(s) for s in states])
-        same(block.m, [b.m for b in blocks])
-        same(SchmidtBlock(m=block.m).m, [SchmidtBlock(m=b.m).m for b in blocks])
+        same(block, blocks)
         same(gamma_rate(state, block), [gamma_rate(s, b) for s, b in zip(states, blocks)])
         same(mean_energy(state, block), [mean_energy(s, b) for s, b in zip(states, blocks)])
         k = np.random.default_rng(3).normal(size=state.coefficients.shape)
@@ -153,7 +151,7 @@ class TestStackEqualsLoop:
             assert type(unstacked) is float
             assert stacked.shape == (1,)
             same(stacked, [unstacked])
-        same(block_one.m, [block.m])
+        same(block_one, [block])
         same(state_one.coefficients, [state.coefficients])
 
 
@@ -277,6 +275,9 @@ class TestStackRejection:
         block = schmidt_block(h, state)
         with pytest.raises(ValidationError, match="block dimension"):
             gamma_rate(schmidt_decompose(slices[0]), block)
+        for fn in (gamma_rate, mean_energy):
+            with pytest.raises(ValidationError, match="block dimension"):
+                fn(state, block[0])
         with pytest.raises(ValidationError, match="expected k of shape"):
             gamma_rate_k(state, np.zeros(2))
 
