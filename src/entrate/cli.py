@@ -11,7 +11,9 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -26,12 +28,11 @@ from .qcore import (
     _hermitians,
     _unit_vectors,
     assemble_state,
-    compact_entries,
+    compact_header,
     dump_json,
     matrix_from_json,
     matrix_json_shape,
     schmidt_decompose,
-    split_compact,
     state_from_json,
     state_json_dims,
 )
@@ -76,49 +77,45 @@ def _emit(report: dict, out) -> None:
     print(json.dumps(report, indent=2, sort_keys=True), file=out)
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # Not JSON, not UTF-8, an integer with more digits than int()
-            # reads, or lists nested deeper than the recursion limit.
-            raise ValidationError(str(exc)) from None
+def _load_json(fh: TextIO) -> dict:
+    fh.seek(0)
+    try:
+        return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        # Not JSON, not UTF-8, an integer with more digits than int()
+        # reads, or lists nested deeper than the recursion limit.
+        raise ValidationError(str(exc)) from None
 
 
-def _read_json(path: str) -> tuple[dict, str | None]:
-    """The header and flat entry text of a compact file (see split_compact),
-    or any other file parsed whole by json.load, with None for the text.
-    The file is read as json.load reads it, so both see the same text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            parts = split_compact(fh.read())
-        except UnicodeDecodeError:
-            parts = None
-    return parts if parts is not None else (_load_json(path), None)
-
-
-def _with_entries(path: str, obj: dict, text: str | None,
-                  expected: int) -> tuple[dict, np.ndarray | None]:
-    """obj and the entries parsed from its flat text, if it has one.  Text
-    that does not parse sends the file through json.load after all, so that
-    it fails as it would there."""
-    if text is None:
-        return obj, None
-    entries = compact_entries(text, expected)
-    return (obj, entries) if entries is not None else (_load_json(path), None)
+def _check_pair(state_obj: dict, ham_obj: dict) -> None:
+    d_a, d_b = state_json_dims(state_obj)
+    rows, cols = matrix_json_shape(ham_obj)
+    _check_cap(max(d_a * d_b, rows, cols))
 
 
 def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
     """Decode a (state, Hamiltonian) pair, checking the dimension cap on both
-    before any entry of a compact file is parsed, or any entry is decoded."""
-    state_obj, state_text = _read_json(state_path)
-    ham_obj, ham_text = _read_json(ham_path)
-    d_a, d_b = state_json_dims(state_obj)
-    rows, cols = matrix_json_shape(ham_obj)
-    _check_cap(max(d_a * d_b, rows, cols))
-    psi = state_from_json(*_with_entries(state_path, state_obj, state_text, d_a * d_b))
-    h = matrix_from_json(*_with_entries(ham_path, ham_obj, ham_text, rows * cols))
+    headers before any entry is parsed.  A compact file whose entries do not
+    parse is read whole by json.load, and checked and decoded again, so that
+    it fails as it would there."""
+    with open(state_path, "r", encoding="utf-8") as state_fh, \
+            open(ham_path, "r", encoding="utf-8") as ham_fh:
+        # Any other file is read whole by json.load, with no blocks.
+        state_obj, state_blocks = (compact_header(state_fh, state_json_dims)
+                                   or (_load_json(state_fh), None))
+        ham_obj, ham_blocks = (compact_header(ham_fh, matrix_json_shape)
+                               or (_load_json(ham_fh), None))
+        _check_pair(state_obj, ham_obj)
+        psi = state_from_json(state_obj, state_blocks)
+        if psi is None:
+            state_obj = _load_json(state_fh)
+            _check_pair(state_obj, ham_obj)
+            psi = state_from_json(state_obj)
+        h = matrix_from_json(ham_obj, ham_blocks)
+        if h is None:
+            ham_obj = _load_json(ham_fh)
+            _check_pair(state_obj, ham_obj)
+            h = matrix_from_json(ham_obj)
     return psi, h
 
 
@@ -444,10 +441,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """sys.stdout for a command.  A write or flush that raises BrokenPipeError,
+    its reader gone, sends stdout to os.devnull, as the SIGPIPE note of
+    Python's signal docs does: the command runs on to its own exit code, and
+    nothing is left to fail at exit.  A bare writer, without flush, is not
+    flushed."""
+
+    def write(self, text: str) -> None:
+        self._guard(sys.stdout.write, text)
+
+    def flush(self) -> None:
+        self._guard(getattr(sys.stdout, "flush", lambda: None))
+
+    @staticmethod
+    def _guard(call, *args) -> None:
+        try:
+            call(*args)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out = _Stdout()
     try:
-        return args.run(args, sys.stdout)
+        code = args.run(args, out)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    out.flush()
+    return code

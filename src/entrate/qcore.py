@@ -17,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
     "state_from_json",
     "state_json_dims",
     "dump_json",
-    "split_compact",
-    "compact_entries",
+    "compact_header",
     "hermiticity_defect",
 ]
 
@@ -462,10 +461,10 @@ def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
 #
 # json.load of a 1024 x 1024 matrix builds a million [re, im] lists, and that,
 # not the number parsing, is most of its cost.  A file in the layout that
-# json.dumps writes (and dump_json, byte for byte) is read instead as one flat
-# list of numbers: its pair structure is checked on the text, and json's own
-# scanner checks the number grammar and gives the floats.
-
+# json.dumps writes (and dump_json, byte for byte) is read instead in blocks of
+# READ_CHUNK characters into one array: each block's pairs are checked on its
+# text, and json's own scanner checks the number grammar and gives the floats.
+READ_CHUNK = 1 << 20
 # The entry key as json.dumps writes it; the entries must be the last key.
 ENTRIES_KEY = '"re_im": ['
 # Deletes the characters of a JSON number.  From the entry text of k pairs
@@ -473,49 +472,64 @@ ENTRIES_KEY = '"re_im": ['
 DELETE_NUMBERS = str.maketrans("", "", "0123456789.-+eE")
 
 
-def split_compact(text: str) -> tuple[dict, str] | None:
-    """Header and entry text of a JSON text in json.dumps' compact layout.
-
-    The header is the object parsed with an empty "re_im" list, so its
-    dimensions can be checked before any number is read.  The entry text is
-    "[re, im], [re, im], ..." turned into one flat JSON list "[re, im, re,
-    im, ...]", for :func:`compact_entries`.  Returns None when the entries are
-    not the last key, or not pairs separated by ", " and nothing else, or the
-    header does not parse; the text is then for json.loads to read whole.
-    """
-    start = text.find(ENTRIES_KEY)
-    if start < 0 or not text.endswith("]}"):
-        return None
+def compact_header(fh: TextIO, dims: Callable) -> tuple[dict, Iterator[str]] | None:
+    """Header of a file in json.dumps' compact layout, parsed from its first
+    block with an empty "re_im" list, and its entry text after ENTRIES_KEY
+    as blocks.  None where the first block holds no header that parses with
+    dimensions of at least 1 (read by dims, state_json_dims or
+    matrix_json_shape): json.load of the whole file then reports what is
+    wrong, or reads a file whose entries are not its last key."""
     try:
-        head = json.loads(text[:start] + ENTRIES_KEY + "]}")
+        block = fh.read(READ_CHUNK)
+        start = block.index(ENTRIES_KEY)
+        head = json.loads(block[:start] + ENTRIES_KEY + "]}")
+        if min(dims(head)) < 1:
+            return None
+    # Not UTF-8, no entry key, too deep, or (ValidationError) no dimensions.
     except (ValueError, RecursionError):
         return None
-    body = text[start + len(ENTRIES_KEY):-2]
-    # The caller hands the text over: free it before the copies below.
-    del text
-    skeleton = body.translate(DELETE_NUMBERS)
-    pairs = (len(skeleton) + 2) // 6
-    if pairs < 1 or skeleton != "[, ]" + ", [, ]" * (pairs - 1):
-        return None
-    return head, body.replace("], [", ", ")
+    # A list iterator lets go of its list once it is used up.
+    rest = iter([block[start + len(ENTRIES_KEY):]])
+    return head, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), ""))
 
 
-def compact_entries(text: str, expected: int) -> np.ndarray | None:
-    """The complex entries in the flat list text of :func:`split_compact`.
+def _fill(out: np.ndarray, filled: int, text: str) -> int:
+    """Parse entry text "[re, im], ..., [re, im]" into out from index filled
+    on, and return the index after it.  Its brackets become spaces, so that
+    json.loads reads one flat list and gives the bits json.load would."""
+    skeleton = text.translate(DELETE_NUMBERS)
+    if skeleton != "[, ]" + ", [, ]" * ((len(skeleton) - 4) // 6):
+        raise ValueError("not compact entry text")
+    # Rebound, so that the text can be freed before its numbers are parsed.
+    text = f"[{text.translate(str.maketrans('[]', '  '))}]"
+    values = json.loads(text)
+    # At least two values: a slice too short to hold them raises.
+    out[filled:filled + len(values)] = values
+    return filled + len(values)
 
-    json.loads parses the numbers, so the same text is accepted and gives
-    the same float bits as json.loads of the whole file.  Returns None when
-    json rejects a number, an integer is too large for a float, or the list
-    does not hold ``expected`` pairs; the file is then read whole, so that
-    its failure reads as it would without this reader.
-    """
+
+def _compact_entries(blocks: Iterator[str], expected: int) -> np.ndarray | None:
+    """The ``expected`` complex entries of the entry text of compact_header,
+    each block parsed up to its last pair boundary "], [", the end up to
+    "]}".  Returns None when a pair is longer than a block, the text is not
+    pairs separated by ", ", json rejects a number, an integer is too large
+    for a float, or the count is not exact: the file is for json.load."""
+    text, filled = "", 0
     try:
-        values = json.loads(text)
-        if len(values) != 2 * expected:
+        out = np.empty(2 * expected)
+        for block in blocks:
+            text += block
+            cut = text.rfind("], [") + 1
+            if cut:
+                filled = _fill(out, filled, text[:cut])
+                text = text[cut + 2:]
+            if len(text) > READ_CHUNK:
+                return None
+        if not text.endswith("]}") or _fill(out, filled, text[:-2]) != out.size:
             return None
-        return np.array(values, dtype=float).view(complex)
     except (ValueError, OverflowError):
         return None
+    return out.view(complex)
 
 
 def _json_dims(obj: Any, kind: str, keys: tuple[str, str]) -> tuple[int, int]:
@@ -538,19 +552,19 @@ def state_json_dims(obj: Any) -> tuple[int, int]:
     return _json_dims(obj, "state", ("d_a", "d_b"))
 
 
-# ``entries``, when given, are the object's entries already decoded (by
-# compact_entries) and its "re_im" list is not read.
-def matrix_from_json(obj: dict, entries: np.ndarray | None = None) -> np.ndarray:
+# With ``blocks`` from compact_header (obj its header), the entries are parsed
+# from them, and None means that the file is for json.load to read whole.
+def matrix_from_json(obj: dict, blocks: Iterator[str] | None = None) -> np.ndarray | None:
     rows, cols = matrix_json_shape(obj)
     if rows < 1 or cols < 1:
         raise ValidationError("matrix dimensions must be >= 1")
-    if entries is None:
-        entries = _entries_from_json(obj, "re_im", rows * cols)
-    return entries.reshape(rows, cols)
+    entries = (_entries_from_json(obj, "re_im", rows * cols) if blocks is None
+               else _compact_entries(blocks, rows * cols))
+    return None if entries is None else entries.reshape(rows, cols)
 
 
-def state_from_json(obj: dict, entries: np.ndarray | None = None) -> PureState:
+def state_from_json(obj: dict, blocks: Iterator[str] | None = None) -> PureState | None:
     d_a, d_b = state_json_dims(obj)
-    if entries is None:
-        entries = _entries_from_json(obj, "re_im", d_a * d_b)
-    return PureState(d_a=d_a, d_b=d_b, amplitudes=entries)
+    entries = (_entries_from_json(obj, "re_im", d_a * d_b) if blocks is None
+               else _compact_entries(blocks, d_a * d_b))
+    return None if entries is None else PureState(d_a=d_a, d_b=d_b, amplitudes=entries)

@@ -33,6 +33,7 @@ from entrate.qcore import (
 
 from ancilla_reference import sup_search_one_by_one
 from test_oracle import low_rank_state
+from test_qcore import mutants
 
 GAMMA2_RATE = 1.3254868386983631
 
@@ -287,7 +288,7 @@ def rate_both_ways(monkeypatch, capsys, state_file, ham_file):
     for bulk in (True, False):
         with monkeypatch.context() as m:
             if not bulk:
-                m.setattr(entrate.cli, "split_compact", lambda text: None)
+                m.setattr(entrate.cli, "compact_header", lambda fh, dims: None)
             rc = main(["rate", str(state_file), str(ham_file)])
         captured = capsys.readouterr()
         results.append((rc, captured.out, captured.err))
@@ -314,13 +315,13 @@ class TestBulkReaderCommand:
 
     def test_compact_pair_takes_the_bulk_reader(self, tmp_path, capsys, monkeypatch):
         read = []
-        bulk = entrate.cli.compact_entries
+        bulk = entrate.qcore._compact_entries
 
-        def spy(text, expected):
-            read.append(bulk(text, expected))
+        def spy(blocks, expected):
+            read.append(bulk(blocks, expected))
             return read[-1]
 
-        monkeypatch.setattr(entrate.cli, "compact_entries", spy)
+        monkeypatch.setattr(entrate.qcore, "_compact_entries", spy)
         monkeypatch.setattr(entrate.cli, "_load_json", None)
         assert main(["rate", *write_worked_pair(tmp_path)]) == 0
         assert [entries.size for entries in read] == [4, 16]
@@ -456,6 +457,44 @@ class TestBulkReaderCommand:
             2, "", "error: maximum recursion depth exceeded while decoding a JSON array "
                    "from a unicode string\n")
 
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    def test_mutants_fail_as_json_load_does(self, tmp_path, capsys, monkeypatch, which):
+        """Differential check of the command: 1-3 byte edits of one file of
+        the worked pair give the report or error json.load alone gives,
+        also where a mutant has two faults, one in its header."""
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        data = Path(files[which]).read_bytes()
+        files[which] = str(tmp_path / "mutant.json")
+        for mutant in mutants(data, 300, seed=len(which)):
+            Path(files[which]).write_bytes(mutant)
+            fast, slow = rate_both_ways(monkeypatch, capsys, files["state"],
+                                        files["hamiltonian"])
+            assert fast == slow, mutant
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": 0, "cols": 4, "re_im": [[+1, 2.0]]}',
+        '{"rows": -1, "cols": -1, "re_im": [[1.0, 2.0]]}',
+    ], ids=["zero-and-bad-number", "negative"])
+    def test_dimension_below_one_fails_as_json_load_does(self, tmp_path, capsys,
+                                                           monkeypatch, text):
+        state_file, _ = write_worked_pair(tmp_path)
+        (tmp_path / "bad.json").write_text(text)
+        fast, slow = rate_both_ways(monkeypatch, capsys, state_file, tmp_path / "bad.json")
+        message = json_error(text) if "+1" in text else "error: matrix dimensions must be >= 1\n"
+        assert fast == slow == (2, "", message)
+
+    def test_dimensions_repeated_after_the_entries_meet_the_cap(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # json keeps the last of two equal keys, so the file is 8 x 1, not
+        # the 1 x 1 of its header, and over the cap.
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "4")
+        _, ham_file = write_worked_pair(tmp_path)
+        state_file = tmp_path / "s.json"
+        state_file.write_text('{"d_a": 1, "d_b": 1, "re_im": [[1.0, 0.0]], '
+                              '"d_a": 8, "x": [[0.0, 0.0]]}')
+        fast, slow = rate_both_ways(monkeypatch, capsys, state_file, ham_file)
+        assert fast == slow == (2, "", "error: product dimension 8 exceeds cap 4\n")
+
     @pytest.mark.parametrize("token", ["0.0", "+1"])
     def test_dim_cap_checked_before_any_number_is_parsed(self, tmp_path, capsys,
                                                           monkeypatch, token):
@@ -471,7 +510,7 @@ class TestBulkReaderCommand:
         def never(*args):
             raise AssertionError("an entry was parsed")
 
-        monkeypatch.setattr(entrate.cli, "compact_entries", never)
+        monkeypatch.setattr(entrate.qcore, "_compact_entries", never)
         monkeypatch.setattr(entrate.cli, "_load_json", never)
         parsed = []
         loads = entrate.qcore.json.loads
@@ -481,6 +520,51 @@ class TestBulkReaderCommand:
         assert capsys.readouterr().err == "error: product dimension 64 exceeds cap 16\n"
         assert parsed == ['{"d_a": 8, "d_b": 8, "re_im": []}',
                           '{"rows": 64, "cols": 64, "re_im": []}']
+
+
+    def test_output_does_not_depend_on_read_chunk(self, tmp_path, capsys, monkeypatch):
+        assert main(["optimize", "--dim", "8", "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        pairs = [write_worked_pair(tmp_path),
+                 (tmp_path / "d_state.json", tmp_path / "d_hamiltonian.json")]
+        read = []
+        bulk = entrate.qcore._compact_entries
+
+        def spy(blocks, expected):
+            read.append(bulk(blocks, expected))
+            return read[-1]
+
+        monkeypatch.setattr(entrate.qcore, "_compact_entries", spy)
+        runs = set()
+        for chunk in (48, 64, 257, entrate.qcore.READ_CHUNK):
+            monkeypatch.setattr(entrate.qcore, "READ_CHUNK", chunk)
+            runs.add(tuple((main(["rate", str(s), str(h)]), *capsys.readouterr())
+                           for s, h in pairs))
+        assert len(runs) == 1
+        assert [code for code, _, _ in runs.pop()] == [0, 0]
+        # Every file was read in bulk, at every block size.
+        assert len(read) == 4 * 4 and all(entries is not None for entries in read)
+
+    def test_peak_memory_is_the_entries_and_a_few_blocks(self, tmp_path, monkeypatch):
+        # n = 256: the Hamiltonian's 65536 entries take 1 MiB, its text about
+        # 2.8 MB, about 43 blocks of 64 Ki characters.
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", 1 << 16)
+        state_file, ham_file = tmp_path / "s.json", tmp_path / "h.json"
+        for path, value in ((state_file, random_state(16, 16, 1)),
+                            (ham_file, random_hermitian(256, 2))):
+            with open(path, "w", encoding="utf-8") as fh:
+                dump_json(value, fh)
+        tracemalloc.start()
+        try:
+            psi, h = entrate.cli._load_pair(str(state_file), str(ham_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.shape == (256, 256)
+        # The reader holds the text of a block and its carry, the file's own
+        # buffers, one block's translated copy and its list of floats: about
+        # 6.5 blocks.  The whole text alone would take 2.8 MB.
+        assert peak < h.nbytes + psi.amplitudes.nbytes + 8 * entrate.qcore.READ_CHUNK
 
 
 class TestOptimizeCommand:
@@ -997,6 +1081,59 @@ def test_python_m_entrate_is_main(capsys, argv, code):
     assert (run.returncode, main(argv)) == (code, code)
     captured = capsys.readouterr()
     assert (run.stdout, run.stderr) == (captured.out, captured.err)
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises
+    BrokenPipeError.  Its file descriptor is fd."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestBrokenPipe:
+    """A stdout whose reader has gone is not an input failure: the command
+    keeps its exit code, prints no error, and stdout goes to os.devnull."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["rate"], 0),
+        (["optimize", "--dim", "3"], 0),
+        (["verify", "--trials", "3", "--inject-sign-flip"], 1),
+    ], ids=["rate", "optimize", "verify-failing"])
+    def test_command_keeps_its_exit_code(self, tmp_path, capsys, monkeypatch, argv, code):
+        if argv == ["rate"]:
+            argv = argv + list(write_worked_pair(tmp_path))
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            assert main(argv) == code
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_leaves_nothing_at_exit(self, tmp_path, unbuffered):
+        # The pipe's reader is closed before the command writes anything.
+        src = str(Path(entrate.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = subprocess.run([sys.executable, "-m", "entrate", "rate",
+                                  *write_worked_pair(tmp_path)],
+                                 stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                                 check=False)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (0, "")
 
 
 class TestInputFailures:

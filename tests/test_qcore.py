@@ -12,26 +12,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrate.qcore
 from entrate.optimum import build_optimal_hamiltonian
 from entrate.qcore import (
     HERM_TOL,
     PureState,
     ValidationError,
+    DELETE_NUMBERS,
     DUMP_CHUNK,
+    ENTRIES_KEY,
     _check_hamiltonian,
+    _compact_entries,
     _dump_report,
     _entries_from_json,
     assemble_state,
-    compact_entries,
+    compact_header,
     dump_json,
     hermiticity_defect,
     matrix_from_json,
+    matrix_json_shape,
     matrix_to_json,
     random_hermitian,
     random_state,
     schmidt_decompose,
-    split_compact,
     state_from_json,
+    state_json_dims,
     state_to_json,
 )
 
@@ -560,17 +565,45 @@ def file_text(data: bytes) -> str | None:
         return None
 
 
-def bulk_read(data: bytes):
+def header_dims(head) -> tuple[int, int]:
+    """The dimensions of a state header, or else of a matrix header."""
+    try:
+        return state_json_dims(head)
+    except ValidationError:
+        return matrix_json_shape(head)
+
+
+def read_header(data: bytes):
+    return compact_header(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), header_dims)
+
+
+def bulk_read(data: bytes, expected: int | None = None):
     """(header, entries) of a file from the bulk reader, or None where it
-    declines."""
-    text = file_text(data)
-    parts = None if text is None else split_compact(text)
+    declines.  The reader is told to expect ``expected`` entries, by default
+    as many as the file's entry text has pairs."""
+    parts = read_header(data)
     if parts is None:
         return None
-    head, flat = parts
-    # 2k numbers in a flat list have 2k - 1 commas between them.
-    entries = compact_entries(flat, (flat.count(",") + 1) // 2)
+    head, blocks = parts
+    if expected is None:
+        text = file_text(data)
+        # k pairs have k - 1 boundaries "], [" between them.
+        expected = 0 if text is None else text[text.find(ENTRIES_KEY):].count("], [") + 1
+    entries = _compact_entries(blocks, expected)
     return None if entries is None else (head, entries)
+
+
+def compact_pairs(text: str | None) -> bool:
+    """Whether a file's text after ENTRIES_KEY is pairs of number characters
+    separated by ", ", and then "]}"."""
+    body = "" if text is None else text[text.find(ENTRIES_KEY) + len(ENTRIES_KEY):]
+    skeleton = body[:-2].translate(DELETE_NUMBERS)
+    return body.endswith("]}") and skeleton == ", ".join(["[, ]"] * ((len(skeleton) + 2) // 6))
+
+
+# Block sizes small enough for pair boundaries to fall at every offset
+# within a block.
+SMALL_BLOCKS = [48, 64, 257]
 
 
 def json_read(data: bytes):
@@ -616,10 +649,10 @@ def mutants(data: bytes, count: int, seed: int):
 
 class TestBulkReader:
     def test_splits_header_from_flat_entry_text(self):
-        head, text = split_compact('{"rows": 1, "cols": 2, "re_im": [[1.5, -0.0], [2, 3e-05]]}')
+        head, blocks = read_header(b'{"rows": 1, "cols": 2, "re_im": [[1.5, -0.0], [2, 3e-05]]}')
         assert head == {"rows": 1, "cols": 2, "re_im": []}
-        assert text == "[1.5, -0.0, 2, 3e-05]"
-        assert same_bits(compact_entries(text, 2), np.array([complex(1.5, -0.0), complex(2, 3e-05)]))
+        assert same_bits(_compact_entries(blocks, 2),
+                         np.array([complex(1.5, -0.0), complex(2, 3e-05)]))
 
     @pytest.mark.parametrize("value", [
         "dump_matrix", "dump_state", "json_dumps_matrix", "json_dumps_state"])
@@ -635,6 +668,13 @@ class TestBulkReader:
         got = bulk_read(data)
         assert got is not None
         assert same_read(got, json_read(data))
+
+    @pytest.mark.parametrize("chunk", SMALL_BLOCKS)
+    @pytest.mark.parametrize("value", [
+        "dump_matrix", "dump_state", "json_dumps_matrix", "json_dumps_state"])
+    def test_reads_compact_files_bit_for_bit_in_small_blocks(self, value, chunk, monkeypatch):
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", chunk)
+        self.test_reads_compact_files_bit_for_bit(value)
 
     @pytest.mark.parametrize("token", [
         "1", "-0", "0", "1E5", "1e+5", "-1.5e-300", "5e-324", "1e400", "-1e400",
@@ -677,13 +717,37 @@ class TestBulkReader:
                      id="deep-header"),
     ])
     def test_declines_other_layouts(self, text):
-        assert split_compact(text) is None
+        assert bulk_read(text.encode()) is None
+
+    def test_header_longer_than_a_block_declines(self, monkeypatch):
+        text = '{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]]}'
+        assert bulk_read(text.encode()) is not None
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", text.index(ENTRIES_KEY) + 4)
+        assert bulk_read(text.encode()) is None
 
     def test_entry_count_must_match(self):
-        _, text = split_compact('{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0], [3.0, 4.0]]}')
-        assert compact_entries(text, 1) is None
-        assert compact_entries(text, 3) is None
-        assert compact_entries(text, 2) is not None
+        data = b'{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0], [3.0, 4.0]]}'
+        assert bulk_read(data, 1) is None
+        assert bulk_read(data, 3) is None
+        assert bulk_read(data, 2) is not None
+
+    def test_number_longer_than_a_block_declines_at_once(self, monkeypatch):
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", 64)
+        # Entry 10 of 400 has a float json reads as 0.5, 200 characters long.
+        pairs = ["[0.25, -0.0]"] * 400
+        pairs[10] = "[0.5" + "0" * 197 + ", -0.0]"
+        head_text = '{"rows": 20, "cols": 20, "re_im": ['
+        text = head_text + ", ".join(pairs) + "]}"
+        long_at = len(head_text) + 10 * len("[0.25, -0.0], ")
+        fh = io.StringIO(text)
+        head, blocks = compact_header(fh, matrix_json_shape)
+        assert _compact_entries(blocks, 400) is None
+        # It stopped within two blocks of the long pair, not at the end.
+        assert fh.tell() <= long_at + 2 * 64
+        # The file read whole gives the same header, and 0.5 for that number.
+        want = json_read(text.encode())
+        assert json.dumps(want[0]) == json.dumps(head)
+        assert want[1][10] == complex(0.5, -0.0)
 
     @pytest.mark.parametrize("source", [
         "dump_matrix", "dump_state", "ints", "indent_matrix", "indent_state"])
@@ -699,19 +763,27 @@ class TestBulkReader:
             "indent_state": lambda: json.dumps(
                 state_to_json(random_state(1, 2, 6)), indent=2),
         }[source]().encode()
-        outcomes = {"read": 0, "json_rejected": 0, "declined": 0}
+        outcomes = {"read": 0, "json_rejected": 0, "pairs_declined": 0, "header_declined": 0}
         for mutant in mutants(data, 10000, seed=len(source)):
             got = bulk_read(mutant)
-            text = file_text(mutant)
             if got is not None:
                 assert same_read(got, json_read(mutant)), mutant
                 outcomes["read"] += 1
-            elif text is not None and split_compact(text) is not None:
+            elif not read_header(mutant):
+                outcomes["header_declined"] += 1
+            elif compact_pairs(file_text(mutant)):
                 outcomes["json_rejected"] += 1
             else:
-                outcomes["declined"] += 1
+                outcomes["pairs_declined"] += 1
         if source.startswith("indent"):
             assert outcomes["read"] == 0
         else:
-            # Both the pair check and json's number grammar were exercised.
+            # The header check, the pair check and json's number grammar
+            # were all exercised.
             assert min(outcomes.values()) > 100, outcomes
+
+    @pytest.mark.parametrize("chunk", SMALL_BLOCKS)
+    @pytest.mark.parametrize("source", ["dump_matrix", "dump_state", "ints"])
+    def test_mutants_in_small_blocks(self, source, chunk, monkeypatch):
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", chunk)
+        self.test_mutants_are_declined_or_read_as_json_reads_them(source)
