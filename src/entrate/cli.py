@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from typing import TextIO
 
 import numpy as np
 
@@ -28,10 +27,10 @@ from .qcore import (
     _hermitians,
     _unit_vectors,
     assemble_state,
-    compact_header,
     dump_json,
     matrix_from_json,
     matrix_json_shape,
+    read_header,
     schmidt_decompose,
     state_from_json,
     state_json_dims,
@@ -77,46 +76,15 @@ def _emit(report: dict, out) -> None:
     print(json.dumps(report, indent=2, sort_keys=True), file=out)
 
 
-def _load_json(fh: TextIO) -> dict:
-    fh.seek(0)
-    try:
-        return json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        # Not JSON, not UTF-8, an integer with more digits than int()
-        # reads, or lists nested deeper than the recursion limit.
-        raise ValidationError(str(exc)) from None
-
-
-def _check_pair(state_obj: dict, ham_obj: dict) -> None:
-    d_a, d_b = state_json_dims(state_obj)
-    rows, cols = matrix_json_shape(ham_obj)
-    _check_cap(max(d_a * d_b, rows, cols))
-
-
 def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
     """Decode a (state, Hamiltonian) pair, checking the dimension cap on both
-    headers before any entry is parsed.  A compact file whose entries do not
-    parse is read whole by json.load, and checked and decoded again, so that
-    it fails as it would there."""
+    headers before any entry is parsed."""
     with open(state_path, "r", encoding="utf-8") as state_fh, \
             open(ham_path, "r", encoding="utf-8") as ham_fh:
-        # Any other file is read whole by json.load, with no blocks.
-        state_obj, state_blocks = (compact_header(state_fh, state_json_dims)
-                                   or (_load_json(state_fh), None))
-        ham_obj, ham_blocks = (compact_header(ham_fh, matrix_json_shape)
-                               or (_load_json(ham_fh), None))
-        _check_pair(state_obj, ham_obj)
-        psi = state_from_json(state_obj, state_blocks)
-        if psi is None:
-            state_obj = _load_json(state_fh)
-            _check_pair(state_obj, ham_obj)
-            psi = state_from_json(state_obj)
-        h = matrix_from_json(ham_obj, ham_blocks)
-        if h is None:
-            ham_obj = _load_json(ham_fh)
-            _check_pair(state_obj, ham_obj)
-            h = matrix_from_json(ham_obj)
-    return psi, h
+        state_obj, state_source = read_header(state_fh, state_json_dims)
+        ham_obj, ham_source = read_header(ham_fh, matrix_json_shape)
+        _check_cap(max(math.prod(state_json_dims(state_obj)), *matrix_json_shape(ham_obj)))
+        return state_from_json(state_obj, state_source), matrix_from_json(ham_obj, ham_source)
 
 
 def cmd_rate(args: argparse.Namespace, out) -> int:
@@ -266,16 +234,12 @@ def _unitaries(x: np.ndarray, dim: int) -> np.ndarray:
     return np.linalg.qr((x[:, :dim * dim] + 1j * x[:, dim * dim:]).reshape(-1, dim, dim))[0]
 
 
-def _index_form(c: list, g: list) -> float:
+def _index_form(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """2 sum_a sum_{b,d} C_ab C_ad log(C_ab / C_ad) G_db over the positive
-    entries of C, term by term in Python floats."""
-    total = 0.0
-    for row in c:
-        for b, c_b in enumerate(row):
-            for dd, c_d in enumerate(row):
-                if c_b > 0 and c_d > 0:
-                    total += 2.0 * c_b * c_d * math.log(c_b / c_d) * g[dd][b]
-    return total
+    entries of C, for each C of a stack (S, K, d) and G of (S, d, d)."""
+    both = (c[:, :, :, None] > 0) & (c[:, :, None, :] > 0)
+    ratio = np.divide(c[:, :, :, None], c[:, :, None, :], out=np.ones(both.shape), where=both)
+    return 2 * np.einsum("sab,sad,sabd,sdb->s", c, c, np.log(ratio), g)
 
 
 def _verify_checks(seed: int, trials: int, sign: float):
@@ -367,8 +331,7 @@ def _verify_checks(seed: int, trials: int, sign: float):
         coeffs = anc.AncillaCoeffs.normalized(np.abs(raw[:, 0]) + 0.05)
         g = anc.GBlock.from_matrix(raw[:, 1] - raw[:, 1].swapaxes(-1, -2))
         obj = anc.ancilla_objective(coeffs, g)
-        index_form = [_index_form(c, g_t) for c, g_t in zip(coeffs.c.tolist(), g.g.tolist())]
-        err_id = _worst(err_id, abs(obj - index_form))
+        err_id = _worst(err_id, abs(obj - _index_form(coeffs.c, g.g)))
         err_arb = _worst(err_arb, abs(obj - anc.assemble_and_arbitrate(coeffs, g)))
     yield "ancilla_identities", err_id, 1e-12
     yield "ancilla_arbitration", err_arb, 2e-6

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -36,7 +37,7 @@ __all__ = [
     "state_from_json",
     "state_json_dims",
     "dump_json",
-    "compact_header",
+    "read_header",
     "hermiticity_defect",
 ]
 
@@ -472,25 +473,42 @@ ENTRIES_KEY = '"re_im": ['
 DELETE_NUMBERS = str.maketrans("", "", "0123456789.-+eE")
 
 
-def compact_header(fh: TextIO, dims: Callable) -> tuple[dict, Iterator[str]] | None:
-    """Header of a file in json.dumps' compact layout, parsed from its first
-    block with an empty "re_im" list, and its entry text after ENTRIES_KEY
-    as blocks.  None where the first block holds no header that parses with
-    dimensions of at least 1 (read by dims, state_json_dims or
-    matrix_json_shape): json.load of the whole file then reports what is
-    wrong, or reads a file whose entries are not its last key."""
+def _load_json(fh: TextIO) -> Any:
+    """The whole file read by json.load from its start."""
+    fh.seek(0)
+    try:
+        return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        # Not JSON, not UTF-8, an integer with more digits than int()
+        # reads, or lists nested deeper than the recursion limit.
+        raise ValidationError(str(exc)) from None
+
+
+def read_header(fh: TextIO, dims: Callable) -> tuple[Any, tuple | None]:
+    """(header, source) of a file in json.dumps' compact layout: the header
+    parsed from its first block with an empty "re_im" list, and the source
+    that state_from_json or matrix_from_json streams its entries from.  Any
+    other file gives (json.load of it, None): one whose first block holds no
+    header that parses with dimensions of at least 1 (read by dims,
+    state_json_dims or matrix_json_shape), so that json.load reports what is
+    wrong, or reads a file whose entries are not its last key.
+
+    A file that cannot seek, such as a pipe, is read whole first, as bytes,
+    so that json.load can read it again; a regular file is streamed."""
+    if not fh.seekable():
+        fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
     try:
         block = fh.read(READ_CHUNK)
         start = block.index(ENTRIES_KEY)
         head = json.loads(block[:start] + ENTRIES_KEY + "]}")
-        if min(dims(head)) < 1:
-            return None
+        if min(dims(head)) >= 1:
+            # A list iterator lets go of its list once it is used up.
+            rest = iter([block[start + len(ENTRIES_KEY):]])
+            return head, (fh, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), "")))
     # Not UTF-8, no entry key, too deep, or (ValidationError) no dimensions.
     except (ValueError, RecursionError):
-        return None
-    # A list iterator lets go of its list once it is used up.
-    rest = iter([block[start + len(ENTRIES_KEY):]])
-    return head, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), ""))
+        pass
+    return _load_json(fh), None
 
 
 def _fill(out: np.ndarray, filled: int, text: str) -> int:
@@ -509,7 +527,7 @@ def _fill(out: np.ndarray, filled: int, text: str) -> int:
 
 
 def _compact_entries(blocks: Iterator[str], expected: int) -> np.ndarray | None:
-    """The ``expected`` complex entries of the entry text of compact_header,
+    """The ``expected`` complex entries of the entry text of read_header,
     each block parsed up to its last pair boundary "], [", the end up to
     "]}".  Returns None when a pair is longer than a block, the text is not
     pairs separated by ", ", json rejects a number, an integer is too large
@@ -552,19 +570,33 @@ def state_json_dims(obj: Any) -> tuple[int, int]:
     return _json_dims(obj, "state", ("d_a", "d_b"))
 
 
-# With ``blocks`` from compact_header (obj its header), the entries are parsed
-# from them, and None means that the file is for json.load to read whole.
-def matrix_from_json(obj: dict, blocks: Iterator[str] | None = None) -> np.ndarray | None:
+def _reread(source: tuple, size: Callable) -> Any:
+    """The file of a source whose streamed entries declined, read whole by
+    json.load, with size of it held to the dimension cap.  The other file
+    of the pair passed the cap together with this file's header, so holding
+    this file alone to it repeats the pair's check."""
+    obj = _load_json(source[0])
+    _check_cap(size(obj))
+    return obj
+
+
+# With ``source`` from read_header (obj its header), the entries are streamed
+# from the file; where they decline, the file is read whole by json.load.
+def matrix_from_json(obj: dict, source: tuple | None = None) -> np.ndarray:
     rows, cols = matrix_json_shape(obj)
     if rows < 1 or cols < 1:
         raise ValidationError("matrix dimensions must be >= 1")
-    entries = (_entries_from_json(obj, "re_im", rows * cols) if blocks is None
-               else _compact_entries(blocks, rows * cols))
-    return None if entries is None else entries.reshape(rows, cols)
+    entries = (_entries_from_json(obj, "re_im", rows * cols) if source is None
+               else _compact_entries(source[1], rows * cols))
+    if entries is None:
+        return matrix_from_json(_reread(source, lambda o: max(matrix_json_shape(o))))
+    return entries.reshape(rows, cols)
 
 
-def state_from_json(obj: dict, blocks: Iterator[str] | None = None) -> PureState | None:
+def state_from_json(obj: dict, source: tuple | None = None) -> PureState:
     d_a, d_b = state_json_dims(obj)
-    entries = (_entries_from_json(obj, "re_im", d_a * d_b) if blocks is None
-               else _compact_entries(blocks, d_a * d_b))
-    return None if entries is None else PureState(d_a=d_a, d_b=d_b, amplitudes=entries)
+    entries = (_entries_from_json(obj, "re_im", d_a * d_b) if source is None
+               else _compact_entries(source[1], d_a * d_b))
+    if entries is None:
+        return state_from_json(_reread(source, lambda o: math.prod(state_json_dims(o))))
+    return PureState(d_a=d_a, d_b=d_b, amplitudes=entries)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -288,7 +289,8 @@ def rate_both_ways(monkeypatch, capsys, state_file, ham_file):
     for bulk in (True, False):
         with monkeypatch.context() as m:
             if not bulk:
-                m.setattr(entrate.cli, "compact_header", lambda fh, dims: None)
+                m.setattr(entrate.cli, "read_header",
+                          lambda fh, dims: (entrate.qcore._load_json(fh), None))
             rc = main(["rate", str(state_file), str(ham_file)])
         captured = capsys.readouterr()
         results.append((rc, captured.out, captured.err))
@@ -308,6 +310,25 @@ def json_error(text: str) -> str:
     return f"error: {exc.value}\n"
 
 
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A /dev/fd path that reads data through a pipe, written by a thread."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        writer.join(timeout=10)
+        os.close(read_fd)
+    assert not writer.is_alive()
+
+
 class TestBulkReaderCommand:
     """entrate rate reads a compact file as one flat list of numbers; every
     other file, and every file whose list does not parse, goes through
@@ -322,7 +343,7 @@ class TestBulkReaderCommand:
             return read[-1]
 
         monkeypatch.setattr(entrate.qcore, "_compact_entries", spy)
-        monkeypatch.setattr(entrate.cli, "_load_json", None)
+        monkeypatch.setattr(entrate.qcore, "_load_json", None)
         assert main(["rate", *write_worked_pair(tmp_path)]) == 0
         assert [entries.size for entries in read] == [4, 16]
         capsys.readouterr()
@@ -511,7 +532,7 @@ class TestBulkReaderCommand:
             raise AssertionError("an entry was parsed")
 
         monkeypatch.setattr(entrate.qcore, "_compact_entries", never)
-        monkeypatch.setattr(entrate.cli, "_load_json", never)
+        monkeypatch.setattr(entrate.qcore, "_load_json", never)
         parsed = []
         loads = entrate.qcore.json.loads
         monkeypatch.setattr(entrate.qcore.json, "loads",
@@ -520,6 +541,26 @@ class TestBulkReaderCommand:
         assert capsys.readouterr().err == "error: product dimension 64 exceeds cap 16\n"
         assert parsed == ['{"d_a": 8, "d_b": 8, "re_im": []}',
                           '{"rows": 64, "cols": 64, "re_im": []}']
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("case", ["compact", "indent-2", "trailing-key", "+1"])
+    def test_piped_file_reads_as_the_file_does(self, tmp_path, capsys, which, case):
+        # A pipe cannot seek: a file that json.load reads must still be read
+        # whole after its header or its entries declined.
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        text = Path(files[which]).read_text()
+        if case == "indent-2":
+            text = json.dumps(json.loads(text), indent=2)
+        elif case == "trailing-key":
+            text = text[:-1] + ', "x": []}'
+        elif case == "+1":
+            text = with_first_number(text, case)
+        Path(files[which]).write_text(text)
+        want = (main(["rate", files["state"], files["hamiltonian"]]), *capsys.readouterr())
+        with piped(text.encode()) as files[which]:
+            got = (main(["rate", files["state"], files["hamiltonian"]]), *capsys.readouterr())
+        assert got == want
+        assert want[0] == (2 if case == "+1" else 0)
 
 
     def test_output_does_not_depend_on_read_chunk(self, tmp_path, capsys, monkeypatch):
@@ -888,6 +929,22 @@ class TestVerifyCommand:
         assert [line for line in lines if line.startswith("FAIL")] == [
             next(line for line in lines if "lagrange_vs_bruteforce" in line)
         ]
+
+    def test_index_form_is_the_term_by_term_sum(self):
+        # Zero and negative entries of C take no part in the sum.
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(40, 3, 4))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        g = rng.normal(size=(40, 4, 4))
+        want = []
+        for c_s, g_s in zip(c.tolist(), g.tolist()):
+            terms = [2.0 * c_b * c_d * math.log(c_b / c_d) * g_s[d][b]
+                     for row in c_s for b, c_b in enumerate(row)
+                     for d, c_d in enumerate(row) if c_b > 0 and c_d > 0]
+            want.append((math.fsum(terms), math.fsum(map(abs, terms))))
+        got = entrate.cli._index_form(c, g)
+        for value, (total, scale) in zip(got, want):
+            assert abs(value - total) <= 64 * np.finfo(float).eps * scale
 
     def test_seed_changes_but_still_passes(self, capsys):
         assert main(["verify", "--seed", "11", "--trials", "3"]) == 0

@@ -26,7 +26,6 @@ from entrate.qcore import (
     _dump_report,
     _entries_from_json,
     assemble_state,
-    compact_header,
     dump_json,
     hermiticity_defect,
     matrix_from_json,
@@ -34,6 +33,7 @@ from entrate.qcore import (
     matrix_to_json,
     random_hermitian,
     random_state,
+    read_header,
     schmidt_decompose,
     state_from_json,
     state_json_dims,
@@ -573,18 +573,25 @@ def header_dims(head) -> tuple[int, int]:
         return matrix_json_shape(head)
 
 
-def read_header(data: bytes):
-    return compact_header(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), header_dims)
+def read_compact_header(data: bytes):
+    """(header, source) of read_header for a file's bytes, or None where the
+    header declines, and json.load reads the file or rejects it."""
+    try:
+        head, source = read_header(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                                   header_dims)
+    except ValidationError:
+        return None
+    return None if source is None else (head, source)
 
 
 def bulk_read(data: bytes, expected: int | None = None):
     """(header, entries) of a file from the bulk reader, or None where it
     declines.  The reader is told to expect ``expected`` entries, by default
     as many as the file's entry text has pairs."""
-    parts = read_header(data)
+    parts = read_compact_header(data)
     if parts is None:
         return None
-    head, blocks = parts
+    head, (_, blocks) = parts
     if expected is None:
         text = file_text(data)
         # k pairs have k - 1 boundaries "], [" between them.
@@ -649,7 +656,8 @@ def mutants(data: bytes, count: int, seed: int):
 
 class TestBulkReader:
     def test_splits_header_from_flat_entry_text(self):
-        head, blocks = read_header(b'{"rows": 1, "cols": 2, "re_im": [[1.5, -0.0], [2, 3e-05]]}')
+        head, (_, blocks) = read_compact_header(
+            b'{"rows": 1, "cols": 2, "re_im": [[1.5, -0.0], [2, 3e-05]]}')
         assert head == {"rows": 1, "cols": 2, "re_im": []}
         assert same_bits(_compact_entries(blocks, 2),
                          np.array([complex(1.5, -0.0), complex(2, 3e-05)]))
@@ -740,7 +748,7 @@ class TestBulkReader:
         text = head_text + ", ".join(pairs) + "]}"
         long_at = len(head_text) + 10 * len("[0.25, -0.0], ")
         fh = io.StringIO(text)
-        head, blocks = compact_header(fh, matrix_json_shape)
+        head, (_, blocks) = read_header(fh, matrix_json_shape)
         assert _compact_entries(blocks, 400) is None
         # It stopped within two blocks of the long pair, not at the end.
         assert fh.tell() <= long_at + 2 * 64
@@ -769,7 +777,7 @@ class TestBulkReader:
             if got is not None:
                 assert same_read(got, json_read(mutant)), mutant
                 outcomes["read"] += 1
-            elif not read_header(mutant):
+            elif not read_compact_header(mutant):
                 outcomes["header_declined"] += 1
             elif compact_pairs(file_text(mutant)):
                 outcomes["json_rejected"] += 1
