@@ -30,6 +30,7 @@ from .qcore import (
     dump_json,
     matrix_from_json,
     matrix_json_shape,
+    open_input,
     read_header,
     schmidt_decompose,
     state_from_json,
@@ -79,8 +80,7 @@ def _emit(report: dict, out) -> None:
 def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
     """Decode a (state, Hamiltonian) pair, checking the dimension cap on both
     headers before any entry is parsed."""
-    with open(state_path, "r", encoding="utf-8") as state_fh, \
-            open(ham_path, "r", encoding="utf-8") as ham_fh:
+    with open_input(state_path) as state_fh, open_input(ham_path) as ham_fh:
         state_obj, state_source = read_header(state_fh, state_json_dims)
         ham_obj, ham_source = read_header(ham_fh, matrix_json_shape)
         _check_cap(max(math.prod(state_json_dims(state_obj)), *matrix_json_shape(ham_obj)))

@@ -12,13 +12,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -37,6 +40,7 @@ __all__ = [
     "state_from_json",
     "state_json_dims",
     "dump_json",
+    "open_input",
     "read_header",
     "hermiticity_defect",
 ]
@@ -65,7 +69,7 @@ def _check_cap(product: int) -> None:
         raise ValidationError(f"product dimension {product} exceeds cap {cap}")
 
 
-# Rows per block in hermiticity_defect: temporaries stay HERM_BLOCK x n.
+# Tile side in hermiticity_defect, and rows per block in oracle._norm_1.
 HERM_BLOCK = 128
 
 
@@ -106,20 +110,24 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """Max-norm distance of a square matrix, or of any slice of a stack of
     them, from its conjugate transpose.
 
-    Row blocks are compared with the matching column blocks, so no n x n
-    temporary is built; one ``np.errstate`` covers every block.  A matrix
-    with a NaN or infinite entry reads inf: its difference holds NaN
+    Tiles of HERM_BLOCK x HERM_BLOCK are compared in pairs, (i, j) with the
+    transpose of (j, i) for i <= j only: |H_ij - conj(H_ji)| has the bits of
+    |H_ji - conj(H_ij)|, so the lower tiles would repeat the upper ones.  No
+    n x n temporary is built, and one ``np.errstate`` covers every tile.  A
+    matrix with a NaN or infinite entry reads inf: its difference holds NaN
     (inf - inf) or inf there, and max(0.0, nan) would silently drop the NaN.
     """
+    n = m.shape[-1]
     defect = 0.0
     with np.errstate(invalid="ignore"):
-        for start in range(0, m.shape[-1], HERM_BLOCK):
-            rows = m[..., start:start + HERM_BLOCK, :]
-            cols = m[..., :, start:start + HERM_BLOCK]
-            block = float(np.abs(rows - cols.conj().swapaxes(-1, -2)).max(initial=0.0))
-            if math.isnan(block):
-                return math.inf
-            defect = max(defect, block)
+        for i in range(0, n, HERM_BLOCK):
+            for j in range(i, n, HERM_BLOCK):
+                upper = m[..., i:i + HERM_BLOCK, j:j + HERM_BLOCK]
+                lower = m[..., j:j + HERM_BLOCK, i:i + HERM_BLOCK]
+                tile = float(np.abs(upper - lower.conj().swapaxes(-1, -2)).max(initial=0.0))
+                if math.isnan(tile):
+                    return math.inf
+                defect = max(defect, tile)
     return defect
 
 
@@ -462,88 +470,119 @@ def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
 #
 # json.load of a 1024 x 1024 matrix builds a million [re, im] lists, and that,
 # not the number parsing, is most of its cost.  A file in the layout that
-# json.dumps writes (and dump_json, byte for byte) is read instead in blocks of
-# READ_CHUNK characters into one array: each block's pairs are checked on its
-# text, and json's own scanner checks the number grammar and gives the floats.
+# json.dumps writes (and dump_json, byte for byte) is read instead as bytes, in
+# blocks of READ_CHUNK bytes, into one array: each block's pairs are checked on
+# its bytes, and json's own scanner checks the number grammar and gives the
+# floats.
 READ_CHUNK = 1 << 20
 # The entry key as json.dumps writes it; the entries must be the last key.
-ENTRIES_KEY = '"re_im": ['
-# Deletes the characters of a JSON number.  From the entry text of k pairs
-# that must leave exactly "[, ], [, ], ..., [, ]".
-DELETE_NUMBERS = str.maketrans("", "", "0123456789.-+eE")
+ENTRIES_KEY = b'"re_im": ['
+# The bytes of a JSON number, for bytes.translate to delete.  From the entry
+# text of k pairs that must leave exactly "[, ], [, ], ..., [, ]".
+DELETE_NUMBERS = b"0123456789.-+eE"
+# Turns brackets into spaces, so that pairs read as one flat list.
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
+# json parses numbers in scalar SSE code, which runs about 1.5x slower after
+# a complex matrix product in the same process (OpenBLAS's zgemm leaves the
+# upper halves of the AVX registers dirty) until a vectorized numpy loop
+# clears them; a float add over these 64 entries is one.
+_VECTOR_RESET = np.zeros(64)
 
 
-def _load_json(fh: TextIO) -> Any:
-    """The whole file read by json.load from its start."""
+@contextlib.contextmanager
+def open_input(path: str) -> Iterator[BinaryIO]:
+    """The file at path, open for reading bytes.  One that cannot seek, such
+    as a pipe, is first copied READ_CHUNK bytes at a time to a temporary
+    file, which is yielded in its place and deleted on exit: read_header
+    streams it as a regular file, and json.load can read it again."""
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            yield fh
+            return
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(fh, spool, READ_CHUNK)
+            spool.seek(0)
+            yield spool
+
+
+def _load_json(fh: BinaryIO) -> Any:
+    """The whole file read by json.load from its start, as text: UTF-8 with
+    universal newlines, as ``open(path, encoding="utf-8")`` reads it, so its
+    objects and error messages are that text's.  fh stays open."""
     fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8")
     try:
-        return json.load(fh)
+        return json.load(text)
     except (ValueError, RecursionError) as exc:
         # Not JSON, not UTF-8, an integer with more digits than int()
         # reads, or lists nested deeper than the recursion limit.
         raise ValidationError(str(exc)) from None
+    finally:
+        text.detach()
 
 
-def read_header(fh: TextIO, dims: Callable) -> tuple[Any, tuple | None]:
-    """(header, source) of a file in json.dumps' compact layout: the header
-    parsed from its first block with an empty "re_im" list, and the source
-    that state_from_json or matrix_from_json streams its entries from.  Any
-    other file gives (json.load of it, None): one whose first block holds no
-    header that parses with dimensions of at least 1 (read by dims,
-    state_json_dims or matrix_json_shape), so that json.load reports what is
-    wrong, or reads a file whose entries are not its last key.
-
-    A file that cannot seek, such as a pipe, is read whole first, as bytes,
-    so that json.load can read it again; a regular file is streamed."""
-    if not fh.seekable():
-        fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8")
+def read_header(fh: BinaryIO, dims: Callable) -> tuple[Any, tuple | None]:
+    """(header, source) of a file in json.dumps' compact layout: the header,
+    decoded as UTF-8 from its first block, parsed with an empty "re_im"
+    list, and the source that state_from_json or matrix_from_json streams
+    its entries from.  Any other file gives (json.load of it, None): one
+    whose first block holds no header that parses with dimensions of at
+    least 1 (read by dims, state_json_dims or matrix_json_shape), so that
+    json.load reports what is wrong, or reads a file whose entries are not
+    its last key.  fh is a file of bytes that can seek (see open_input)."""
     try:
         block = fh.read(READ_CHUNK)
         start = block.index(ENTRIES_KEY)
-        head = json.loads(block[:start] + ENTRIES_KEY + "]}")
+        head = json.loads((block[:start] + ENTRIES_KEY + b"]}").decode("utf-8"))
         if min(dims(head)) >= 1:
             # A list iterator lets go of its list once it is used up.
             rest = iter([block[start + len(ENTRIES_KEY):]])
-            return head, (fh, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), "")))
+            return head, (fh, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), b"")))
     # Not UTF-8, no entry key, too deep, or (ValidationError) no dimensions.
     except (ValueError, RecursionError):
         pass
     return _load_json(fh), None
 
 
-def _fill(out: np.ndarray, filled: int, text: str) -> int:
+def _fill(out: np.ndarray, filled: int, text: bytes) -> int:
     """Parse entry text "[re, im], ..., [re, im]" into out from index filled
     on, and return the index after it.  Its brackets become spaces, so that
     json.loads reads one flat list and gives the bits json.load would."""
-    skeleton = text.translate(DELETE_NUMBERS)
-    if skeleton != "[, ]" + ", [, ]" * ((len(skeleton) - 4) // 6):
+    skeleton = text.translate(None, DELETE_NUMBERS)
+    if skeleton != b"[, ]" + b", [, ]" * ((len(skeleton) - 4) // 6):
         raise ValueError("not compact entry text")
-    # Rebound, so that the text can be freed before its numbers are parsed.
-    text = f"[{text.translate(str.maketrans('[]', '  '))}]"
-    values = json.loads(text)
+    values = json.loads(b"[%b]" % text.translate(_UNBRACKET))
     # At least two values: a slice too short to hold them raises.
     out[filled:filled + len(values)] = values
     return filled + len(values)
 
 
-def _compact_entries(blocks: Iterator[str], expected: int) -> np.ndarray | None:
+def _compact_entries(blocks: Iterator[bytes], expected: int) -> np.ndarray | None:
     """The ``expected`` complex entries of the entry text of read_header,
-    each block parsed up to its last pair boundary "], [", the end up to
-    "]}".  Returns None when a pair is longer than a block, the text is not
-    pairs separated by ", ", json rejects a number, an integer is too large
-    for a float, or the count is not exact: the file is for json.load."""
-    text, filled = "", 0
+    each block parsed up to the last pair boundary "], [" of the text
+    carried from the blocks before and the block, the end up to "]}".
+    Returns None when a pair is longer than a block, the text is not pairs
+    separated by ", ", json rejects a number, an integer is too large for a
+    float, or the count is not exact: the file is for json.load."""
+    carry, filled = b"", 0
+    _VECTOR_RESET + 0.0
     try:
         out = np.empty(2 * expected)
         for block in blocks:
-            text += block
-            cut = text.rfind("], [") + 1
+            # A boundary in the block is the last; only a block without one
+            # is joined to the carry to look for one across the two.
+            cut = block.rfind(b"], [") + 1
+            if not cut:
+                block, carry = carry + block, b""
+                cut = block.rfind(b"], [") + 1
             if cut:
-                filled = _fill(out, filled, text[:cut])
-                text = text[cut + 2:]
-            if len(text) > READ_CHUNK:
+                filled = _fill(out, filled, carry + memoryview(block)[:cut])
+                carry = block[cut + 2:]
+            else:
+                carry = block
+            if len(carry) > READ_CHUNK:
                 return None
-        if not text.endswith("]}") or _fill(out, filled, text[:-2]) != out.size:
+        if not carry.endswith(b"]}") or _fill(out, filled, carry[:-2]) != out.size:
             return None
     except (ValueError, OverflowError):
         return None

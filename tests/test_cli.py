@@ -22,6 +22,7 @@ from entrate.cli import main
 from entrate.optimum import build_optimal_hamiltonian, build_optimal_state, optimal_gamma
 from entrate.qcore import (
     PureState,
+    ValidationError,
     assemble_state,
     dump_json,
     matrix_from_json,
@@ -34,7 +35,7 @@ from entrate.qcore import (
 
 from ancilla_reference import sup_search_one_by_one
 from test_oracle import low_rank_state
-from test_qcore import mutants
+from test_qcore import mutants, same_bits
 
 GAMMA2_RATE = 1.3254868386983631
 
@@ -282,15 +283,25 @@ class TestRateCommand:
         assert "entry" not in err
 
 
+def json_load_alone(fh, dims):
+    """In place of read_header: json.load of the file on a text handle of
+    its own, ``open(path, encoding="utf-8")``, its errors input failures."""
+    with open(fh.name, encoding="utf-8") as text:
+        try:
+            return json.load(text), None
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(str(exc)) from None
+
+
 def rate_both_ways(monkeypatch, capsys, state_file, ham_file):
     """(exit code, stdout, stderr) of entrate rate on a pair, with the bulk
-    reader and with json.load alone (the reader declining every file)."""
+    reader, which reads bytes, and with json.load alone on a text handle
+    (the reader declining every file)."""
     results = []
     for bulk in (True, False):
         with monkeypatch.context() as m:
             if not bulk:
-                m.setattr(entrate.cli, "read_header",
-                          lambda fh, dims: (entrate.qcore._load_json(fh), None))
+                m.setattr(entrate.cli, "read_header", json_load_alone)
             rc = main(["rate", str(state_file), str(ham_file)])
         captured = capsys.readouterr()
         results.append((rc, captured.out, captured.err))
@@ -442,6 +453,44 @@ class TestBulkReaderCommand:
         assert fast == slow == (
             2, "", f"error: 'utf-8' codec can't decode byte 0xff in position {at}: "
                    "invalid start byte\n")
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
+    @pytest.mark.parametrize("case", [
+        "bom", "crlf-indent-malformed", "utf-16", "non-ascii-in-entries",
+        "invalid-utf8-in-entries"])
+    def test_encodings_fail_as_json_load_on_text_does(self, tmp_path, capsys, monkeypatch,
+                                                      which, case):
+        # The entries are read as bytes, but a file they decline is read as
+        # text: its errors, and their line, column and char, are the text's.
+        files = dict(zip(("state", "hamiltonian"), write_worked_pair(tmp_path)))
+        text = Path(files[which]).read_text()
+        if case == "bom":
+            data = b"\xef\xbb\xbf" + text.encode()
+            want = "error: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        elif case == "crlf-indent-malformed":
+            text = json.dumps(json.loads(text), indent=2)[:-1] + ", +1}"
+            data = text.replace("\n", "\r\n").encode()
+            # Universal newlines: the char offset counts "\r\n" as one.
+            want = json_error(text)
+            assert want != json_error(data.decode())
+        elif case == "utf-16":
+            data = text.encode("utf-16")
+            want = ("error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte\n")
+        elif case == "non-ascii-in-entries":
+            text = with_first_number(text, "1.0\u00e9")
+            data = text.encode()
+            # The offset counts characters: "\u00e9" is one, of two bytes.
+            want = json_error(text)
+        else:
+            at = text.index("[[") + 2
+            data = text[:at].encode() + b"\xc3(" + text[at:].encode()
+            want = (f"error: 'utf-8' codec can't decode byte 0xc3 in position {at}: "
+                    "invalid continuation byte\n")
+        files[which] = str(tmp_path / "bad.json")
+        Path(files[which]).write_bytes(data)
+        fast, slow = rate_both_ways(monkeypatch, capsys, files["state"], files["hamiltonian"])
+        assert fast == slow == (2, "", want)
 
     @pytest.mark.parametrize("which", ["state", "hamiltonian"])
     @pytest.mark.parametrize("digits, message", [
@@ -605,6 +654,26 @@ class TestBulkReaderCommand:
         # The reader holds the text of a block and its carry, the file's own
         # buffers, one block's translated copy and its list of floats: about
         # 6.5 blocks.  The whole text alone would take 2.8 MB.
+        assert peak < h.nbytes + psi.amplitudes.nbytes + 8 * entrate.qcore.READ_CHUNK
+
+    def test_piped_peak_memory_is_the_entries_and_a_few_blocks(self, tmp_path, monkeypatch):
+        # The same pair through pipes: each is copied block by block to a
+        # temporary file and streamed from there, not held whole in memory.
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", 1 << 16)
+        files = [tmp_path / "s.json", tmp_path / "h.json"]
+        for path, value in zip(files, (random_state(16, 16, 1), random_hermitian(256, 2))):
+            with open(path, "w", encoding="utf-8") as fh:
+                dump_json(value, fh)
+        with piped(files[0].read_bytes()) as state_file, \
+                piped(files[1].read_bytes()) as ham_file:
+            tracemalloc.start()
+            try:
+                psi, h = entrate.cli._load_pair(state_file, ham_file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        want_psi, want_h = entrate.cli._load_pair(*map(str, files))
+        assert same_bits(psi.amplitudes, want_psi.amplitudes) and same_bits(h, want_h)
         assert peak < h.nbytes + psi.amplitudes.nbytes + 8 * entrate.qcore.READ_CHUNK
 
 

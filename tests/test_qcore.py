@@ -267,13 +267,25 @@ class TestRandomGenerators:
         m[where[::-1]] = np.conj(bad)
         assert hermiticity_defect(m) == math.inf
 
-    @pytest.mark.parametrize("n", [1, 127, 128, 300])
+    @pytest.mark.parametrize("n", [1, 9, 127, 128, 129, 300])
     def test_blocked_defect_equals_dense(self, n):
+        # Tile pairs read each pair of mirrored entries once; the defect
+        # keeps the bits of the dense pass, on a matrix and on a stack.
         rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        for m in (a, (a + a.conj().T) / 2):
-            dense = float(np.max(np.abs(m - m.conj().T)))
-            assert hermiticity_defect(m) == dense
+        a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        for m in (a, (a + a.conj().swapaxes(-1, -2)) / 2, a[1], (a[1] + a[1].conj().T) / 2):
+            dense = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+            assert same_bits(np.float64(hermiticity_defect(m)), np.float64(dense))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(-math.inf, 1.0)])
+    @pytest.mark.parametrize("where", [(0, 299), (299, 0), (130, 5), (5, 130), (200, 200)])
+    def test_non_finite_entry_in_one_triangle_reads_infinite_defect(self, bad, where):
+        # Only one of the two mirrored entries is bad: the tile pair that
+        # holds it sees it from either triangle.
+        m = random_hermitian(300, 6)
+        m[where] = bad
+        assert hermiticity_defect(m) == math.inf
+        assert hermiticity_defect(np.stack([random_hermitian(300, 7), m])) == math.inf
 
 
 class TestSeededNormals:
@@ -577,8 +589,7 @@ def read_compact_header(data: bytes):
     """(header, source) of read_header for a file's bytes, or None where the
     header declines, and json.load reads the file or rejects it."""
     try:
-        head, source = read_header(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
-                                   header_dims)
+        head, source = read_header(io.BytesIO(data), header_dims)
     except ValidationError:
         return None
     return None if source is None else (head, source)
@@ -593,19 +604,18 @@ def bulk_read(data: bytes, expected: int | None = None):
         return None
     head, (_, blocks) = parts
     if expected is None:
-        text = file_text(data)
         # k pairs have k - 1 boundaries "], [" between them.
-        expected = 0 if text is None else text[text.find(ENTRIES_KEY):].count("], [") + 1
+        expected = data[data.find(ENTRIES_KEY):].count(b"], [") + 1
     entries = _compact_entries(blocks, expected)
     return None if entries is None else (head, entries)
 
 
-def compact_pairs(text: str | None) -> bool:
-    """Whether a file's text after ENTRIES_KEY is pairs of number characters
+def compact_pairs(data: bytes) -> bool:
+    """Whether a file's bytes after ENTRIES_KEY are pairs of number bytes
     separated by ", ", and then "]}"."""
-    body = "" if text is None else text[text.find(ENTRIES_KEY) + len(ENTRIES_KEY):]
-    skeleton = body[:-2].translate(DELETE_NUMBERS)
-    return body.endswith("]}") and skeleton == ", ".join(["[, ]"] * ((len(skeleton) + 2) // 6))
+    body = data[data.find(ENTRIES_KEY) + len(ENTRIES_KEY):]
+    skeleton = body[:-2].translate(None, DELETE_NUMBERS)
+    return body.endswith(b"]}") and skeleton == b", ".join([b"[, ]"] * ((len(skeleton) + 2) // 6))
 
 
 # Block sizes small enough for pair boundaries to fall at every offset
@@ -686,7 +696,8 @@ class TestBulkReader:
 
     @pytest.mark.parametrize("token", [
         "1", "-0", "0", "1E5", "1e+5", "-1.5e-300", "5e-324", "1e400", "-1e400",
-        "123456789012345678901234567890", "9007199254740993", "1" + "0" * 308])
+        "123456789012345678901234567890", "9007199254740993", "1" + "0" * 308,
+        "-0.0", "1e308", "1E+05", "18014398509481985", "-36028797018963971"])
     def test_accepted_numbers_have_json_bits(self, token):
         data = f'{{"d_a": 1, "d_b": 2, "re_im": [[{token}, 0.5], [-0.0, {token}]]}}'.encode()
         got = bulk_read(data)
@@ -727,10 +738,22 @@ class TestBulkReader:
     def test_declines_other_layouts(self, text):
         assert bulk_read(text.encode()) is None
 
+    @pytest.mark.parametrize("chunk", range(37, 45))
+    def test_boundary_across_two_blocks_is_found(self, chunk, monkeypatch):
+        # Pairs 37 bytes apart, boundary included: at these block sizes some
+        # blocks hold no whole boundary "], [", only the start of one that
+        # ends in the next.  (At 36 a pair and its boundary outgrow a block.)
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", chunk)
+        pairs = ", ".join(["[0.1234567890123, -0.9876543210987]"] * 16)
+        data = ('{"d_a": 4, "d_b": 4, "re_im": [' + pairs + "]}").encode()
+        got = bulk_read(data)
+        assert got is not None
+        assert same_read(got, json_read(data))
+
     def test_header_longer_than_a_block_declines(self, monkeypatch):
         text = '{"rows": 1, "cols": 1, "re_im": [[1.0, 2.0]]}'
         assert bulk_read(text.encode()) is not None
-        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", text.index(ENTRIES_KEY) + 4)
+        monkeypatch.setattr(entrate.qcore, "READ_CHUNK", text.encode().index(ENTRIES_KEY) + 4)
         assert bulk_read(text.encode()) is None
 
     def test_entry_count_must_match(self):
@@ -747,7 +770,7 @@ class TestBulkReader:
         head_text = '{"rows": 20, "cols": 20, "re_im": ['
         text = head_text + ", ".join(pairs) + "]}"
         long_at = len(head_text) + 10 * len("[0.25, -0.0], ")
-        fh = io.StringIO(text)
+        fh = io.BytesIO(text.encode())
         head, (_, blocks) = read_header(fh, matrix_json_shape)
         assert _compact_entries(blocks, 400) is None
         # It stopped within two blocks of the long pair, not at the end.
@@ -779,7 +802,7 @@ class TestBulkReader:
                 outcomes["read"] += 1
             elif not read_compact_header(mutant):
                 outcomes["header_declined"] += 1
-            elif compact_pairs(file_text(mutant)):
+            elif compact_pairs(mutant):
                 outcomes["json_rejected"] += 1
             else:
                 outcomes["pairs_declined"] += 1
