@@ -145,13 +145,14 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
         raise ValidationError(f"{_flag(next(iter(search)))} needs --ancilla")
     gamma, rate = opt.optimal_gamma(args.dim)
     psi = assemble_state(opt.build_optimal_state(gamma, args.dim))
-    h = opt.build_optimal_hamiltonian(args.dim)
+    # The Hamiltonian by its nonzero entries: its dense matrix is never built.
+    h = ((args.dim**2, args.dim**2), *opt.optimal_hamiltonian_entries(args.dim))
     report = {"gamma_star": gamma, "rate_nat": rate, "rate_bits": rate / LN2,
               "dim": args.dim}
     if args.out is not None:
         for key, value in (("state", psi), ("hamiltonian", h)):
             path = f"{args.out}_{key}.json"
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 dump_json(value, fh)
             report[key] = path
         _emit(report, out)

@@ -23,6 +23,7 @@ __all__ = [
     "max_rate",
     "build_optimal_state",
     "build_optimal_hamiltonian",
+    "optimal_hamiltonian_entries",
     "gamma_curve",
     "optimal_gamma",
     "brute_force_max_k",
@@ -82,26 +83,34 @@ def build_optimal_state(gamma: float, d: int) -> SchmidtState:
     return SchmidtState(coefficients=c, d_a=d, d_b=d, basis_a=eye, basis_b=eye)
 
 
-def build_optimal_hamiltonian(d: int) -> np.ndarray:
-    """Rate-optimal Hamiltonian i(|phi><00| - |00><phi|) at unit variance.
+def optimal_hamiltonian_entries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of the rate-optimal Hamiltonian
+    i(|phi><00| - |00><phi|) at unit variance, as ascending flat indices
+    into the d^2 x d^2 matrix and their complex values.
 
     phi is the uniform superposition of |ii> for i >= 1; the sign is
     chosen so entropy grows (rather than shrinks) at the paired optimal
     state.  At every state sqrt(g)|00> + sqrt(1-g) phi of that family
     <H> = 0 and <H^2> = g + (1 - g) = 1, so no rescaling is needed.
 
-    Only the 2(d - 1) entries at (|ii>, |00>) and (|00>, |ii>) are set, in
-    place: column 0 holds i/sqrt(d-1) and row 0 its conjugate, with the
-    real part -0.0 that the product i * (0 - phi) gives.  H is Hermitian and
+    Only the 2(d - 1) entries at (|00>, |ii>) and (|ii>, |00>) are nonzero:
+    row 0 holds -i/sqrt(d-1), with the real part -0.0 that the product
+    i * (0 - phi) gives, and column 0 its conjugate.  H is Hermitian and
     traceless by construction.
     """
     if d < 2:
         raise ValidationError("dimension must be >= 2")
     amp = 1.0 / math.sqrt(d - 1)
     ii = np.arange(1, d) * (d + 1)
+    values = np.repeat([complex(-0.0, -amp), complex(0.0, amp)], d - 1)
+    return np.concatenate([ii, ii * (d * d)]), values
+
+
+def build_optimal_hamiltonian(d: int) -> np.ndarray:
+    """The dense matrix of :func:`optimal_hamiltonian_entries`, zero elsewhere."""
+    index, values = optimal_hamiltonian_entries(d)
     h = np.zeros((d * d, d * d), dtype=complex)
-    h[ii, 0] = complex(0.0, amp)
-    h[0, ii] = complex(-0.0, -amp)
+    h.reshape(-1)[index] = values
     return h
 
 

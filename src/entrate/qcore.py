@@ -293,14 +293,10 @@ def random_hermitian(n: int, seed: Any) -> np.ndarray:
 # Entries per json.dumps call when dump_json streams a file.
 DUMP_CHUNK = 4096
 
-# An entry whose bits are all zero, as json.dumps writes it, and the step
-# from one entry's text to the next in a list.
-ZERO_PAIR = "[0.0, 0.0]"
-_PAIR_STEP = len(ZERO_PAIR + ", ")
-
-# DUMP_CHUNK zero entries and the separators between them: the text of a
-# run of k zero entries is its first k * _PAIR_STEP - 2 characters.
-_ZERO_RUN = ", ".join([ZERO_PAIR] * DUMP_CHUNK)
+# A zero entry as json.dumps writes it after a list's separator, and the
+# most zero entries per write (786 KB): a longer run takes several writes.
+ZERO_PAIR = b", [0.0, 0.0]"
+ZERO_RUN_MAX = 1 << 16
 
 
 # The layouts return the header fields and the entries as one contiguous
@@ -319,10 +315,29 @@ def _state_layout(psi: PureState) -> tuple[dict, np.ndarray]:
     return {"d_a": psi.d_a, "d_b": psi.d_b}, np.ascontiguousarray(psi.amplitudes)
 
 
-def _layout(value: PureState | np.ndarray) -> tuple[dict, np.ndarray]:
-    if isinstance(value, PureState):
-        return _state_layout(value)
-    return _matrix_layout(value)
+def _nonzero_groups(flat: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(flat indices, values) of the entries of a contiguous complex vector
+    with a nonzero bit, for each DUMP_CHUNK entries of it that hold one:
+    -0.0 is not zero here, since its text differs."""
+    for start in range(0, flat.size, DUMP_CHUNK):
+        chunk = flat[start:start + DUMP_CHUNK]
+        words = chunk.view(np.uint64)
+        keep = np.flatnonzero(words[0::2] | words[1::2])
+        if keep.size:
+            yield keep + start, chunk[keep]
+
+
+def _layout(value: PureState | np.ndarray | tuple) -> tuple[dict, int, Iterator]:
+    """The header fields of a state or a matrix, its entry count, and its
+    nonzero entries in groups of at most DUMP_CHUNK.  A matrix may also be a
+    tuple (shape, index, values) of those entries at ascending flat indices."""
+    if isinstance(value, tuple):
+        (rows, cols), index, values = value
+        groups = ((index[i:i + DUMP_CHUNK], values[i:i + DUMP_CHUNK])
+                  for i in range(0, index.size, DUMP_CHUNK))
+        return {"rows": rows, "cols": cols}, rows * cols, groups
+    head, flat = _state_layout(value) if isinstance(value, PureState) else _matrix_layout(value)
+    return head, flat.size, _nonzero_groups(flat)
 
 
 def _pairs(flat: np.ndarray) -> list:
@@ -340,100 +355,95 @@ def state_to_json(psi: PureState) -> dict:
     return {**head, "re_im": _pairs(flat)}
 
 
-def _chunk_text(flat: np.ndarray) -> str:
-    """``json.dumps(_pairs(flat))`` without its outer brackets, for a
-    nonempty vector of at most DUMP_CHUNK entries.
+def _entry_pieces(size: int, groups: Iterator) -> Iterator[bytes | memoryview]:
+    """Nonempty pieces of bytes that join to ``", " + json.dumps(pairs)[1:-1]``
+    for a list of size [re, im] pairs whose nonzero entries groups gives
+    (see _layout); each piece starts at an entry's separator ", ".
 
-    The entries fall into runs of zero and of nonzero entries.  The nonzero
-    entries go through the C encoder in one call, a zero run is a slice of
-    _ZERO_RUN, and a chunk with no zero entry is that call alone.  The zero
-    test is on bits, not values: -0.0 is not zero here, since its text
-    differs.
+    A group's entries go through one json.dumps call, cut where zero entries
+    fall between them.  Zero runs are slices of one buffer of at most
+    ZERO_RUN_MAX zero entries, made per call, not at import.
     """
-    words = flat.view(np.uint64)
-    if not words.any():
-        return _ZERO_RUN[:_PAIR_STEP * flat.size - 2]
-    zero = (words[0::2] | words[1::2]) == 0
-    if not zero.any():
-        return json.dumps(_pairs(flat))[1:-1]
-    # The first and the last entry of each zero run.
-    first = zero.copy()
-    first[1:] &= ~zero[:-1]
-    last = zero.copy()
-    last[:-1] &= ~zero[1:]
-    # One item per nonzero entry and one per zero run, each without its outer
-    # brackets, to be joined by "], ["; a pair's text holds no bracket, so
-    # the encoder's text splits into its entries there.
-    is_run = first[~zero | first]
-    items = np.empty(is_run.size, dtype=object)
-    items[~is_run] = json.dumps(_pairs(flat[~zero]))[2:-2].split("], [")
-    sizes = (np.flatnonzero(last) - np.flatnonzero(first) + 1).tolist()
-    runs = {k: _ZERO_RUN[1:_PAIR_STEP * k - 3] for k in set(sizes)}
-    items[is_run] = list(map(runs.__getitem__, sizes))
-    return "[" + "], [".join(items.tolist()) + "]"
+    run = memoryview(ZERO_PAIR * min(size, ZERO_RUN_MAX))
+
+    def zeros(count: int) -> Iterator[memoryview]:
+        while count > 0:
+            yield run[:min(count, ZERO_RUN_MAX) * len(ZERO_PAIR)]
+            count -= ZERO_RUN_MAX
+
+    at = 0
+    for index, values in groups:
+        text = (", " + json.dumps(_pairs(values))[1:-1]).encode()
+        # The zero entries before each entry, and where its text starts: a
+        # pair's text holds no bracket but its own.
+        gaps = np.diff(index, prepend=at - 1) - 1
+        cuts = np.flatnonzero(gaps)
+        starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("["))[cuts] - 2
+        view, done = memoryview(text), 0
+        for gap, start in zip(gaps[cuts].tolist(), starts.tolist()):
+            if start > done:
+                yield view[done:start]
+            yield from zeros(gap)
+            done = start
+        yield view[done:]
+        at = int(index[-1]) + 1
+    yield from zeros(size - at)
 
 
-def _chunk_texts(flat: np.ndarray):
-    """The texts of :func:`_chunk_text` for DUMP_CHUNK entries at a time;
-    joined by ", " they are ``json.dumps(_pairs(flat))[1:-1]``."""
-    for start in range(0, flat.size, DUMP_CHUNK):
-        yield _chunk_text(flat[start:start + DUMP_CHUNK])
-
-
-def dump_json(value: PureState | np.ndarray, fh: TextIO) -> None:
+def dump_json(value: PureState | np.ndarray | tuple, fh: BinaryIO) -> None:
     """Write ``json.dumps`` of ``state_to_json(value)`` for a state, else of
-    ``matrix_to_json(value)``, to a text file, byte for byte.
+    ``matrix_to_json`` of the matrix (which may be given by its nonzero
+    entries, see _layout), to a binary file, byte for byte.
 
-    The entries go out DUMP_CHUNK at a time through :func:`_chunk_text`,
-    so the full list of [re, im] pairs is never built and zero entries are
-    never formatted.  A stack of states or anything but a 2-D matrix is
-    rejected before anything is written.
+    The entries go out through :func:`_entry_pieces`, so the full list of
+    [re, im] pairs is never built and zero entries are never formatted.  A
+    stack of states or anything but a 2-D matrix is rejected before
+    anything is written.
     """
-    head, flat = _layout(value)
+    head, size, groups = _layout(value)
     # json.dumps of the header with an empty entry list ends in '[]}'.
-    fh.write(json.dumps({**head, "re_im": []})[:-2])
-    for i, text in enumerate(_chunk_texts(flat)):
-        if i:
-            fh.write(", ")
-        fh.write(text)
-    fh.write("]}")
+    fh.write(json.dumps({**head, "re_im": []})[:-2].encode())
+    pieces = _entry_pieces(size, groups)
+    # The list's first entry has no separator before it.
+    fh.write(next(pieces, b"")[2:])
+    fh.writelines(pieces)
+    fh.write(b"]}")
 
 
 def _indented(text: str, pad: str) -> str:
-    """A text of :func:`_chunk_text` in the layout of ``json.dumps(...,
-    indent=2)``, for a list whose items start on a new line at pad.  A
-    pair's text holds no bracket, and ", " only between its two numbers."""
+    """Entry text ", [re, im], ..." of :func:`_entry_pieces` in the layout of
+    ``json.dumps(..., indent=2)``, for a list whose items start on a new line
+    at pad, each after a ",".  A pair's text holds no bracket, and ", " only
+    between its two numbers once the separators are laid out."""
     inner = pad + "  "
-    return (text.replace("], [", "]," + pad + "[").replace(", ", "," + inner)
+    return (text.replace(", [", "," + pad + "[").replace(", ", "," + inner)
             .replace("[", "[" + inner).replace("]", pad + "]"))
 
 
 def _dump_report(report: dict, designs: dict, fh: TextIO) -> None:
     """Write ``json.dumps({**report, **designs}, indent=2, sort_keys=True)``
-    and a newline, where each state or matrix in designs stands for its
-    state_to_json or matrix_to_json form, byte for byte.
+    and a newline, where each state or matrix (see _layout) in designs
+    stands for its state_to_json or matrix_to_json form, byte for byte.
 
     Their entry lists are never built for the pure-Python indent encoder:
     the report is encoded with an empty entry list per design, and each
-    design's chunk texts, laid out as that encoder lays them out, go in its
+    design's entry pieces, laid out as that encoder lays them out, go in its
     place.
     """
     layouts = {key: _layout(designs[key]) for key in sorted(designs)}
     skeleton = {**report, **{key: {**head, "re_im": []}
-                             for key, (head, _) in layouts.items()}}
+                             for key, (head, _, _) in layouts.items()}}
     parts = json.dumps(skeleton, indent=2, sort_keys=True).split('"re_im": []')
     fh.write(parts[0])
-    for (_, flat), before, part in zip(layouts.values(), parts, parts[1:]):
+    for (_, size, groups), before, part in zip(layouts.values(), parts, parts[1:]):
         # The key's line starts at the last newline of the text before it.
         indent = "\n" + " " * (len(before) - before.rfind("\n") - 1)
-        pad = indent + "  "
-        fh.write('"re_im": [')
-        sep = pad
-        for text in _chunk_texts(flat):
-            fh.write(sep)
-            fh.write(_indented(text, pad))
-            sep = "," + pad
-        fh.write((indent if flat.size else "") + "]")
+        pieces = (_indented(str(piece, "ascii"), indent + "  ")
+                  for piece in _entry_pieces(size, groups))
+        fh.write('"re_im": [' + next(pieces, ",")[1:])
+        for piece in pieces:
+            fh.write(piece)
+        fh.write((indent if size else "") + "]")
         fh.write(part)
     fh.write("\n")
 

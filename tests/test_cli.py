@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -157,9 +158,9 @@ class TestRateCommand:
         # miss 1 by about twice that; here by 1.6e-12.
         psi = random_state(3, 4, 7)
         state_file, ham_file = tmp_path / "s.json", tmp_path / "h.json"
-        with state_file.open("w") as fh:
+        with state_file.open("wb") as fh:
             dump_json(PureState(3, 4, (1 + 8e-13) * psi.amplitudes), fh)
-        with ham_file.open("w") as fh:
+        with ham_file.open("wb") as fh:
             dump_json(random_hermitian(12, 8), fh)
         assert main(["rate", str(state_file), str(ham_file)]) == 0
         assert capsys.readouterr().err == ""
@@ -642,7 +643,7 @@ class TestBulkReaderCommand:
         state_file, ham_file = tmp_path / "s.json", tmp_path / "h.json"
         for path, value in ((state_file, random_state(16, 16, 1)),
                             (ham_file, random_hermitian(256, 2))):
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 dump_json(value, fh)
         tracemalloc.start()
         try:
@@ -662,7 +663,7 @@ class TestBulkReaderCommand:
         monkeypatch.setattr(entrate.qcore, "READ_CHUNK", 1 << 16)
         files = [tmp_path / "s.json", tmp_path / "h.json"]
         for path, value in zip(files, (random_state(16, 16, 1), random_hermitian(256, 2))):
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 dump_json(value, fh)
         with piped(files[0].read_bytes()) as state_file, \
                 piped(files[1].read_bytes()) as ham_file:
@@ -748,6 +749,24 @@ class TestOptimizeCommand:
             monkeypatch.setattr(module, "state_to_json", refuse, raising=False)
         assert main(["optimize", "--dim", "3", "--out", str(tmp_path / "opt")]) == 0
         capsys.readouterr()
+
+    def test_out_never_builds_the_dense_hamiltonian(self, tmp_path, capsys):
+        prefix = str(tmp_path / "opt")
+        tracemalloc.start()
+        try:
+            assert main(["optimize", "--dim", "32", "--out", prefix]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # One dense Hamiltonian at d = 32 takes 16 MiB; the writer's buffer
+        # of zero entries 786 KB.
+        assert peak < 4 * 2**20
+        # The bytes of the dense matrix written (their json.dumps identity
+        # is pinned at smaller dimensions above).
+        dense = io.BytesIO()
+        dump_json(build_optimal_hamiltonian(32), dense)
+        assert Path(prefix + "_hamiltonian.json").read_bytes() == dense.getvalue()
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 16])
     def test_stdout_is_json_dumps_of_the_report(self, dim, capsys):

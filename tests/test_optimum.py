@@ -25,6 +25,7 @@ from entrate.optimum import (
     build_optimal_state,
     max_rate,
     optimal_gamma,
+    optimal_hamiltonian_entries,
     surprisal_variance,
 )
 from entrate.rate import energy_stats, gamma_rate, gamma_rate_k, schmidt_block
@@ -173,6 +174,16 @@ class TestOptimalFamily:
         h = build_optimal_hamiltonian(d)
         assert h.dtype == complex and h.shape == (n, n)
         assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [2, 3, 32])
+    def test_entries_ascend_and_scatter_to_the_hamiltonian(self, d):
+        index, values = optimal_hamiltonian_entries(d)
+        assert index.size == values.size == 2 * (d - 1)
+        assert np.all(np.diff(index) > 0)
+        assert values.dtype == complex and np.all(values.view(np.uint64).reshape(-1, 2).any(1))
+        h = np.zeros((d * d, d * d), dtype=complex)
+        h.reshape(-1)[index] = values
+        assert np.array_equal(h.view(np.uint64), build_optimal_hamiltonian(d).view(np.uint64))
 
     def test_unit_variance_at_paired_state(self):
         for d in (2, 3, 4):

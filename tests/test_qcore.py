@@ -21,6 +21,7 @@ from entrate.qcore import (
     DELETE_NUMBERS,
     DUMP_CHUNK,
     ENTRIES_KEY,
+    ZERO_RUN_MAX,
     _check_hamiltonian,
     _compact_entries,
     _dump_report,
@@ -394,9 +395,59 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e30
 
 
 def dumped(value) -> str:
-    fh = io.StringIO()
+    """The bytes dump_json writes to a binary handle, as ASCII text."""
+    fh = io.BytesIO()
     dump_json(value, fh)
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
+
+
+class Sink(io.RawIOBase):
+    """A binary handle that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.written.append(bytes(data))
+        return len(data)
+
+
+def sparse(m: np.ndarray) -> tuple:
+    """m as dump_json's (shape, index, values) of its entries with a nonzero
+    bit, at ascending flat indices."""
+    flat = m.reshape(-1)
+    words = flat.view(np.uint64).reshape(-1, 2)
+    index = np.flatnonzero(words.any(axis=1))
+    return m.shape, index, flat[index]
+
+
+def gap_matrix(case: str) -> np.ndarray:
+    """A one-row matrix for the entry writer's edge cases."""
+    rng = np.random.default_rng(len(case))
+    size = {"gap_longer_than_the_zero_buffer": 3 * ZERO_RUN_MAX + 20,
+            "dense_random": 3 * DUMP_CHUNK + 5}.get(case, 2 * DUMP_CHUNK + 9)
+    m = np.zeros((1, size), dtype=complex)
+    flat = m.reshape(-1)
+    if case == "nonzero_first_and_last":
+        flat[[0, -1]] = [complex(0.5, -2.0), 1j]
+    elif case == "adjacent_nonzero":
+        flat[[5, 6, 7, DUMP_CHUNK - 1, DUMP_CHUNK, DUMP_CHUNK + 1]] = [
+            1.0, -1j, 0.25 + 0.5j, 3.0, -4.0, 1e30]
+    elif case == "gap_longer_than_the_zero_buffer":
+        flat[[3, 2 * ZERO_RUN_MAX + 10]] = [1.5, -0.5j]
+    elif case == "signed_zero_and_subnormal_parts":
+        flat[[0, 9, 10, DUMP_CHUNK + 3, -1]] = [
+            complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, 0.0),
+            complex(0.0, 5e-324), complex(-0.0, -0.0)]
+    elif case == "dense_random":
+        flat[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    elif case == "every_other_entry":
+        flat[::2] = rng.normal(size=flat[::2].size) - 0.5j
+    return m
 
 
 def edge_matrix(rows, cols):
@@ -533,21 +584,77 @@ class TestJsonStreaming:
         whole = {**report, "m": matrix_to_json(m), "a": state_to_json(psi)}
         assert fh.getvalue() == json.dumps(whole, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("case", [
+        "nonzero_first_and_last", "adjacent_nonzero", "gap_longer_than_the_zero_buffer",
+        "signed_zero_and_subnormal_parts", "all_zero", "dense_random", "every_other_entry",
+    ])
+    def test_entry_writer_bytes_equal_json_dumps(self, case):
+        m = gap_matrix(case)
+        want = json.dumps(matrix_to_json(m))
+        assert dumped(m) == want
+        # The same matrix by its nonzero entries: -0.0 and 5e-324 parts are
+        # nonzero by bits, and go through the encoder.
+        assert dumped(sparse(m)) == want
+        # A state with the same entries, to unit norm; where their norm
+        # underflows to 0, entry 1 (zero in those cases) is set to 1.
+        amp = m.reshape(-1).copy()
+        norm = np.linalg.norm(amp)
+        if norm > 0:
+            amp /= norm
+        else:
+            amp[1] = 1.0
+        psi = PureState(d_a=1, d_b=m.size, amplitudes=amp)
+        assert dumped(psi) == json.dumps(state_to_json(psi))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (1, 1), (3, 5)])
+    def test_empty_and_all_zero_matrices_bytes_equal_json_dumps(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        want = json.dumps(matrix_to_json(m))
+        assert dumped(m) == want
+        assert dumped(sparse(m)) == want
+
+    def test_zero_gap_longer_than_the_buffer_spans_several_writes(self):
+        m = gap_matrix("gap_longer_than_the_zero_buffer")
+        for value in (m, sparse(m)):
+            sink = Sink()
+            dump_json(value, sink)
+            assert b"".join(sink.written).decode("ascii") == json.dumps(matrix_to_json(m))
+            # No write holds more than the buffer's zero entries.  The gap of
+            # 2 ZERO_RUN_MAX + 6 zero entries takes three writes, and the
+            # ZERO_RUN_MAX + 9 after the last entry two; the 3 before the
+            # first go out without their leading separator.
+            zero_writes = [w for w in sink.written if w.startswith(b", [0.0, 0.0]")]
+            assert max(map(len, zero_writes)) == ZERO_RUN_MAX * len(b", [0.0, 0.0]")
+            assert len(zero_writes) == 3 + 2
+
+    @pytest.mark.parametrize("run_max", [1, 2, 3, 7])
+    def test_small_zero_buffers_give_the_same_bytes(self, monkeypatch, run_max):
+        monkeypatch.setattr(entrate.qcore, "ZERO_RUN_MAX", run_max)
+        rng = np.random.default_rng(run_max)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            m = np.zeros((1, n), dtype=complex)
+            nonzero = rng.random(n) < rng.random()
+            m[0, nonzero] = rng.choice(EDGE_VALUES, nonzero.sum()) + 0.5j
+            assert dumped(m) == json.dumps(matrix_to_json(m))
+            assert dumped(sparse(m)) == json.dumps(matrix_to_json(m))
+            fh = io.StringIO()
+            _dump_report({"k": 1}, {"m": sparse(m)}, fh)
+            whole = {"k": 1, "m": matrix_to_json(m)}
+            assert fh.getvalue() == json.dumps(whole, indent=2, sort_keys=True) + "\n"
+
     def test_a_stack_of_states_does_not_serialize(self):
         amp = np.full((3, 4), 0.5 + 0j)
         psi = PureState(d_a=2, d_b=2, amplitudes=amp)
-        written = []
-
-        class Sink:
-            def write(self, text):
-                written.append(text)
-
+        sink = Sink()
+        written = sink.written
         with pytest.raises(ValidationError):
             state_to_json(psi)
         with pytest.raises(ValidationError):
-            dump_json(psi, Sink())
+            dump_json(psi, sink)
         with pytest.raises(ValidationError):
-            _dump_report({}, {"state": psi}, Sink())
+            _dump_report({}, {"state": psi},
+                         io.TextIOWrapper(sink, encoding="ascii", write_through=True))
         assert written == []
         # One slice of the stack serializes.
         one = PureState(d_a=2, d_b=2, amplitudes=amp[0])
@@ -558,7 +665,7 @@ class TestJsonStreaming:
         path = tmp_path / "h.json"
         tracemalloc.start()
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 dump_json(h, fh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
