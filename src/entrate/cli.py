@@ -28,13 +28,8 @@ from .qcore import (
     _unit_vectors,
     assemble_state,
     dump_json,
-    matrix_from_json,
-    matrix_json_shape,
-    open_input,
-    read_header,
+    load_pair,
     schmidt_decompose,
-    state_from_json,
-    state_json_dims,
 )
 from .rate import energy_stats, gamma_rate, mean_energy, schmidt_block
 
@@ -77,20 +72,10 @@ def _emit(report: dict, out) -> None:
     print(json.dumps(report, indent=2, sort_keys=True), file=out)
 
 
-def _load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
-    """Decode a (state, Hamiltonian) pair, checking the dimension cap on both
-    headers before any entry is parsed."""
-    with open_input(state_path) as state_fh, open_input(ham_path) as ham_fh:
-        state_obj, state_source = read_header(state_fh, state_json_dims)
-        ham_obj, ham_source = read_header(ham_fh, matrix_json_shape)
-        _check_cap(max(math.prod(state_json_dims(state_obj)), *matrix_json_shape(ham_obj)))
-        return state_from_json(state_obj, state_source), matrix_from_json(ham_obj, ham_source)
-
-
 def cmd_rate(args: argparse.Namespace, out) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValidationError("tol must be finite and >= 0")
-    psi, h = _load_pair(args.state, args.hamiltonian)
+    psi, h = load_pair(args.state, args.hamiltonian)
 
     state = schmidt_decompose(psi)
     closed = gamma_rate(state, schmidt_block(h, state))

@@ -195,10 +195,11 @@ def achieving_hamiltonian(state: SchmidtState) -> np.ndarray:
     minimal-Frobenius-norm antisymmetric solution of M C = k: any other
     differs by a matrix orthogonal to it.  M is embedded on the
     Schmidt-diagonal subspace in the computational basis of the state as
-    V (i M) V^H, with V from :func:`schmidt_columns`.  Equal Schmidt
-    weights give k = 0 and the zero Hamiltonian.
+    V (i M) V^H, with V from :func:`schmidt_columns`: the rank-2 matrix
+    i (|kappa><psi| - |psi><kappa|) with psi = V C and kappa = V k, built
+    in O(n^2).  Equal Schmidt weights give k = 0 and the zero Hamiltonian.
     """
     c = state.coefficients
-    k = _optimal_k(c)
     v = schmidt_columns(state)
-    return (v @ (1j * (np.outer(k, c) - np.outer(c, k)))) @ v.conj().T
+    psi, kappa = v @ c, v @ _optimal_k(c)
+    return 1j * (np.outer(kappa, psi.conj()) - np.outer(psi, kappa.conj()))

@@ -35,13 +35,10 @@ __all__ = [
     "random_hermitian",
     "matrix_to_json",
     "matrix_from_json",
-    "matrix_json_shape",
     "state_to_json",
     "state_from_json",
-    "state_json_dims",
     "dump_json",
-    "open_input",
-    "read_header",
+    "load_pair",
     "hermiticity_defect",
 ]
 
@@ -500,10 +497,10 @@ _VECTOR_RESET = np.zeros(64)
 
 
 @contextlib.contextmanager
-def open_input(path: str) -> Iterator[BinaryIO]:
+def _open_input(path: str) -> Iterator[BinaryIO]:
     """The file at path, open for reading bytes.  One that cannot seek, such
     as a pipe, is first copied READ_CHUNK bytes at a time to a temporary
-    file, which is yielded in its place and deleted on exit: read_header
+    file, which is yielded in its place and deleted on exit: _read_header
     streams it as a regular file, and json.load can read it again."""
     with open(path, "rb") as fh:
         if fh.seekable():
@@ -531,27 +528,26 @@ def _load_json(fh: BinaryIO) -> Any:
         text.detach()
 
 
-def read_header(fh: BinaryIO, dims: Callable) -> tuple[Any, tuple | None]:
+def _read_header(fh: BinaryIO, dims: Callable) -> tuple[Any, tuple | None]:
     """(header, source) of a file in json.dumps' compact layout: the header,
     decoded as UTF-8 from its first block, parsed with an empty "re_im"
     list, and the source that state_from_json or matrix_from_json streams
     its entries from.  Any other file gives (json.load of it, None): one
-    whose first block holds no header that parses with dimensions of at
-    least 1 (read by dims, state_json_dims or matrix_json_shape), so that
+    whose first block holds no header that parses with dimensions that
+    dims (_state_json_dims or _matrix_json_shape) accepts, so that
     json.load reports what is wrong, or reads a file whose entries are not
-    its last key.  fh is a file of bytes that can seek (see open_input)."""
+    its last key.  fh is a file of bytes that can seek (see _open_input)."""
     try:
         block = fh.read(READ_CHUNK)
         start = block.index(ENTRIES_KEY)
         head = json.loads((block[:start] + ENTRIES_KEY + b"]}").decode("utf-8"))
-        if min(dims(head)) >= 1:
-            # A list iterator lets go of its list once it is used up.
-            rest = iter([block[start + len(ENTRIES_KEY):]])
-            return head, (fh, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), b"")))
-    # Not UTF-8, no entry key, too deep, or (ValidationError) no dimensions.
+        dims(head)
+        # A list iterator lets go of its list once it is used up.
+        rest = iter([block[start + len(ENTRIES_KEY):]])
+        return head, (fh, itertools.chain(rest, iter(lambda: fh.read(READ_CHUNK), b"")))
+    # Not UTF-8, no entry key, too deep, or (ValidationError) bad dimensions.
     except (ValueError, RecursionError):
-        pass
-    return _load_json(fh), None
+        return _load_json(fh), None
 
 
 def _fill(out: np.ndarray, filled: int, text: bytes) -> int:
@@ -568,7 +564,7 @@ def _fill(out: np.ndarray, filled: int, text: bytes) -> int:
 
 
 def _compact_entries(blocks: Iterator[bytes], expected: int) -> np.ndarray | None:
-    """The ``expected`` complex entries of the entry text of read_header,
+    """The ``expected`` complex entries of the entry text of _read_header,
     each block parsed up to the last pair boundary "], [" of the text
     carried from the blocks before and the block, the end up to "]}".
     Returns None when a pair is longer than a block, the text is not pairs
@@ -599,24 +595,27 @@ def _compact_entries(blocks: Iterator[bytes], expected: int) -> np.ndarray | Non
     return out.view(complex)
 
 
-def _json_dims(obj: Any, kind: str, keys: tuple[str, str]) -> tuple[int, int]:
+def _json_dims(obj: Any, kind: str, keys: tuple[str, str], below_one: str) -> tuple[int, int]:
+    """The two dimensions of a JSON object of the kind, read without
+    decoding entries: JSON integers of at least 1, the one rule for the
+    dimensions of both file kinds."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{kind} JSON must be an object")
     dims = obj.get(keys[0]), obj.get(keys[1])
     # A JSON integer only: int() would also read "1", 2.5 and true.
     if not (type(dims[0]) is int and type(dims[1]) is int):
         raise ValidationError(f"{kind} JSON needs integer '{keys[0]}' and '{keys[1]}'")
+    if min(dims) < 1:
+        raise ValidationError(below_one)
     return dims
 
 
-def matrix_json_shape(obj: Any) -> tuple[int, int]:
-    """(rows, cols) of a matrix JSON object, read without decoding entries."""
-    return _json_dims(obj, "matrix", ("rows", "cols"))
+def _matrix_json_shape(obj: Any) -> tuple[int, int]:
+    return _json_dims(obj, "matrix", ("rows", "cols"), "matrix dimensions must be >= 1")
 
 
-def state_json_dims(obj: Any) -> tuple[int, int]:
-    """(d_a, d_b) of a state JSON object, read without decoding entries."""
-    return _json_dims(obj, "state", ("d_a", "d_b"))
+def _state_json_dims(obj: Any) -> tuple[int, int]:
+    return _json_dims(obj, "state", ("d_a", "d_b"), "subsystem dimensions must be >= 1")
 
 
 def _reread(source: tuple, size: Callable) -> Any:
@@ -629,23 +628,33 @@ def _reread(source: tuple, size: Callable) -> Any:
     return obj
 
 
-# With ``source`` from read_header (obj its header), the entries are streamed
+# With ``source`` from _read_header (obj its header), the entries are streamed
 # from the file; where they decline, the file is read whole by json.load.
 def matrix_from_json(obj: dict, source: tuple | None = None) -> np.ndarray:
-    rows, cols = matrix_json_shape(obj)
-    if rows < 1 or cols < 1:
-        raise ValidationError("matrix dimensions must be >= 1")
+    rows, cols = _matrix_json_shape(obj)
     entries = (_entries_from_json(obj, "re_im", rows * cols) if source is None
                else _compact_entries(source[1], rows * cols))
     if entries is None:
-        return matrix_from_json(_reread(source, lambda o: max(matrix_json_shape(o))))
+        return matrix_from_json(_reread(source, lambda o: max(_matrix_json_shape(o))))
     return entries.reshape(rows, cols)
 
 
 def state_from_json(obj: dict, source: tuple | None = None) -> PureState:
-    d_a, d_b = state_json_dims(obj)
+    d_a, d_b = _state_json_dims(obj)
     entries = (_entries_from_json(obj, "re_im", d_a * d_b) if source is None
                else _compact_entries(source[1], d_a * d_b))
     if entries is None:
-        return state_from_json(_reread(source, lambda o: math.prod(state_json_dims(o))))
+        return state_from_json(_reread(source, lambda o: math.prod(_state_json_dims(o))))
     return PureState(d_a=d_a, d_b=d_b, amplitudes=entries)
+
+
+def load_pair(state_path: str, ham_path: str) -> tuple[PureState, np.ndarray]:
+    """The (state, Hamiltonian) pair of two files: both headers are read and
+    held to the dimension cap together before any entry is parsed."""
+    with _open_input(state_path) as state_fh, _open_input(ham_path) as ham_fh:
+        state_obj, state_source = _read_header(state_fh, _state_json_dims)
+        ham_obj, ham_source = _read_header(ham_fh, _matrix_json_shape)
+        _check_cap(max(math.prod(_state_json_dims(state_obj)), *_matrix_json_shape(ham_obj)))
+        # Through the module's names, so that a wrapper put in their place
+        # (perfbench's tracer) sees the decodes.
+        return state_from_json(state_obj, state_source), matrix_from_json(ham_obj, ham_source)

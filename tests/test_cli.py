@@ -285,8 +285,9 @@ class TestRateCommand:
 
 
 def json_load_alone(fh, dims):
-    """In place of read_header: json.load of the file on a text handle of
-    its own, ``open(path, encoding="utf-8")``, its errors input failures."""
+    """In place of qcore._read_header: json.load of the file on a text
+    handle of its own, ``open(path, encoding="utf-8")``, its errors input
+    failures."""
     with open(fh.name, encoding="utf-8") as text:
         try:
             return json.load(text), None
@@ -302,7 +303,7 @@ def rate_both_ways(monkeypatch, capsys, state_file, ham_file):
     for bulk in (True, False):
         with monkeypatch.context() as m:
             if not bulk:
-                m.setattr(entrate.cli, "read_header", json_load_alone)
+                m.setattr(entrate.qcore, "_read_header", json_load_alone)
             rc = main(["rate", str(state_file), str(ham_file)])
         captured = capsys.readouterr()
         results.append((rc, captured.out, captured.err))
@@ -554,15 +555,40 @@ class TestBulkReaderCommand:
         message = json_error(text) if "+1" in text else "error: matrix dimensions must be >= 1\n"
         assert fast == slow == (2, "", message)
 
+    @pytest.mark.parametrize("layout", ["compact", "indent-2"])
+    @pytest.mark.parametrize("d_a, d_b", [(0, 2), (-1, 5), (2, -2), (-100, -100)])
+    def test_state_dimension_below_one_is_reported(self, tmp_path, capsys, monkeypatch,
+                                                   d_a, d_b, layout):
+        # PureState's message: not the entry count of a negative product,
+        # nor the cap of a product of two negative dimensions.
+        obj = {"d_a": d_a, "d_b": d_b, "re_im": [[1.0, 0.0]]}
+        _, ham_file = write_worked_pair(tmp_path)
+        state_file = tmp_path / "bad.json"
+        state_file.write_text(json.dumps(obj, indent=2 if layout == "indent-2" else None))
+        fast, slow = rate_both_ways(monkeypatch, capsys, state_file, ham_file)
+        assert fast == slow == (2, "", "error: subsystem dimensions must be >= 1\n")
+        with pytest.raises(ValidationError, match="^subsystem dimensions must be >= 1$"):
+            state_from_json(obj)
+
+    @pytest.mark.parametrize("which", ["state", "hamiltonian"])
     def test_dimensions_repeated_after_the_entries_meet_the_cap(self, tmp_path, capsys,
-                                                                monkeypatch):
+                                                                monkeypatch, which):
         # json keeps the last of two equal keys, so the file is 8 x 1, not
-        # the 1 x 1 of its header, and over the cap.
+        # the 1 x 1 of its header, and over the cap.  A Hamiltonian's header
+        # reads 2 x 2 and its file 8 x 2: the cap holds its larger side, not
+        # the product.
         monkeypatch.setenv("ENTRATE_DIM_CAP", "4")
         _, ham_file = write_worked_pair(tmp_path)
         state_file = tmp_path / "s.json"
-        state_file.write_text('{"d_a": 1, "d_b": 1, "re_im": [[1.0, 0.0]], '
-                              '"d_a": 8, "x": [[0.0, 0.0]]}')
+        if which == "state":
+            state_file.write_text('{"d_a": 1, "d_b": 1, "re_im": [[1.0, 0.0]], '
+                                  '"d_a": 8, "x": [[0.0, 0.0]]}')
+        else:
+            state_file.write_text('{"d_a": 1, "d_b": 2, "re_im": [[1.0, 0.0], [0.0, 0.0]]}')
+            ham_file = tmp_path / "h.json"
+            ham_file.write_text('{"rows": 2, "cols": 2, "re_im": '
+                                + json.dumps([[0.0, 0.0]] * 4)
+                                + ', "rows": 8, "x": [[0.0, 0.0]]}')
         fast, slow = rate_both_ways(monkeypatch, capsys, state_file, ham_file)
         assert fast == slow == (2, "", "error: product dimension 8 exceeds cap 4\n")
 
@@ -647,7 +673,7 @@ class TestBulkReaderCommand:
                 dump_json(value, fh)
         tracemalloc.start()
         try:
-            psi, h = entrate.cli._load_pair(str(state_file), str(ham_file))
+            psi, h = entrate.qcore.load_pair(str(state_file), str(ham_file))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -669,11 +695,11 @@ class TestBulkReaderCommand:
                 piped(files[1].read_bytes()) as ham_file:
             tracemalloc.start()
             try:
-                psi, h = entrate.cli._load_pair(state_file, ham_file)
+                psi, h = entrate.qcore.load_pair(state_file, ham_file)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        want_psi, want_h = entrate.cli._load_pair(*map(str, files))
+        want_psi, want_h = entrate.qcore.load_pair(*map(str, files))
         assert same_bits(psi.amplitudes, want_psi.amplitudes) and same_bits(h, want_h)
         assert peak < h.nbytes + psi.amplitudes.nbytes + 8 * entrate.qcore.READ_CHUNK
 

@@ -26,18 +26,18 @@ from entrate.qcore import (
     _compact_entries,
     _dump_report,
     _entries_from_json,
+    _matrix_json_shape,
+    _read_header,
+    _state_json_dims,
     assemble_state,
     dump_json,
     hermiticity_defect,
     matrix_from_json,
-    matrix_json_shape,
     matrix_to_json,
     random_hermitian,
     random_state,
-    read_header,
     schmidt_decompose,
     state_from_json,
-    state_json_dims,
     state_to_json,
 )
 
@@ -687,16 +687,16 @@ def file_text(data: bytes) -> str | None:
 def header_dims(head) -> tuple[int, int]:
     """The dimensions of a state header, or else of a matrix header."""
     try:
-        return state_json_dims(head)
+        return _state_json_dims(head)
     except ValidationError:
-        return matrix_json_shape(head)
+        return _matrix_json_shape(head)
 
 
 def read_compact_header(data: bytes):
-    """(header, source) of read_header for a file's bytes, or None where the
+    """(header, source) of _read_header for a file's bytes, or None where the
     header declines, and json.load reads the file or rejects it."""
     try:
-        head, source = read_header(io.BytesIO(data), header_dims)
+        head, source = _read_header(io.BytesIO(data), header_dims)
     except ValidationError:
         return None
     return None if source is None else (head, source)
@@ -878,7 +878,7 @@ class TestBulkReader:
         text = head_text + ", ".join(pairs) + "]}"
         long_at = len(head_text) + 10 * len("[0.25, -0.0], ")
         fh = io.BytesIO(text.encode())
-        head, (_, blocks) = read_header(fh, matrix_json_shape)
+        head, (_, blocks) = _read_header(fh, _matrix_json_shape)
         assert _compact_entries(blocks, 400) is None
         # It stopped within two blocks of the long pair, not at the end.
         assert fh.tell() <= long_at + 2 * 64
