@@ -68,10 +68,6 @@ def _scale(log_base: str) -> float:
     return 1.0 / LN2 if log_base == "2" else 1.0
 
 
-def _emit(report: dict, out) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True), file=out)
-
-
 def cmd_rate(args: argparse.Namespace, out) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValidationError("tol must be finite and >= 0")
@@ -91,7 +87,7 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
         "tolerance": args.tol,
         "energy_stats": dataclasses.asdict(stats),
     }
-    _emit(report, out)
+    _dump_report(report, {}, out)
     # The rate is bounded by a multiple of Delta H, so the tolerance is
     # relative to that scale; an eigenstate (Delta H = 0) keeps it absolute.
     # |H|_1 is read only once the relative test has failed.
@@ -120,7 +116,7 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
             if search.get(name, 1) < 1:
                 raise ValidationError(f"{_flag(name)} must be >= 1")
         result = anc.sup_search(args.dim, args.ancilla, **search)
-        _emit(result.as_dict(), out)
+        _dump_report(result.as_dict(), {}, out)
         if result.converged_fraction == 0:
             print("numeric failure: no start converged", file=sys.stderr)
             return 1
@@ -134,15 +130,14 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
     h = ((args.dim**2, args.dim**2), *opt.optimal_hamiltonian_entries(args.dim))
     report = {"gamma_star": gamma, "rate_nat": rate, "rate_bits": rate / LN2,
               "dim": args.dim}
+    # A design written to its --out file is reported by its path, not inline.
+    designs = {"state": psi, "hamiltonian": h}
     if args.out is not None:
-        for key, value in (("state", psi), ("hamiltonian", h)):
-            path = f"{args.out}_{key}.json"
-            with open(path, "wb") as fh:
-                dump_json(value, fh)
-            report[key] = path
-        _emit(report, out)
-    else:
-        _dump_report(report, {"state": psi, "hamiltonian": h}, out)
+        for key in ("state", "hamiltonian"):
+            report[key] = f"{args.out}_{key}.json"
+            with open(report[key], "wb") as fh:
+                dump_json(designs.pop(key), fh)
+    _dump_report(report, designs, out)
     return 0
 
 
@@ -154,6 +149,7 @@ def _sweep_rows(dim_range: str | None, gamma_grid: int | None, dim: int):
             raise ValidationError(f"bad dimension range {dim_range!r}, want 'a..b'")
         if lo < 2 or hi < lo:
             raise ValidationError(f"empty or invalid dimension range {dim_range!r}")
+        _check_dims(hi, hi)
         for d in range(lo, hi + 1):
             yield d, opt.optimal_gamma(d).rate
     else:

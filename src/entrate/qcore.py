@@ -33,9 +33,7 @@ __all__ = [
     "assemble_state",
     "random_state",
     "random_hermitian",
-    "matrix_to_json",
     "matrix_from_json",
-    "state_to_json",
     "state_from_json",
     "dump_json",
     "load_pair",
@@ -296,22 +294,6 @@ ZERO_PAIR = b", [0.0, 0.0]"
 ZERO_RUN_MAX = 1 << 16
 
 
-# The layouts return the header fields and the entries as one contiguous
-# complex vector in row-major order.
-def _matrix_layout(m: np.ndarray) -> tuple[dict, np.ndarray]:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ValidationError("only 2-D matrices serialize")
-    head = {"rows": int(m.shape[0]), "cols": int(m.shape[1])}
-    return head, np.ascontiguousarray(m).reshape(-1)
-
-
-def _state_layout(psi: PureState) -> tuple[dict, np.ndarray]:
-    if psi.amplitudes.ndim != 1:
-        raise ValidationError("only a single state serializes, not a stack")
-    return {"d_a": psi.d_a, "d_b": psi.d_b}, np.ascontiguousarray(psi.amplitudes)
-
-
 def _nonzero_groups(flat: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(flat indices, values) of the entries of a contiguous complex vector
     with a nonzero bit, for each DUMP_CHUNK entries of it that hold one:
@@ -325,31 +307,27 @@ def _nonzero_groups(flat: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]
 
 
 def _layout(value: PureState | np.ndarray | tuple) -> tuple[dict, int, Iterator]:
-    """The header fields of a state or a matrix, its entry count, and its
-    nonzero entries in groups of at most DUMP_CHUNK.  A matrix may also be a
-    tuple (shape, index, values) of those entries at ascending flat indices."""
+    """The header fields of a state or a 2-D matrix, its entry count, and its
+    nonzero entries in row-major order, in groups of at most DUMP_CHUNK.  A
+    matrix may also be a tuple (shape, index, values) of those entries at
+    ascending flat indices.  A stack of states or any other array is
+    rejected."""
     if isinstance(value, tuple):
         (rows, cols), index, values = value
         groups = ((index[i:i + DUMP_CHUNK], values[i:i + DUMP_CHUNK])
                   for i in range(0, index.size, DUMP_CHUNK))
         return {"rows": rows, "cols": cols}, rows * cols, groups
-    head, flat = _state_layout(value) if isinstance(value, PureState) else _matrix_layout(value)
+    if isinstance(value, PureState):
+        if value.amplitudes.ndim != 1:
+            raise ValidationError("only a single state serializes, not a stack")
+        head, entries = {"d_a": value.d_a, "d_b": value.d_b}, value.amplitudes
+    else:
+        entries = np.asarray(value, dtype=complex)
+        if entries.ndim != 2:
+            raise ValidationError("only 2-D matrices serialize")
+        head = {"rows": int(entries.shape[0]), "cols": int(entries.shape[1])}
+    flat = np.ascontiguousarray(entries).reshape(-1)
     return head, flat.size, _nonzero_groups(flat)
-
-
-def _pairs(flat: np.ndarray) -> list:
-    """[[re, im], ...] of a contiguous complex vector, as Python floats."""
-    return flat.view(float).reshape(-1, 2).tolist()
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    head, flat = _matrix_layout(m)
-    return {**head, "re_im": _pairs(flat)}
-
-
-def state_to_json(psi: PureState) -> dict:
-    head, flat = _state_layout(psi)
-    return {**head, "re_im": _pairs(flat)}
 
 
 def _entry_pieces(size: int, groups: Iterator) -> Iterator[bytes | memoryview]:
@@ -370,7 +348,8 @@ def _entry_pieces(size: int, groups: Iterator) -> Iterator[bytes | memoryview]:
 
     at = 0
     for index, values in groups:
-        text = (", " + json.dumps(_pairs(values))[1:-1]).encode()
+        pairs = values.view(float).reshape(-1, 2).tolist()
+        text = (", " + json.dumps(pairs)[1:-1]).encode()
         # The zero entries before each entry, and where its text starts: a
         # pair's text holds no bracket but its own.
         gaps = np.diff(index, prepend=at - 1) - 1
@@ -388,9 +367,11 @@ def _entry_pieces(size: int, groups: Iterator) -> Iterator[bytes | memoryview]:
 
 
 def dump_json(value: PureState | np.ndarray | tuple, fh: BinaryIO) -> None:
-    """Write ``json.dumps`` of ``state_to_json(value)`` for a state, else of
-    ``matrix_to_json`` of the matrix (which may be given by its nonzero
-    entries, see _layout), to a binary file, byte for byte.
+    """Write ``json.dumps`` of the ``{"d_a", "d_b", "re_im"}`` object of a
+    state, else of the ``{"rows", "cols", "re_im"}`` object of a matrix
+    (which may be given by its nonzero entries, see _layout), to a binary
+    file, byte for byte.  "re_im" lists the [re, im] pairs of the entries
+    in row-major order, as Python floats.
 
     The entries go out through :func:`_entry_pieces`, so the full list of
     [re, im] pairs is never built and zero entries are never formatted.  A
@@ -418,19 +399,22 @@ def _indented(text: str, pad: str) -> str:
 
 
 def _dump_report(report: dict, designs: dict, fh: TextIO) -> None:
-    """Write ``json.dumps({**report, **designs}, indent=2, sort_keys=True)``
-    and a newline, where each state or matrix (see _layout) in designs
-    stands for its state_to_json or matrix_to_json form, byte for byte.
+    """Write ``{**report, **designs}`` as json.dumps writes it with an indent
+    of 2 and sorted keys, and a newline, where each state or matrix (see
+    _layout) in designs stands for the object that dump_json writes, byte
+    for byte.  Every JSON report of the command line goes out here, most
+    with no designs.
 
     Their entry lists are never built for the pure-Python indent encoder:
     the report is encoded with an empty entry list per design, and each
     design's entry pieces, laid out as that encoder lays them out, go in its
-    place.
+    place.  A string's quotes are escaped in that text, so no string of the
+    report can hold the '"re_im": []' that it is split on.
     """
     layouts = {key: _layout(designs[key]) for key in sorted(designs)}
     skeleton = {**report, **{key: {**head, "re_im": []}
                              for key, (head, _, _) in layouts.items()}}
-    parts = json.dumps(skeleton, indent=2, sort_keys=True).split('"re_im": []')
+    parts = json.dumps(skeleton, indent=2, sort_keys=True).split('"re_im": []', len(layouts))
     fh.write(parts[0])
     for (_, size, groups), before, part in zip(layouts.values(), parts, parts[1:]):
         # The key's line starts at the last newline of the text before it.

@@ -27,14 +27,13 @@ from entrate.qcore import (
     assemble_state,
     dump_json,
     matrix_from_json,
-    matrix_to_json,
     random_hermitian,
     random_state,
     state_from_json,
-    state_to_json,
 )
 
 from ancilla_reference import sup_search_one_by_one
+from json_reference import matrix_json, state_json
 from test_oracle import low_rank_state
 from test_qcore import mutants, same_bits
 
@@ -49,25 +48,25 @@ def write_worked_pair(tmp_path):
     h[0, 3] = -1j
     state_file = tmp_path / "state.json"
     ham_file = tmp_path / "ham.json"
-    state_file.write_text(json.dumps(state_to_json(PureState(2, 2, amp))))
-    ham_file.write_text(json.dumps(matrix_to_json(h)))
+    state_file.write_text(json.dumps(state_json(PureState(2, 2, amp))))
+    ham_file.write_text(json.dumps(matrix_json(h)))
     return str(state_file), str(ham_file)
 
 
 def write_pair(tmp_path, psi, h):
     state_file = tmp_path / "s.json"
     ham_file = tmp_path / "h.json"
-    state_file.write_text(json.dumps(state_to_json(psi)))
-    ham_file.write_text(json.dumps(matrix_to_json(h)))
+    state_file.write_text(json.dumps(state_json(psi)))
+    ham_file.write_text(json.dumps(matrix_json(h)))
     return str(state_file), str(ham_file)
 
 
 def write_scaled_pair(tmp_path, norm):
     state_file = tmp_path / "s.json"
     ham_file = tmp_path / "h.json"
-    state_file.write_text(json.dumps(state_to_json(random_state(4, 4, (0, 0)))))
+    state_file.write_text(json.dumps(state_json(random_state(4, 4, (0, 0)))))
     h = norm * random_hermitian(16, (0, 1))
-    ham_file.write_text(json.dumps(matrix_to_json(h)))
+    ham_file.write_text(json.dumps(matrix_json(h)))
     return str(state_file), str(ham_file)
 
 
@@ -146,9 +145,9 @@ class TestRateCommand:
         # An absolute oracle step left the difference above --tol here.
         state_file = tmp_path / "s.json"
         ham_file = tmp_path / "h.json"
-        state_file.write_text(json.dumps(state_to_json(random_state(4, 4, (0, 0)))))
+        state_file.write_text(json.dumps(state_json(random_state(4, 4, (0, 0)))))
         h = 1e4 * random_hermitian(16, (0, 1))
-        ham_file.write_text(json.dumps(matrix_to_json(h)))
+        ham_file.write_text(json.dumps(matrix_json(h)))
         assert main(["rate", str(state_file), str(ham_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["difference"]) < 1e-5
@@ -751,9 +750,9 @@ class TestOptimizeCommand:
         capsys.readouterr()
         state = build_optimal_state(optimal_gamma(3).gamma, 3)
         assert Path(prefix + "_state.json").read_text() == json.dumps(
-            state_to_json(assemble_state(state)))
+            state_json(assemble_state(state)))
         assert Path(prefix + "_hamiltonian.json").read_text() == json.dumps(
-            matrix_to_json(build_optimal_hamiltonian(3)))
+            matrix_json(build_optimal_hamiltonian(3)))
 
     def test_output_files_are_byte_identical_across_runs(self, tmp_path, capsys):
         files = []
@@ -765,16 +764,15 @@ class TestOptimizeCommand:
         capsys.readouterr()
         assert files[0] == files[1]
 
-    def test_output_files_never_build_the_entry_list(self, tmp_path, capsys,
-                                                      monkeypatch):
-        def refuse(_):
-            raise AssertionError("--out built the full re_im list")
-
-        for module in (entrate.cli, entrate.qcore):
-            monkeypatch.setattr(module, "matrix_to_json", refuse, raising=False)
-            monkeypatch.setattr(module, "state_to_json", refuse, raising=False)
-        assert main(["optimize", "--dim", "3", "--out", str(tmp_path / "opt")]) == 0
-        capsys.readouterr()
+    def test_out_prefix_survives_the_report_splice(self, tmp_path, capsys):
+        # The report's text is split on '"re_im": []', where the designs go;
+        # a quote in a string is escaped there, so a path cannot match.
+        prefix = str(tmp_path / 'a"re_im": []')
+        assert main(["optimize", "--dim", "2", "--out", prefix]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["state"] == prefix + "_state.json"
+        assert report["hamiltonian"] == prefix + "_hamiltonian.json"
+        assert Path(report["state"]).is_file() and Path(report["hamiltonian"]).is_file()
 
     def test_out_never_builds_the_dense_hamiltonian(self, tmp_path, capsys):
         prefix = str(tmp_path / "opt")
@@ -801,8 +799,8 @@ class TestOptimizeCommand:
         report = {
             "gamma_star": gamma, "rate_nat": rate, "rate_bits": rate / math.log(2),
             "dim": dim,
-            "state": state_to_json(assemble_state(build_optimal_state(gamma, dim))),
-            "hamiltonian": matrix_to_json(build_optimal_hamiltonian(dim)),
+            "state": state_json(assemble_state(build_optimal_state(gamma, dim))),
+            "hamiltonian": matrix_json(build_optimal_hamiltonian(dim)),
         }
         assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -932,6 +930,19 @@ class TestSweepCommand:
         assert main(["sweep", "--dim-range", "2..3", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text().startswith("param,rate_nat,rate_bits\n")
+
+    @pytest.mark.parametrize("dim_range, product", [
+        pytest.param("65..65", 65**2, id="65"),
+        pytest.param("2..70", 70**2, id="2-70"),
+        pytest.param(f"{10**400}..{10**400}", 10**800, id="10^400"),
+    ])
+    def test_range_end_over_the_cap_is_input_failure(self, capsys, dim_range, product):
+        # The end of the range is held to the rule of --dim: an end too
+        # large for a float is bad input, not a numeric failure.
+        assert main(["sweep", "--dim-range", dim_range]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: product dimension {product} exceeds cap 4096\n"
 
     def test_invalid_range_is_input_failure(self, capsys):
         assert main(["sweep", "--dim-range", "5..2"]) == 2
