@@ -50,24 +50,6 @@ def _check_dims(*dims: int) -> None:
     _check_cap(math.prod(dims))
 
 
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ValidationError("seed must be >= 0")
-
-
-def _check_out(out: str | None) -> None:
-    if out == "":
-        raise ValidationError("--out must not be empty")
-
-
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _scale(log_base: str) -> float:
-    return 1.0 / LN2 if log_base == "2" else 1.0
-
-
 def cmd_rate(args: argparse.Namespace, out) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValidationError("tol must be finite and >= 0")
@@ -77,13 +59,12 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
     closed = gamma_rate(state, schmidt_block(h, state))
     oracle = fd_rate(psi, h)
     stats = energy_stats(psi, h, state)
-    scale = _scale(args.log_base)
 
     report = {
-        "gamma_rate": closed * scale,
-        "fd_rate": oracle * scale,
-        "difference": (closed - oracle) * scale,
-        "log_base": args.log_base,
+        "gamma_rate": closed,
+        "fd_rate": oracle,
+        "difference": closed - oracle,
+        "log_base": "nat",
         "tolerance": args.tol,
         "energy_stats": dataclasses.asdict(stats),
     }
@@ -99,22 +80,20 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace, out) -> int:
-    _check_out(args.out)
+    if args.out == "":
+        raise ValidationError("--out must not be empty")
     ancilla = 1 if args.ancilla is None else args.ancilla
     _check_dims(args.dim, args.dim, ancilla, ancilla)
-    # Flags of the ancilla search; an unset one takes sup_search's default.
-    search = {name: getattr(args, name) for name in ("starts", "max_iter", "seed")
-              if getattr(args, name) is not None}
+    # An unset --starts takes sup_search's default.
+    search = {} if args.starts is None else {"starts": args.starts}
     if args.ancilla is not None:
         if args.out is not None:
             raise ValidationError("--out cannot be used with --ancilla")
-        _check_seed(args.seed)
         # sup_search checks these too, but names its own parameters.
         if args.dim < 2:
             raise ValidationError("dimension must be >= 2")
-        for name in ("starts", "max_iter"):
-            if search.get(name, 1) < 1:
-                raise ValidationError(f"{_flag(name)} must be >= 1")
+        if search.get("starts", 1) < 1:
+            raise ValidationError("--starts must be >= 1")
         result = anc.sup_search(args.dim, args.ancilla, **search)
         _dump_report(result.as_dict(), {}, out)
         if result.converged_fraction == 0:
@@ -123,7 +102,7 @@ def cmd_optimize(args: argparse.Namespace, out) -> int:
         return 0
 
     if search:
-        raise ValidationError(f"{_flag(next(iter(search)))} needs --ancilla")
+        raise ValidationError("--starts needs --ancilla")
     gamma, rate = opt.optimal_gamma(args.dim)
     psi = assemble_state(opt.build_optimal_state(gamma, args.dim))
     # The Hamiltonian by its nonzero entries: its dense matrix is never built.
@@ -161,7 +140,6 @@ def _sweep_rows(dim_range: str | None, gamma_grid: int | None, dim: int):
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
-    _check_out(args.out)
     if args.dim is not None and args.dim_range is not None:
         raise ValidationError("--dim cannot be used with --dim-range")
     dim = 2 if args.dim is None else args.dim
@@ -169,20 +147,15 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     if (args.dim_range is None) == (args.gamma_grid is None):
         raise ValidationError("pass exactly one of --dim-range/--gamma-grid")
     rows = list(_sweep_rows(args.dim_range, args.gamma_grid, dim))
-    sink = out if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        if args.format == "json":
-            payload = [
-                {"param": p, "rate_nat": r, "rate_bits": r / LN2} for p, r in rows
-            ]
-            print(json.dumps(payload, indent=2), file=sink)
-        else:
-            print("param,rate_nat,rate_bits", file=sink)
-            for param, rate in rows:
-                print(f"{param:.12g},{rate:.12g},{rate / LN2:.12g}", file=sink)
-    finally:
-        if sink is not out:
-            sink.close()
+    if args.format == "json":
+        payload = [
+            {"param": p, "rate_nat": r, "rate_bits": r / LN2} for p, r in rows
+        ]
+        print(json.dumps(payload, indent=2), file=out)
+    else:
+        print("param,rate_nat,rate_bits", file=out)
+        for param, rate in rows:
+            print(f"{param:.12g},{rate:.12g},{rate / LN2:.12g}", file=out)
     return 0
 
 
@@ -322,7 +295,8 @@ def _verify_checks(seed: int, trials: int, sign: float):
 def cmd_verify(args: argparse.Namespace, out) -> int:
     if args.trials < 1:
         raise ValidationError("trials must be >= 1")
-    _check_seed(args.seed)
+    if args.seed < 0:
+        raise ValidationError("seed must be >= 0")
     sign = -1.0 if args.inject_sign_flip else 1.0
     failures = 0
     lines = []
@@ -356,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("state", help="pure-state JSON file")
     p_rate.add_argument("hamiltonian", help="Hamiltonian JSON file")
     p_rate.add_argument("--tol", type=float, default=1e-5)
-    p_rate.add_argument("--log-base", choices=("nat", "2"), default="nat")
     p_rate.set_defaults(run=cmd_rate)
 
     p_optimize = sub.add_parser("optimize",
@@ -365,15 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_optimize.add_argument("--ancilla", type=int, default=None)
     p_optimize.add_argument("--out", default=None, help="file prefix; not with --ancilla")
     p_optimize.add_argument("--starts", type=int, help="with --ancilla only")
-    p_optimize.add_argument("--max-iter", type=int, help="with --ancilla only")
-    p_optimize.add_argument("--seed", type=int, help="with --ancilla only")
     p_optimize.set_defaults(run=cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over dimension or gamma")
     p_sweep.add_argument("--dim", type=int, help="with --gamma-grid only (default 2)")
     p_sweep.add_argument("--dim-range", default=None, help="inclusive range 'a..b'")
     p_sweep.add_argument("--gamma-grid", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sweep.set_defaults(run=cmd_sweep)
 

@@ -17,7 +17,6 @@ import io
 import itertools
 import json
 import math
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -44,8 +43,8 @@ __all__ = [
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 
-# Largest product dimension accepted when ENTRATE_DIM_CAP is unset or empty.
-DEFAULT_DIM_CAP = 4096
+# Largest product dimension accepted.
+DIM_CAP = 4096
 
 
 class ValidationError(ValueError):
@@ -53,15 +52,13 @@ class ValidationError(ValueError):
 
 
 def _check_cap(product: int) -> None:
-    """Reject a product dimension above ENTRATE_DIM_CAP, or above
-    DEFAULT_DIM_CAP when that variable is unset or empty."""
-    raw = os.environ.get("ENTRATE_DIM_CAP", "")
-    try:
-        cap = int(raw) if raw else DEFAULT_DIM_CAP
-    except ValueError:
-        raise ValidationError(f"ENTRATE_DIM_CAP must be an integer, got {raw!r}")
-    if product > cap:
-        raise ValidationError(f"product dimension {product} exceeds cap {cap}")
+    """Reject a product dimension above DIM_CAP."""
+    if product > DIM_CAP:
+        # str() of an int over 4300 digits raises ValueError, so a product
+        # past 64 bits is named by its length in bits.
+        bits = product.bit_length()
+        size = product if bits <= 64 else f"of {bits} bits"
+        raise ValidationError(f"product dimension {size} exceeds cap {DIM_CAP}")
 
 
 # Tile side in hermiticity_defect, and rows per block in oracle._norm_1.
@@ -402,7 +399,7 @@ def _dump_report(report: dict, designs: dict, fh: TextIO) -> None:
     """Write ``{**report, **designs}`` as json.dumps writes it with an indent
     of 2 and sorted keys, and a newline, where each state or matrix (see
     _layout) in designs stands for the object that dump_json writes, byte
-    for byte.  Every JSON report of the command line goes out here, most
+    for byte.  The reports of ``rate`` and ``optimize`` go out here, most
     with no designs.
 
     Their entry lists are never built for the pure-Python indent encoder:

@@ -645,14 +645,7 @@ class TestArbitration:
         assert rate == pytest.approx(ancilla_objective(coeffs, g), abs=2e-6)
 
     def test_dimension_cap(self):
-        # 9 * 8 * 8 * 9 = 5184 exceeds the default cap of 4096.
+        # 9 * 8 * 8 * 9 = 5184 exceeds the cap of 4096.
         coeffs = random_coeffs((9, 8), 53)
         with pytest.raises(ValidationError, match="exceeds cap 4096"):
             assemble_and_arbitrate(coeffs, zero_block(8))
-
-    def test_dimension_cap_follows_the_environment(self, monkeypatch):
-        # 1 * 3 * 3 * 1 = 9 is within the default cap, not within 8.
-        monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
-        coeffs = random_coeffs((1, 3), 54)
-        with pytest.raises(ValidationError, match="product dimension 9 exceeds cap 8"):
-            assemble_and_arbitrate(coeffs, zero_block(3))

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -88,14 +89,6 @@ class TestRateCommand:
                                 "log_base", "tolerance"]
         assert list(report["energy_stats"]) == ["mean", "variance", "variance_imag_part",
                                                 "variance_real_part"]
-
-    def test_log_base_conversion(self, tmp_path, capsys):
-        state_file, ham_file = write_worked_pair(tmp_path)
-        assert main(["rate", state_file, ham_file, "--log-base", "2"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["gamma_rate"] == pytest.approx(
-            1.3183347464017314 / math.log(2), abs=1e-12
-        )
 
     def test_real_hamiltonian_gives_zero(self, tmp_path, capsys):
         amp = np.zeros(4, dtype=complex)
@@ -267,19 +260,20 @@ class TestRateCommand:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
-    def test_dim_cap_checked_before_entries(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ENTRATE_DIM_CAP", "16")
-        amp = [[0.125, 0.0]] * 64
+    def test_dim_cap_checked_before_entries(self, tmp_path, capsys):
+        # Headers over the cap: the files hold a few entries, faulty ones
+        # among them, and only the cap is reported.
+        amp = [[0.125, 0.0]] * 4
         amp[3] = [None, 0.0]
-        entries = [[0.0, 0.0]] * (64 * 64)
+        entries = [[0.0, 0.0]] * 8
         entries[7] = ["abc", 0.0]
         state_file = tmp_path / "s.json"
         ham_file = tmp_path / "h.json"
-        state_file.write_text(json.dumps({"d_a": 8, "d_b": 8, "re_im": amp}))
-        ham_file.write_text(json.dumps({"rows": 64, "cols": 64, "re_im": entries}))
+        state_file.write_text(json.dumps({"d_a": 65, "d_b": 64, "re_im": amp}))
+        ham_file.write_text(json.dumps({"rows": 4160, "cols": 4160, "re_im": entries}))
         assert main(["rate", str(state_file), str(ham_file)]) == 2
         err = capsys.readouterr().err
-        assert "product dimension 64 exceeds cap 16" in err
+        assert "product dimension 4160 exceeds cap 4096" in err
         assert "entry" not in err
 
 
@@ -572,36 +566,34 @@ class TestBulkReaderCommand:
     @pytest.mark.parametrize("which", ["state", "hamiltonian"])
     def test_dimensions_repeated_after_the_entries_meet_the_cap(self, tmp_path, capsys,
                                                                 monkeypatch, which):
-        # json keeps the last of two equal keys, so the file is 8 x 1, not
-        # the 1 x 1 of its header, and over the cap.  A Hamiltonian's header
-        # reads 2 x 2 and its file 8 x 2: the cap holds its larger side, not
-        # the product.
-        monkeypatch.setenv("ENTRATE_DIM_CAP", "4")
+        # json keeps the last of two equal keys, so the file is 4097 x 1,
+        # not the 1 x 1 of its header, and over the cap.  A Hamiltonian's
+        # header reads 2 x 2 and its file 4097 x 2: the cap holds its larger
+        # side, not the product.
         _, ham_file = write_worked_pair(tmp_path)
         state_file = tmp_path / "s.json"
         if which == "state":
             state_file.write_text('{"d_a": 1, "d_b": 1, "re_im": [[1.0, 0.0]], '
-                                  '"d_a": 8, "x": [[0.0, 0.0]]}')
+                                  '"d_a": 4097, "x": [[0.0, 0.0]]}')
         else:
             state_file.write_text('{"d_a": 1, "d_b": 2, "re_im": [[1.0, 0.0], [0.0, 0.0]]}')
             ham_file = tmp_path / "h.json"
             ham_file.write_text('{"rows": 2, "cols": 2, "re_im": '
                                 + json.dumps([[0.0, 0.0]] * 4)
-                                + ', "rows": 8, "x": [[0.0, 0.0]]}')
+                                + ', "rows": 4097, "x": [[0.0, 0.0]]}')
         fast, slow = rate_both_ways(monkeypatch, capsys, state_file, ham_file)
-        assert fast == slow == (2, "", "error: product dimension 8 exceeds cap 4\n")
+        assert fast == slow == (2, "", "error: product dimension 4097 exceeds cap 4096\n")
 
     @pytest.mark.parametrize("token", ["0.0", "+1"])
     def test_dim_cap_checked_before_any_number_is_parsed(self, tmp_path, capsys,
                                                           monkeypatch, token):
         # Over the cap, neither file's entries are parsed: not even a number
         # json would reject is reached.
-        monkeypatch.setenv("ENTRATE_DIM_CAP", "16")
         state_file = tmp_path / "s.json"
         ham_file = tmp_path / "h.json"
-        state_file.write_text(json.dumps({"d_a": 8, "d_b": 8, "re_im": [[0.125, 0.0]] * 64}))
+        state_file.write_text(json.dumps({"d_a": 65, "d_b": 64, "re_im": [[0.125, 0.0]] * 64}))
         ham_file.write_text(with_first_number(
-            json.dumps({"rows": 64, "cols": 64, "re_im": [[0.0, 0.0]] * 4096}), token))
+            json.dumps({"rows": 4160, "cols": 4160, "re_im": [[0.0, 0.0]] * 64}), token))
 
         def never(*args):
             raise AssertionError("an entry was parsed")
@@ -613,9 +605,27 @@ class TestBulkReaderCommand:
         monkeypatch.setattr(entrate.qcore.json, "loads",
                             lambda text, **kw: parsed.append(text) or loads(text, **kw))
         assert main(["rate", str(state_file), str(ham_file)]) == 2
-        assert capsys.readouterr().err == "error: product dimension 64 exceeds cap 16\n"
-        assert parsed == ['{"d_a": 8, "d_b": 8, "re_im": []}',
-                          '{"rows": 64, "cols": 64, "re_im": []}']
+        assert capsys.readouterr().err == "error: product dimension 4160 exceeds cap 4096\n"
+        assert parsed == ['{"d_a": 65, "d_b": 64, "re_im": []}',
+                          '{"rows": 4160, "cols": 4160, "re_im": []}']
+
+    def test_sorted_key_design_reads_as_the_written_files(self, tmp_path, capsys):
+        # Written with sorted keys, a Hamiltonian's "rows" follows its
+        # entries: its header lacks a key, and json.load reads the file.
+        assert main(["optimize", "--dim", "8"]) == 0
+        inline = json.loads(capsys.readouterr().out)
+        assert main(["optimize", "--dim", "8", "--out", str(tmp_path / "d8")]) == 0
+        capsys.readouterr()
+        keys = ("state", "hamiltonian")
+        for key in keys:
+            (tmp_path / f"sorted_{key}.json").write_text(json.dumps(inline[key], sort_keys=True))
+        reports = []
+        for prefix in ("d8", "sorted"):
+            assert main(["rate", *(str(tmp_path / f"{prefix}_{key}.json") for key in keys)]) == 0
+            reports.append(capsys.readouterr().out)
+        text = (tmp_path / "sorted_hamiltonian.json").read_text()
+        assert text.index('"rows"') > text.index('"re_im"')
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("which", ["state", "hamiltonian"])
     @pytest.mark.parametrize("case", ["compact", "indent-2", "trailing-key", "+1"])
@@ -832,23 +842,24 @@ class TestOptimizeCommand:
         assert report["value_nat"] == pytest.approx(GAMMA2_RATE, abs=1e-4)
 
     def test_ancilla_determinism(self, capsys):
-        main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "2", "--seed", "4"])
+        main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "2"])
         first = capsys.readouterr().out
-        main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "2", "--seed", "4"])
+        main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "2"])
         assert capsys.readouterr().out == first
 
     def test_unset_search_flags_take_sup_search_defaults(self, capsys):
         assert main(["optimize", "--dim", "2", "--ancilla", "2"]) == 0
         first = capsys.readouterr().out
-        argv = ["optimize", "--dim", "2", "--ancilla", "2",
-                "--starts", "8", "--max-iter", "300", "--seed", "0"]
-        assert main(argv) == 0
+        assert main(["optimize", "--dim", "2", "--ancilla", "2", "--starts", "8"]) == 0
         assert capsys.readouterr().out == first
+        want = sup_search_one_by_one(2, 2, starts=8, seed=0, max_iter=300).as_dict()
+        assert first == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
-    def test_ancilla_without_converged_start_is_numeric_failure(self, capsys):
-        argv = ["optimize", "--dim", "4", "--ancilla", "2", "--max-iter", "1",
-                "--starts", "2"]
-        assert main(argv) == 1
+    def test_ancilla_without_converged_start_is_numeric_failure(self, capsys, monkeypatch):
+        # One iteration per start: no start converges.
+        monkeypatch.setattr(entrate.cli.anc, "sup_search",
+                            functools.partial(entrate.cli.anc.sup_search, max_iter=1))
+        assert main(["optimize", "--dim", "4", "--ancilla", "2", "--starts", "2"]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.out)["converged_fraction"] == 0.0
         assert "no start converged" in captured.err
@@ -877,11 +888,6 @@ class TestOptimizeCommand:
         assert diagnostics["gap_vs_no_ancilla"] == (
             diagnostics["value_unregularized"] - optimal_gamma(4).rate
         )
-
-    def test_dim_cap_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
-        assert main(["optimize", "--dim", "4"]) == 2
-        capsys.readouterr()
 
     def test_mismatched_dim_b_rejected(self, capsys):
         # The optimal construction has d_B = d_A, so there is no --dim-b.
@@ -925,16 +931,10 @@ class TestSweepCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [entry["param"] for entry in payload] == [2, 3]
 
-    def test_output_file(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--dim-range", "2..3", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert out.read_text().startswith("param,rate_nat,rate_bits\n")
-
     @pytest.mark.parametrize("dim_range, product", [
         pytest.param("65..65", 65**2, id="65"),
         pytest.param("2..70", 70**2, id="2-70"),
-        pytest.param(f"{10**400}..{10**400}", 10**800, id="10^400"),
+        pytest.param(f"{10**400}..{10**400}", "of 2658 bits", id="10^400"),
     ])
     def test_range_end_over_the_cap_is_input_failure(self, capsys, dim_range, product):
         # The end of the range is held to the rule of --dim: an end too
@@ -1214,9 +1214,9 @@ UNRECOGNIZED = object()  # argparse's rejection of an undeclared flag
 
 # The flags each subcommand reads, and no others.
 PARSER_SURFACE = {
-    "rate": {"--tol", "--log-base"},
-    "optimize": {"--dim", "--ancilla", "--out", "--starts", "--max-iter", "--seed"},
-    "sweep": {"--dim", "--dim-range", "--gamma-grid", "--out", "--format"},
+    "rate": {"--tol"},
+    "optimize": {"--dim", "--ancilla", "--out", "--starts"},
+    "sweep": {"--dim", "--dim-range", "--gamma-grid", "--format"},
     "verify": {"--seed", "--trials", "--inject-sign-flip"},
 }
 
@@ -1231,7 +1231,7 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
         for name, sub in subparsers.choices.items()
     }
     assert surface == PARSER_SURFACE
-    assert sum(map(len, surface.values())) == 16
+    assert sum(map(len, surface.values())) == 12
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -1342,31 +1342,17 @@ class TestInputFailures:
                      "--starts must be >= 1", id="ancilla-starts-0"),
         pytest.param(["verify", "--trials", "2", "--seed", "-1"],
                      "seed must be >= 0", id="verify-seed-negative"),
-        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--seed", "-1",
-                      "--starts", "2"], "seed must be >= 0", id="ancilla-seed-negative"),
-        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--max-iter", "0",
-                      "--starts", "2"], "--max-iter must be >= 1", id="max-iter-0"),
-        pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--max-iter", "-3",
-                      "--starts", "2"], "--max-iter must be >= 1", id="max-iter-negative"),
         # Checked in the command, so the message names the flag, not the
         # library parameter, and reads as without --ancilla.
         pytest.param(["optimize", "--dim", "1", "--ancilla", "2"],
                      "dimension must be >= 2", id="ancilla-dim-1"),
-        pytest.param(["optimize", "--dim", "1", "--ancilla", "2", "--max-iter", "0"],
-                     "dimension must be >= 2", id="ancilla-dim-1-max-iter-0"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "3", "--starts", "-1"],
                      "--starts must be >= 1", id="ancilla-starts-negative"),
-        pytest.param(["optimize", "--dim", "3", "--ancilla", "1", "--max-iter", "0"],
-                     "--max-iter must be >= 1", id="ancilla-one-max-iter-0"),
         # An empty --out is an input failure, not a missing --out.
         pytest.param(["optimize", "--dim", "2", "--out", ""], "--out must not be empty",
                      id="optimize-out-empty"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "2", "--out", ""],
                      "--out must not be empty", id="ancilla-out-empty"),
-        pytest.param(["sweep", "--dim-range", "2..3", "--out", ""],
-                     "--out must not be empty", id="sweep-out-empty"),
-        pytest.param(["sweep", "--gamma-grid", "3", "--out", ""],
-                     "--out must not be empty", id="sweep-grid-out-empty"),
     ])
     def test_exit_2_with_an_error_line(self, capsys, argv, message):
         assert main(argv) == 2
@@ -1374,16 +1360,22 @@ class TestInputFailures:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["rate", "optimize", "sweep"])
-    def test_non_integer_dim_cap_is_input_failure(self, tmp_path, capsys,
-                                                  monkeypatch, command):
-        monkeypatch.setenv("ENTRATE_DIM_CAP", "abc")
-        argv = {"rate": ["rate", *write_worked_pair(tmp_path)],
-                "optimize": ["optimize", "--dim", "2"],
-                "sweep": ["sweep", "--dim-range", "2..3"]}[command]
+    @pytest.mark.parametrize("command", ["optimize", "ancilla", "sweep", "rate"])
+    def test_product_too_long_to_print_is_input_failure(self, tmp_path, capsys, command):
+        # A product of over 4300 digits, which str() refuses, is named by
+        # its length in bits: one error line, no traceback.
+        huge = str(10**3999)
+        state_file = tmp_path / "s.json"
+        state_file.write_text('{"d_a": %d, "d_b": %d, "re_im": [[1.0, 0.0]]}'
+                              % (10**3000, 10**3000))
+        argv = {"optimize": ["optimize", "--dim", huge],
+                "ancilla": ["optimize", "--dim", "2", "--ancilla", huge],
+                "sweep": ["sweep", "--dim-range", f"{huge}..{huge}"],
+                "rate": ["rate", str(state_file), write_worked_pair(tmp_path)[1]]}[command]
+        bits = {"optimize": 26569, "ancilla": 26571, "sweep": 26569, "rate": 19932}[command]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: ENTRATE_DIM_CAP must be an integer, got 'abc'\n")
+        assert capsys.readouterr() == (
+            "", f"error: product dimension of {bits} bits exceeds cap 4096\n")
 
     @pytest.mark.parametrize("argv, rejection", [
         # Flags the subcommand does not declare: argparse exits 2.
@@ -1393,6 +1385,7 @@ class TestInputFailures:
                      id="rate-max-iter"),
         pytest.param(["rate", PAIR, "--seed", "9"], UNRECOGNIZED, id="rate-seed"),
         pytest.param(["rate", PAIR, "--format", "json"], UNRECOGNIZED, id="rate-format"),
+        pytest.param(["rate", PAIR, "--log-base", "2"], UNRECOGNIZED, id="rate-log-base"),
         pytest.param(["optimize", "--dim", "3", "--dim-b", "3"], UNRECOGNIZED,
                      id="optimize-dim-b"),
         pytest.param(["optimize", "--dim", "2", "--tol", "1e-30"], UNRECOGNIZED,
@@ -1401,8 +1394,14 @@ class TestInputFailures:
                      id="optimize-log-base"),
         pytest.param(["optimize", "--dim", "2", "--format", "csv"], UNRECOGNIZED,
                      id="optimize-format"),
+        pytest.param(["optimize", "--dim", "2", "--max-iter", "5"], UNRECOGNIZED,
+                     id="optimize-max-iter"),
+        pytest.param(["optimize", "--dim", "2", "--seed", "4"], UNRECOGNIZED,
+                     id="optimize-seed"),
         pytest.param(["sweep", "--dim-range", "2..3", "--log-base", "2"],
                      UNRECOGNIZED, id="sweep-log-base"),
+        pytest.param(["sweep", "--dim-range", "2..3", "--out", "s.csv"], UNRECOGNIZED,
+                     id="sweep-out"),
         pytest.param(["sweep", "--dim-range", "2..3", "--seed", "4"], UNRECOGNIZED,
                      id="sweep-seed"),
         pytest.param(["sweep", "--dim-range", "2..3", "--tol", "1e-30"], UNRECOGNIZED,
@@ -1427,10 +1426,6 @@ class TestInputFailures:
                      "--out cannot be used with --ancilla", id="ancilla-out"),
         pytest.param(["optimize", "--dim", "2", "--starts", "3"],
                      "--starts needs --ancilla", id="optimize-starts"),
-        pytest.param(["optimize", "--dim", "2", "--max-iter", "5"],
-                     "--max-iter needs --ancilla", id="optimize-max-iter"),
-        pytest.param(["optimize", "--dim", "2", "--seed", "4"],
-                     "--seed needs --ancilla", id="optimize-seed"),
         pytest.param(["sweep", "--dim-range", "2..3", "--dim", "3"],
                      "--dim cannot be used with --dim-range", id="sweep-range-dim"),
     ])

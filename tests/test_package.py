@@ -1,5 +1,6 @@
 """Package-wide guards: numpy is the only runtime dependency, every
-exported name exists, and Hermiticity has one rule."""
+exported name exists, Hermiticity has one rule, and no setting comes from
+the environment."""
 
 import ast
 import importlib
@@ -44,3 +45,18 @@ def test_herm_tol_is_compared_only_in_the_hermiticity_rule():
         and any(isinstance(n, ast.Name) and n.id == "HERM_TOL" for n in ast.walk(fn))
     }
     assert readers == {"_check_hermitian"}
+
+
+def test_no_module_reads_the_environment():
+    # Every setting is a flag of the command line or a constant: no module
+    # reads os.environ or os.getenv.
+    src = Path(entrate.__file__).parent
+    readers = sorted(
+        p.name
+        for p in src.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and {alias.name for alias in node.names} & {"environ", "getenv"})
+    )
+    assert readers == []
