@@ -649,3 +649,11 @@ class TestArbitration:
         coeffs = random_coeffs((9, 8), 53)
         with pytest.raises(ValidationError, match="exceeds cap 4096"):
             assemble_and_arbitrate(coeffs, zero_block(8))
+
+    def test_dimension_cap_ignores_the_environment(self, monkeypatch):
+        # The cap is a constant: 1 * 3 * 3 * 1 = 9 is within it, whatever
+        # the environment holds.
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
+        coeffs = random_coeffs((1, 3), 54)
+        rate = assemble_and_arbitrate(coeffs, zero_block(3))
+        assert rate == pytest.approx(ancilla_objective(coeffs, zero_block(3)), abs=2e-6)

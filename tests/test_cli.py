@@ -889,6 +889,12 @@ class TestOptimizeCommand:
             diagnostics["value_unregularized"] - optimal_gamma(4).rate
         )
 
+    def test_dim_cap_ignores_the_environment(self, capsys, monkeypatch):
+        # The cap is the constant 4096, not a setting of the environment.
+        monkeypatch.setenv("ENTRATE_DIM_CAP", "8")
+        assert main(["optimize", "--dim", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == 4
+
     def test_mismatched_dim_b_rejected(self, capsys):
         # The optimal construction has d_B = d_A, so there is no --dim-b.
         with pytest.raises(SystemExit) as exc:
@@ -1346,8 +1352,12 @@ class TestInputFailures:
         # library parameter, and reads as without --ancilla.
         pytest.param(["optimize", "--dim", "1", "--ancilla", "2"],
                      "dimension must be >= 2", id="ancilla-dim-1"),
+        pytest.param(["optimize", "--dim", "1", "--ancilla", "2", "--starts", "0"],
+                     "dimension must be >= 2", id="ancilla-dim-1-starts-0"),
         pytest.param(["optimize", "--dim", "2", "--ancilla", "3", "--starts", "-1"],
                      "--starts must be >= 1", id="ancilla-starts-negative"),
+        pytest.param(["optimize", "--dim", "3", "--ancilla", "1", "--starts", "0"],
+                     "--starts must be >= 1", id="ancilla-one-starts-0"),
         # An empty --out is an input failure, not a missing --out.
         pytest.param(["optimize", "--dim", "2", "--out", ""], "--out must not be empty",
                      id="optimize-out-empty"),
@@ -1402,6 +1412,8 @@ class TestInputFailures:
                      UNRECOGNIZED, id="sweep-log-base"),
         pytest.param(["sweep", "--dim-range", "2..3", "--out", "s.csv"], UNRECOGNIZED,
                      id="sweep-out"),
+        pytest.param(["sweep", "--gamma-grid", "3", "--out", "s.csv"], UNRECOGNIZED,
+                     id="sweep-grid-out"),
         pytest.param(["sweep", "--dim-range", "2..3", "--seed", "4"], UNRECOGNIZED,
                      id="sweep-seed"),
         pytest.param(["sweep", "--dim-range", "2..3", "--tol", "1e-30"], UNRECOGNIZED,

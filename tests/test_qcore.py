@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import entrate.qcore
 from entrate.optimum import build_optimal_hamiltonian
 from entrate.qcore import (
+    DIM_CAP,
     HERM_TOL,
     PureState,
     ValidationError,
@@ -22,6 +23,7 @@ from entrate.qcore import (
     DUMP_CHUNK,
     ENTRIES_KEY,
     ZERO_RUN_MAX,
+    _check_cap,
     _check_hamiltonian,
     _compact_entries,
     _dump_report,
@@ -342,6 +344,22 @@ class TestHermiticityRule:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="Hermitian"):
                 _check_hamiltonian(h, 3, ())
+
+
+class TestDimCap:
+    def test_cap_itself_passes(self):
+        _check_cap(DIM_CAP)
+
+    @pytest.mark.parametrize("product, size", [
+        pytest.param(DIM_CAP + 1, "4097", id="cap-plus-1"),
+        pytest.param(2**64 - 1, str(2**64 - 1), id="64-bits"),
+        pytest.param(2**64, "of 65 bits", id="65-bits"),
+    ])
+    def test_over_cap_names_the_product(self, product, size):
+        # Up to 64 bits the product is printed; past that, its length.
+        with pytest.raises(ValidationError) as exc:
+            _check_cap(product)
+        assert str(exc.value) == f"product dimension {size} exceeds cap 4096"
 
 
 class TestJsonCodec:
