@@ -462,7 +462,16 @@ def _entries_from_json(obj: dict, key: str, expected: int) -> np.ndarray:
 # blocks of READ_CHUNK bytes, into one array: each block's pairs are checked on
 # its bytes, and json's own scanner checks the number grammar and gives the
 # floats.
-READ_CHUNK = 1 << 20
+#
+# While a block is parsed, about 4.5 blocks are alive besides the entries:
+# the block, its cut copy, the unbracketed copy, json's str and the list of
+# floats.  That is 0.6 MiB at 128 KiB, below the maths' own temporaries in
+# `entrate rate`; 1 MiB blocks hold 4.6 MiB, which set the peak of `entrate
+# rate` on a 1024 x 1024 Hamiltonian (16 MiB of entries).  A larger block
+# buys no speed: json's number parser is about 77% of the decode and the two
+# translate passes about 11%, whatever the block size, and 128 KiB and 1 MiB
+# blocks decode at the same rate.
+READ_CHUNK = 1 << 17
 # The entry key as json.dumps writes it; the entries must be the last key.
 ENTRIES_KEY = b'"re_im": ['
 # The bytes of a JSON number, for bytes.translate to delete.  From the entry

@@ -662,14 +662,15 @@ class TestBulkReaderCommand:
 
         monkeypatch.setattr(entrate.qcore, "_compact_entries", spy)
         runs = set()
-        for chunk in (48, 64, 257, entrate.qcore.READ_CHUNK):
+        # 1 << 20 too: a block eight times the shipped one reads the same.
+        for chunk in (48, 64, 257, entrate.qcore.READ_CHUNK, 1 << 20):
             monkeypatch.setattr(entrate.qcore, "READ_CHUNK", chunk)
             runs.add(tuple((main(["rate", str(s), str(h)]), *capsys.readouterr())
                            for s, h in pairs))
         assert len(runs) == 1
         assert [code for code, _, _ in runs.pop()] == [0, 0]
         # Every file was read in bulk, at every block size.
-        assert len(read) == 4 * 4 and all(entries is not None for entries in read)
+        assert len(read) == 5 * 4 and all(entries is not None for entries in read)
 
     def test_peak_memory_is_the_entries_and_a_few_blocks(self, tmp_path, monkeypatch):
         # n = 256: the Hamiltonian's 65536 entries take 1 MiB, its text about
@@ -691,6 +692,24 @@ class TestBulkReaderCommand:
         # buffers, one block's translated copy and its list of floats: about
         # 6.5 blocks.  The whole text alone would take 2.8 MB.
         assert peak < h.nbytes + psi.amplitudes.nbytes + 8 * entrate.qcore.READ_CHUNK
+
+    def test_shipped_block_size_keeps_the_decode_within_2_mib(self, tmp_path):
+        # READ_CHUNK as shipped: n = 512, 4 MiB of entries and about 11 MB of
+        # text.  The working set of about 4.5 blocks fits in 2 MiB at 128 Ki;
+        # 1 Mi blocks would hold 4.6 MiB.
+        state_file, ham_file = tmp_path / "s.json", tmp_path / "h.json"
+        for path, value in ((state_file, random_state(16, 32, 1)),
+                            (ham_file, random_hermitian(512, 2))):
+            with open(path, "wb") as fh:
+                dump_json(value, fh)
+        tracemalloc.start()
+        try:
+            psi, h = entrate.qcore.load_pair(str(state_file), str(ham_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.shape == (512, 512)
+        assert peak < h.nbytes + psi.amplitudes.nbytes + (2 << 20)
 
     def test_piped_peak_memory_is_the_entries_and_a_few_blocks(self, tmp_path, monkeypatch):
         # The same pair through pipes: each is copied block by block to a
