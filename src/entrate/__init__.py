@@ -30,7 +30,6 @@ from .ancilla import (
 )
 from .optimum import (
     brute_force_max_k,
-    build_optimal_hamiltonian,
     build_optimal_state,
     gamma_curve,
     max_rate,
@@ -70,7 +69,6 @@ __all__ = [
     "assemble_and_arbitrate",
     "assemble_state",
     "brute_force_max_k",
-    "build_optimal_hamiltonian",
     "build_optimal_state",
     "gamma_curve",
     "direct_stats",

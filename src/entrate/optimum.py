@@ -1,10 +1,10 @@
 """Closed-form optimal rates without ancillas.
 
 Covers the maximization of the rate over unit-variance Hamiltonians at
-a fixed state (the surprisal-variance formula for the maximum, and the
-achieving Hamiltonian built from the projection of -4 C log C
-orthogonal to C), the optimal one-parameter state family, and the root
-of its stationarity condition.
+a fixed state (the surprisal-variance formula for the maximum, and its
+cross-check at the projection of -4 C log C orthogonal to C), the
+optimal one-parameter state family with the entries of its Hamiltonian,
+and the root of its stationarity condition.
 """
 
 from __future__ import annotations
@@ -15,19 +15,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import SchmidtState, ValidationError, _dot, _log_positive, _scalar
-from .rate import gamma_rate_k, schmidt_columns
+from .rate import gamma_rate_k
 
 __all__ = [
     "GammaOptimum",
     "surprisal_variance",
     "max_rate",
     "build_optimal_state",
-    "build_optimal_hamiltonian",
     "optimal_hamiltonian_entries",
     "gamma_curve",
     "optimal_gamma",
     "brute_force_max_k",
-    "achieving_hamiltonian",
 ]
 
 
@@ -47,10 +45,11 @@ def surprisal_variance(p: np.ndarray) -> float | np.ndarray:
     gives an array; every one must be valid.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12):
+    # Both checks are written so that a NaN fails them.
+    if np.any(~(p >= -1e-12)):
         raise ValidationError("probabilities must be nonnegative")
     total = p.sum(axis=-1)
-    bad = np.abs(total - 1.0) > 1e-10
+    bad = ~(np.abs(total - 1.0) <= 1e-10)
     if bad.any():
         worst = float(total[bad].flat[0]) if total.ndim else float(total)
         raise ValidationError(f"probabilities sum to {worst!r}, not 1")
@@ -106,24 +105,21 @@ def optimal_hamiltonian_entries(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([ii, ii * (d * d)]), values
 
 
-def build_optimal_hamiltonian(d: int) -> np.ndarray:
-    """The dense matrix of :func:`optimal_hamiltonian_entries`, zero elsewhere."""
-    index, values = optimal_hamiltonian_entries(d)
-    h = np.zeros((d * d, d * d), dtype=complex)
-    h.reshape(-1)[index] = values
-    return h
-
-
 def gamma_curve(gamma: float | np.ndarray, d: int) -> float | np.ndarray:
     """Signed rate 2 sqrt(g(1-g)) log(g(d-1)/(1-g)) of the optimal family.
 
     Negative below the balance point g = 1/d, where the distinguished
     coefficient is the small one and the fixed Hamiltonian family drains
-    entropy instead of generating it.
+    entropy instead of generating it.  A weight outside (0, 1), NaN
+    included, is rejected, as :func:`build_optimal_state` rejects it.
     """
     if d < 2:
         raise ValidationError("dimension must be >= 2")
     gamma = np.asarray(gamma, dtype=float)
+    # Written so that a NaN weight fails too.
+    bad = ~((gamma > 0.0) & (gamma < 1.0))
+    if bad.any():
+        raise ValidationError(f"gamma must lie in (0, 1), got {float(gamma[bad].flat[0])!r}")
     return 2.0 * np.sqrt(gamma * (1.0 - gamma)) * np.log(
         gamma * (d - 1) / (1.0 - gamma)
     )
@@ -187,19 +183,3 @@ def brute_force_max_k(state: SchmidtState) -> float | np.ndarray:
     """
     return gamma_rate_k(state, _optimal_k(state.coefficients))
 
-
-def achieving_hamiltonian(state: SchmidtState) -> np.ndarray:
-    """Hamiltonian attaining the maximal rate at unit imaginary variance.
-
-    With k = :func:`_optimal_k` and |C| = 1, M = k C^T - C k^T is the
-    minimal-Frobenius-norm antisymmetric solution of M C = k: any other
-    differs by a matrix orthogonal to it.  M is embedded on the
-    Schmidt-diagonal subspace in the computational basis of the state as
-    V (i M) V^H, with V from :func:`schmidt_columns`: the rank-2 matrix
-    i (|kappa><psi| - |psi><kappa|) with psi = V C and kappa = V k, built
-    in O(n^2).  Equal Schmidt weights give k = 0 and the zero Hamiltonian.
-    """
-    c = state.coefficients
-    v = schmidt_columns(state)
-    psi, kappa = v @ c, v @ _optimal_k(c)
-    return 1j * (np.outer(kappa, psi.conj()) - np.outer(psi, kappa.conj()))

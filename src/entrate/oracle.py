@@ -62,10 +62,11 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     H acts on axis 2 alone, so I (x) H (x) I is applied without being
     built, and its 1-norm is that of H.  The cut is A' A | B B', a
     (K_A d_a) x (d_b K_B) amplitude matrix; K_A = K_B = 1 is a plain
-    d_a x d_b state.  Each instance takes its own step s = MAX_PHASE / |H|_1
-    (any step when H = 0, whose rate is exactly 0), and every instance sums
-    the same _TAYLOR_TERMS terms q_k = (s H)^k psi / k!, so each row holds
-    the bits of the call on that instance alone.
+    d_a x d_b state.  Each instance takes its own step s = MAX_PHASE / |H|_1,
+    with |H|_1 floored at the smallest normal float so that s stays finite
+    for a subnormal H and for H = 0 (whose rate is exactly 0), and every
+    instance sums the same _TAYLOR_TERMS terms q_k = (s H)^k psi / k!, so
+    each row holds the bits of the call on that instance alone.
 
     With psi(0) = U diag(sigma) V^H, the weights p_i(t) = |(U^H psi(t))_i|^2
     are the diagonal of rho_A(t) in the eigenbasis of rho_A(0) = U sigma^2
@@ -77,7 +78,7 @@ def _fd_rates(amplitudes: np.ndarray, h: np.ndarray, d_a: int, d_b: int) -> np.n
     _, k_a, _, k_b = amplitudes.shape
     shape = (-1, k_a * d_a, d_b * k_b)
     norm = _norm_1(h)
-    steps = MAX_PHASE / np.where(norm == 0.0, 1.0, norm)
+    steps = MAX_PHASE / np.maximum(norm, np.finfo(float).tiny)
     s = steps[:, None, None, None]
     # Every stencil point is t = m s with |m| <= 2, a combination of the
     # same terms: exp(-iHms) psi = sum_k (-im)^k q_k, summed in order of k.

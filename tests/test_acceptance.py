@@ -23,9 +23,7 @@ from entrate.ancilla import (
     variance_constraint,
 )
 from entrate.optimum import (
-    achieving_hamiltonian,
     brute_force_max_k,
-    build_optimal_hamiltonian,
     build_optimal_state,
     max_rate,
     optimal_gamma,
@@ -35,6 +33,7 @@ from entrate.qcore import PureState, random_hermitian, random_state, schmidt_dec
 from entrate.rate import energy_stats, gamma_rate, mean_energy, schmidt_block
 
 from ancilla_reference import inner_opt_over_g
+from hamiltonian_reference import achieving_hamiltonian, build_optimal_hamiltonian
 
 
 def random_pairs(n, d_lo, d_hi, tag):

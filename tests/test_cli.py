@@ -21,7 +21,7 @@ import pytest
 import entrate.cli
 import entrate.qcore
 from entrate.cli import main
-from entrate.optimum import build_optimal_hamiltonian, build_optimal_state, optimal_gamma
+from entrate.optimum import build_optimal_state, optimal_gamma
 from entrate.qcore import (
     PureState,
     ValidationError,
@@ -34,6 +34,7 @@ from entrate.qcore import (
 )
 
 from ancilla_reference import sup_search_one_by_one
+from hamiltonian_reference import build_optimal_hamiltonian
 from json_reference import matrix_json, state_json
 from test_oracle import low_rank_state
 from test_qcore import mutants, same_bits
@@ -102,6 +103,21 @@ class TestRateCommand:
             assert '"gamma_rate": 0.0,' in out
             assert re.search(r"-0\.0\b", out) is None
             assert report["fd_rate"] == pytest.approx(0.0, abs=1e-6)
+
+    def test_subnormal_hamiltonian_prints_json(self, tmp_path, capsys):
+        # 1 / |H|_1 overflows at |H|_1 = 1e-320; the oracle's step must stay
+        # finite, or fd_rate prints NaN, which is not JSON.
+        amp = np.zeros(4, dtype=complex)
+        amp[0] = 1.0
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 0] = 1e-320
+        assert main(["rate", *write_pair(tmp_path, PureState(2, 2, amp), h)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["fd_rate"] == report["gamma_rate"] == report["difference"] == 0.0
 
     def test_corrupt_json_is_input_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

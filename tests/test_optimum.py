@@ -19,16 +19,17 @@ from entrate.qcore import (
 )
 from entrate.optimum import (
     _optimal_k,
-    achieving_hamiltonian,
     brute_force_max_k,
-    build_optimal_hamiltonian,
     build_optimal_state,
+    gamma_curve,
     max_rate,
     optimal_gamma,
     optimal_hamiltonian_entries,
     surprisal_variance,
 )
 from entrate.rate import energy_stats, gamma_rate, gamma_rate_k, schmidt_block
+
+from hamiltonian_reference import achieving_hamiltonian, build_optimal_hamiltonian
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 WORKED_RATE = 1.3183347464017314
@@ -66,6 +67,11 @@ class TestSurprisalVariance:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             surprisal_variance(np.array([0.5, 0.4]))
+
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [math.nan], [0.5, math.nan, 0.5]])
+    def test_rejects_nan(self, p):
+        with pytest.raises(ValidationError):
+            surprisal_variance(np.array(p))
 
     @given(seed=seeds)
     @settings(max_examples=40, deadline=None)
@@ -218,6 +224,14 @@ class TestOptimalGamma:
         above = residual(math.nextafter(gamma, 1.0))
         assert (below <= 0.0 <= above) or abs(residual(gamma)) <= 1e-14
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_curve_rejects_a_weight_outside_the_open_interval(self, gamma):
+        # The message of build_optimal_state, for the same family.
+        with pytest.raises(ValidationError, match=r"gamma must lie in \(0, 1\)"):
+            gamma_curve(gamma, 3)
+        with pytest.raises(ValidationError, match=r"gamma must lie in \(0, 1\)"):
+            gamma_curve(np.array([0.5, gamma]), 3)
+
     def test_symmetric_point_is_zero(self):
         assert max_rate(build_optimal_state(0.5, 2)) == pytest.approx(0.0, abs=1e-12)
 
@@ -342,6 +356,14 @@ class TestAchievingHamiltonian:
         assert fd_rate(psi, h) == pytest.approx(max_rate(state), abs=1e-8)
         stats = energy_stats(psi, h, state)
         assert stats.variance_imag_part == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 32])
+    def test_equals_the_design_at_the_optimal_state(self, d):
+        # The package's one formula, optimal_hamiltonian_entries, against the
+        # rank-2 Hamiltonian that attains max_rate at the same state.
+        state = build_optimal_state(optimal_gamma(d).gamma, d)
+        gap = achieving_hamiltonian(state) - build_optimal_hamiltonian(d)
+        assert np.max(np.abs(gap)) <= 2.2e-16
 
     def test_degenerate_state_gets_zero_hamiltonian(self):
         state = identity_schmidt([0.5] * 4)

@@ -206,6 +206,23 @@ class TestTaylorAction:
         psi = random_state(2, 3, 52)
         assert fd_rate(psi, np.zeros((6, 6), dtype=complex)) == 0.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subnormal_hamiltonian_keeps_a_finite_step(self, seed):
+        # |H|_1 is floored at the smallest normal float: at H x 0 the rate is
+        # +0.0, and at H x 1e-320, whose 1/|H|_1 overflows, it stays finite.
+        # Below the floor the step no longer follows |H|_1, so the gap to the
+        # closed form is absolute: the roundoff of the floor's step, a few
+        # 1e-321.
+        psi = random_state(2, 2, (seed, 80))
+        h = random_hermitian(4, (seed, 81))
+        zero = fd_rate(psi, h * 0.0)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        state = schmidt_decompose(psi)
+        tiny = h * 1e-320
+        got = fd_rate(psi, tiny)
+        assert math.isfinite(got)
+        assert abs(got - gamma_rate(state, schmidt_block(tiny, state))) <= 1e-320
+
     def test_no_n_by_n_temporaries_at_n_1024(self):
         psi = random_state(32, 32, 53)
         h = random_hermitian(1024, 54)

@@ -1,9 +1,10 @@
 """Package-wide guards: numpy is the only runtime dependency, every
-exported name exists, Hermiticity has one rule, and no setting comes from
-the environment."""
+exported name exists, Hermiticity has one rule, no setting comes from
+the environment, and README's code runs."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,16 @@ def test_no_module_reads_the_environment():
             and {alias.name for alias in node.names} & {"environ", "getenv"})
     )
     assert readers == []
+
+
+def test_readme_python_blocks_run():
+    # Every ```python block of README.md, in order, in one namespace: a later
+    # block may use what an earlier one defined.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE))
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        # Padded so that a traceback names the block's line in README.md.
+        source = "\n" * readme.count("\n", 0, block.start(1)) + block[1]
+        exec(compile(source, "README.md", "exec"), namespace)

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrate.qcore
-from entrate.optimum import build_optimal_hamiltonian
 from entrate.qcore import (
     DIM_CAP,
     HERM_TOL,
@@ -41,6 +40,7 @@ from entrate.qcore import (
     state_from_json,
 )
 
+from hamiltonian_reference import build_optimal_hamiltonian
 from json_reference import matrix_json, state_json
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
