@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .optimum import optimal_gamma
+from .optimum import build_optimal_state, optimal_gamma
 from .oracle import _fd_rates
 from .qcore import (
     ValidationError,
@@ -57,8 +57,12 @@ __all__ = [
     "assemble_and_arbitrate",
 ]
 
-# (regularization, entry floor) pairs applied in order during sup_search.
-ANNEAL_SCHEDULE = ((1e-4, 1e-4), (1e-7, 1e-6), (1e-10, 1e-8))
+# sup_search ascends at regularization _ASCENT_EPS with every entry floored
+# at _FLOOR, then evaluates each start once at _FINAL_EPS, the regularization
+# it reports.
+_ASCENT_EPS = 1e-4
+_FLOOR = 1e-4
+_FINAL_EPS = 1e-10
 SINGULARITY_COND_LIMIT = 1e12
 # sup_search ascends its starts in stacks of at most this many.
 _START_BLOCK = 64
@@ -359,70 +363,60 @@ def recover_g(coeffs: AncillaCoeffs, regularization: float) -> GBlock:
 # --- supremum over coefficient matrices ------------------------------------
 
 
-def _embedding_seed(
-    gamma: float, d_a: int, d_ancilla: int, fill: float
-) -> np.ndarray:
-    """No-ancilla optimal coefficients (weight gamma) in row 0, floor elsewhere."""
-    row = [math.sqrt(gamma)] + [math.sqrt((1.0 - gamma) / (d_a - 1))] * (d_a - 1)
-    c = np.full((d_ancilla, d_a), fill)
-    c[0, :] = row
+def _embedding_seed(gamma: float, d_a: int, d_ancilla: int) -> np.ndarray:
+    """No-ancilla optimal coefficients (weight gamma) in row 0, the entry
+    floor elsewhere."""
+    c = np.full((d_ancilla, d_a), _FLOOR)
+    c[0] = build_optimal_state(gamma, d_a).coefficients
     return c
 
 
-def _ascend(
-    c: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Projected gradient ascent of a stack of starts through ANNEAL_SCHEDULE.
+def _ascend(c: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Projected gradient ascent of a stack of starts at regularization
+    _ASCENT_EPS, with every entry floored at _FLOOR.
 
-    Returns each start's final C and its value at the last regularization,
-    whether it converged in some round, and the ascent steps summed over
-    starts.  Step size, acceptance and convergence are kept per start, and
-    each step evaluates the starts still running in one stack, so every
-    start follows the path it would follow alone.  A start stops for the
-    round when its gradient vanishes or its step falls below 1e-10; the
-    next round starts from the step where it stopped.
+    Returns each start's final C, whether it converged, and the ascent
+    steps summed over starts.  Step size, acceptance and convergence are
+    kept per start, and each step evaluates the starts still running in
+    one stack, so every start follows the path it would follow alone.  A
+    start stops when its gradient vanishes or its step falls below 1e-10.
     """
-    step = np.full(len(c), 0.05)
-    value = np.empty(len(c))
+    c = np.clip(c, _FLOOR, None)
+    c = c / _norms(c)[:, None, None]
     ok = np.zeros(len(c), dtype=bool)
     iterations = 0
-    for eps, delta in ANNEAL_SCHEDULE:
-        c = np.clip(c, delta, None)
-        c = c / _norms(c)[:, None, None]
-        # The running starts' indices and state, compacted when some stop.
-        run, r_c, r_step = np.arange(len(c)), c, step
-        r_value, r_grad = _value_and_grad(c, eps)
-        for _ in range(max_iter):
-            iterations += run.size
-            norm = _norms(r_grad)
-            # A vanishing gradient stops its start before any trial step:
-            # its trial is evaluated with the rest but never taken.
-            flat = norm < 1e-12
-            norm = np.where(flat, 1.0, norm)[:, None, None]
-            trial = np.clip(r_c + r_step[:, None, None] * r_grad / norm, delta, None)
-            trial = trial / _norms(trial)[:, None, None]
-            trial_value, trial_grad = _value_and_grad(trial, eps)
-            up = (trial_value > r_value) & ~flat
-            r_c = np.where(up[:, None, None], trial, r_c)
-            r_value = np.where(up, trial_value, r_value)
-            r_grad = np.where(up[:, None, None], trial_grad, r_grad)
-            halved = np.where(flat, r_step, r_step * 0.5)
-            r_step = np.where(up, np.minimum(r_step * 1.05, 0.25), halved)
-            stop = flat | (~up & (r_step < 1e-10))
-            if stop.any():
-                done = run[stop]
-                ok[done] = True
-                c[done] = r_c[stop]
-                value[done] = r_value[stop]
-                step[done] = r_step[stop]
-                keep = ~stop
-                run, r_c, r_value, r_grad, r_step = (
-                    run[keep], r_c[keep], r_value[keep], r_grad[keep], r_step[keep]
-                )
-                if not run.size:
-                    break
-        c[run], value[run], step[run] = r_c, r_value, r_step
-    return c, value, ok, iterations
+    # The running starts' indices and state, compacted when some stop.
+    run, r_c, r_step = np.arange(len(c)), c, np.full(len(c), 0.05)
+    r_value, r_grad = _value_and_grad(c, _ASCENT_EPS)
+    for _ in range(max_iter):
+        iterations += run.size
+        norm = _norms(r_grad)
+        # A vanishing gradient stops its start before any trial step:
+        # its trial is evaluated with the rest but never taken.
+        flat = norm < 1e-12
+        norm = np.where(flat, 1.0, norm)[:, None, None]
+        trial = np.clip(r_c + r_step[:, None, None] * r_grad / norm, _FLOOR, None)
+        trial = trial / _norms(trial)[:, None, None]
+        trial_value, trial_grad = _value_and_grad(trial, _ASCENT_EPS)
+        up = (trial_value > r_value) & ~flat
+        r_c = np.where(up[:, None, None], trial, r_c)
+        r_value = np.where(up, trial_value, r_value)
+        r_grad = np.where(up[:, None, None], trial_grad, r_grad)
+        halved = np.where(flat, r_step, r_step * 0.5)
+        r_step = np.where(up, np.minimum(r_step * 1.05, 0.25), halved)
+        stop = flat | (~up & (r_step < 1e-10))
+        if stop.any():
+            done = run[stop]
+            ok[done] = True
+            c[done] = r_c[stop]
+            keep = ~stop
+            run, r_c, r_value, r_grad, r_step = (
+                run[keep], r_c[keep], r_value[keep], r_grad[keep], r_step[keep]
+            )
+            if not run.size:
+                break
+    c[run] = r_c
+    return c, ok, iterations
 
 
 def sup_search(
@@ -435,22 +429,22 @@ def sup_search(
     """Search sup over C of the ancilla-assisted rate 2 sqrt(lambda_sq).
 
     Multi-start projected gradient ascent over nonnegative C with unit
-    Frobenius norm; entries are floored at delta and the regularization
-    is annealed toward zero across refinement rounds.  Start 0 embeds
-    the no-ancilla optimum, so the result never falls below it (up to
-    solver tolerance).  Gradients are exact: by the envelope theorem the
-    gradient of the fixed-C maximum is the partial C-gradient of the
-    Lagrangian at the closed-form maximizer G*, so each evaluation of
-    the value also yields its gradient from the same SVD of C.
+    Frobenius norm, at regularization 1e-4 with every entry floored at
+    1e-4; ``max_iter`` bounds each start's steps.  Each start's final C is
+    then evaluated once at regularization 1e-10: that value ranks the
+    starts, is the reported value, and the winner's G* is recovered at
+    the same regularization.  Start 0 embeds the no-ancilla optimum, so
+    the result never falls below it (up to solver tolerance).  Gradients
+    are exact: by the envelope theorem the gradient of the fixed-C
+    maximum is the partial C-gradient of the Lagrangian at the
+    closed-form maximizer G*, so each evaluation of the value also
+    yields its gradient from the same SVD of C.
 
     The starts ascend together, in blocks of at most ``_START_BLOCK``, so
     that each step runs one stacked SVD over the starts still active and
     memory does not grow with ``starts``.  Each start's path, and so the
     result, is the one it would follow alone; of equal values the first
-    start's wins.  The step size is not reset between anneal rounds: the
-    first round ends once the step has fallen below 1e-10, so the later rounds
-    mostly re-floor C and re-evaluate it, with one to three trial steps
-    each.
+    start's wins.
     """
     if d_a < 2:
         raise ValidationError("d_a must be >= 2")
@@ -467,22 +461,20 @@ def sup_search(
     best_c: np.ndarray | None = None
     converged = 0
     total_iterations = 0
-    final_eps = ANNEAL_SCHEDULE[-1][0]
 
     for first in range(0, starts, _START_BLOCK):
         block = []
         for start in range(first, min(first + _START_BLOCK, starts)):
             if start == 0:
-                fill = ANNEAL_SCHEDULE[0][1]
-                block.append(_embedding_seed(no_ancilla.gamma, d_a, d_ancilla, fill))
+                block.append(_embedding_seed(no_ancilla.gamma, d_a, d_ancilla))
             else:
                 rng = np.random.default_rng((seed, start))
                 block.append(np.abs(rng.normal(size=shape)) + 0.01)
         c = np.stack(block)
-        c, value, ok, iterations = _ascend(c / _norms(c)[:, None, None], max_iter)
+        c, ok, iterations = _ascend(c / _norms(c)[:, None, None], max_iter)
         converged += int(ok.sum())
         total_iterations += iterations
-        # The last anneal round runs at final_eps, so value is the final value.
+        value = 2.0 * _inner_max(c, _FINAL_EPS)[0]
         best = int(np.argmax(value))
         if value[best] > best_value:
             best_value = float(value[best])
@@ -490,7 +482,7 @@ def sup_search(
 
     assert best_c is not None
     coeffs = AncillaCoeffs.normalized(best_c)
-    g_star = recover_g(coeffs, final_eps)
+    g_star = recover_g(coeffs, _FINAL_EPS)
     # G* rescaled to |C G|_F = 1 is feasible at eps = 0; a zero G* stays zero.
     scale = math.sqrt(variance_constraint(coeffs, g_star)) or 1.0
     unregularized = ancilla_objective(coeffs, GBlock(upper=g_star.upper / scale, d=d_a))
@@ -501,10 +493,9 @@ def sup_search(
         g_star=g_star,
         starts=starts,
         converged_fraction=converged / starts,
-        regularization=final_eps,
+        regularization=_FINAL_EPS,
         diagnostics={
             "iterations": total_iterations,
-            "anneal_schedule": [list(pair) for pair in ANNEAL_SCHEDULE],
             "value_unregularized": unregularized,
             "gap_vs_no_ancilla": unregularized - no_ancilla.rate,
         },

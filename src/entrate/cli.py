@@ -70,13 +70,16 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
     }
     _dump_report(report, {}, out)
     # The rate is bounded by a multiple of Delta H, so the tolerance is
-    # relative to that scale; an eigenstate (Delta H = 0) keeps it absolute.
-    # |H|_1 is read only once the relative test has failed.
+    # relative to that scale.  An eigenstate (Delta H = 0) keeps it absolute,
+    # but relative to |H|_1 below |H|_1 = 1: there the variance of any state
+    # may underflow to 0.  |H|_1 is read only once the relative test has
+    # failed.
     gap, spread = abs(closed - oracle), math.sqrt(stats.variance)
     if gap <= args.tol * max(abs(closed), spread):
         return 0
-    eigenstate = spread <= EIGEN_SPREAD * np.finfo(float).eps * _norm_1(h)
-    return 0 if eigenstate and gap <= args.tol else 1
+    norm = _norm_1(h)
+    eigenstate = spread <= EIGEN_SPREAD * np.finfo(float).eps * norm
+    return 0 if eigenstate and gap <= args.tol * min(1.0, norm) else 1
 
 
 def cmd_optimize(args: argparse.Namespace, out) -> int:

@@ -7,7 +7,9 @@ from typing import Any
 import numpy as np
 
 from entrate.ancilla import (
-    ANNEAL_SCHEDULE,
+    _ASCENT_EPS,
+    _FINAL_EPS,
+    _FLOOR,
     AncillaCoeffs,
     AncillaOptimum,
     GBlock,
@@ -138,20 +140,21 @@ def sup_search_one_by_one(
 ) -> AncillaOptimum:
     """Reference: ``sup_search`` with its starts run one after another.
 
-    The body is the per-start loop the stacked ascent replaced, kept
-    verbatim with the single-matrix helpers below, so ``sup_search`` must
-    equal it bit for bit.
+    The body is the per-start loop the stacked ascent replaced, with the
+    single-matrix helpers below, so ``sup_search`` must equal it bit for
+    bit.
 
     Search sup over C of the ancilla-assisted rate 2 sqrt(lambda_sq).
 
     Multi-start projected gradient ascent over nonnegative C with unit
-    Frobenius norm; entries are floored at delta and the regularization
-    is annealed toward zero across refinement rounds.  Start 0 embeds
-    the no-ancilla optimum, so the result never falls below it (up to
-    solver tolerance).  Gradients are exact: by the envelope theorem the
-    gradient of the fixed-C maximum is the partial C-gradient of the
-    Lagrangian at the closed-form maximizer G*, so each evaluation of
-    the value also yields its gradient from the same SVD of C.
+    Frobenius norm, at regularization 1e-4 with every entry floored at
+    1e-4, then one evaluation of each start at regularization 1e-10.
+    Start 0 embeds the no-ancilla optimum, so the result never falls
+    below it (up to solver tolerance).  Gradients are exact: by the
+    envelope theorem the gradient of the fixed-C maximum is the partial
+    C-gradient of the Lagrangian at the closed-form maximizer G*, so each
+    evaluation of the value also yields its gradient from the same SVD of
+    C.
     """
     if d_a < 2:
         raise ValidationError("d_a must be >= 2")
@@ -168,48 +171,45 @@ def sup_search_one_by_one(
     best_c: np.ndarray | None = None
     converged = 0
     total_iterations = 0
-    final_eps = ANNEAL_SCHEDULE[-1][0]
 
     for start in range(starts):
         if start == 0:
-            fill = ANNEAL_SCHEDULE[0][1]
-            c = _embedding_seed(no_ancilla.gamma, d_a, d_ancilla, fill)
+            c = _embedding_seed(no_ancilla.gamma, d_a, d_ancilla)
         else:
             rng = np.random.default_rng((seed, start))
             c = np.abs(rng.normal(size=shape)) + 0.01
         c = c / np.linalg.norm(c)
+        c = np.clip(c, _FLOOR, None)
+        c = c / np.linalg.norm(c)
         step = 0.05
         ok = False
-        for eps, delta in ANNEAL_SCHEDULE:
-            c = np.clip(c, delta, None)
-            c = c / np.linalg.norm(c)
-            value, grad = _value_and_grad(c, eps)
-            for _ in range(max_iter):
-                total_iterations += 1
-                norm = float(np.linalg.norm(grad))
-                if norm < 1e-12:
+        value, grad = _value_and_grad(c, _ASCENT_EPS)
+        for _ in range(max_iter):
+            total_iterations += 1
+            norm = float(np.linalg.norm(grad))
+            if norm < 1e-12:
+                ok = True
+                break
+            trial = np.clip(c + step * grad / norm, _FLOOR, None)
+            trial = trial / np.linalg.norm(trial)
+            trial_value, trial_grad = _value_and_grad(trial, _ASCENT_EPS)
+            if trial_value > value:
+                c, value, grad = trial, trial_value, trial_grad
+                step = min(step * 1.05, 0.25)
+            else:
+                step *= 0.5
+                if step < 1e-10:
                     ok = True
                     break
-                trial = np.clip(c + step * grad / norm, delta, None)
-                trial = trial / np.linalg.norm(trial)
-                trial_value, trial_grad = _value_and_grad(trial, eps)
-                if trial_value > value:
-                    c, value, grad = trial, trial_value, trial_grad
-                    step = min(step * 1.05, 0.25)
-                else:
-                    step *= 0.5
-                    if step < 1e-10:
-                        ok = True
-                        break
         converged += ok
-        # The last anneal round runs at final_eps, so value is the final value.
+        value = 2.0 * _inner_max(c, _FINAL_EPS)[0]
         if value > best_value:
             best_value = value
             best_c = c
 
     assert best_c is not None
     coeffs = AncillaCoeffs.normalized(best_c)
-    _, raw, _ = _inner_max(coeffs.c, final_eps)
+    _, raw, _ = _inner_max(coeffs.c, _FINAL_EPS)
     g_star = GBlock.from_matrix((raw - raw.T) / 2.0)
     # G* rescaled to |C G|_F = 1 is feasible at eps = 0; a zero G* stays zero.
     scale = math.sqrt(variance_constraint(coeffs, g_star)) or 1.0
@@ -221,10 +221,9 @@ def sup_search_one_by_one(
         g_star=g_star,
         starts=starts,
         converged_fraction=converged / starts,
-        regularization=final_eps,
+        regularization=_FINAL_EPS,
         diagnostics={
             "iterations": total_iterations,
-            "anneal_schedule": [list(pair) for pair in ANNEAL_SCHEDULE],
             "value_unregularized": unregularized,
             "gap_vs_no_ancilla": unregularized - no_ancilla.rate,
         },

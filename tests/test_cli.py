@@ -250,6 +250,23 @@ class TestRateCommand:
         assert main(["rate", *files]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("factor, status", [(1.0, 0), (2.0, 1)])
+    def test_underflowing_variance_keeps_the_tolerance_relative(
+        self, tmp_path, capsys, monkeypatch, factor, status
+    ):
+        # At |H| ~ 1e-200 the variance of every state underflows to 0, so
+        # every state passes for an eigenstate: a closed form off by a
+        # factor of 2 must still fail.
+        gamma, _ = optimal_gamma(2)
+        psi = assemble_state(build_optimal_state(gamma, 2))
+        files = write_pair(tmp_path, psi, 1e-200 * build_optimal_hamiltonian(2))
+        exact = entrate.cli.gamma_rate
+        monkeypatch.setattr(
+            entrate.cli, "gamma_rate", lambda state, block: factor * exact(state, block)
+        )
+        assert main(["rate", *files]) == status
+        assert json.loads(capsys.readouterr().out)["energy_stats"]["variance"] == 0.0
+
     @pytest.mark.parametrize("bad", [None, "abc", "1", True])
     def test_non_numeric_entry_is_input_failure(self, tmp_path, capsys, bad):
         state_file, ham_file = write_worked_pair(tmp_path)
