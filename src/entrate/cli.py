@@ -54,6 +54,12 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValidationError("tol must be finite and >= 0")
     psi, h = load_pair(args.state, args.hamiltonian)
+    # |H psi| <= |H|_1 for Hermitian H, so up to |H|_1 = 2^511 every square
+    # and sum of the energy statistics stays below 2^1022: none overflows.
+    norm = _norm_1(h)
+    if norm > 2.0**511:
+        raise ValidationError(f"Hamiltonian 1-norm {norm:.3e} is above 2^511, "
+                              "where its energy variance overflows")
 
     state = schmidt_decompose(psi)
     closed = gamma_rate(state, schmidt_block(h, state))
@@ -72,12 +78,10 @@ def cmd_rate(args: argparse.Namespace, out) -> int:
     # The rate is bounded by a multiple of Delta H, so the tolerance is
     # relative to that scale.  An eigenstate (Delta H = 0) keeps it absolute,
     # but relative to |H|_1 below |H|_1 = 1: there the variance of any state
-    # may underflow to 0.  |H|_1 is read only once the relative test has
-    # failed.
+    # may underflow to 0.
     gap, spread = abs(closed - oracle), math.sqrt(stats.variance)
     if gap <= args.tol * max(abs(closed), spread):
         return 0
-    norm = _norm_1(h)
     eigenstate = spread <= EIGEN_SPREAD * np.finfo(float).eps * norm
     return 0 if eigenstate and gap <= args.tol * min(1.0, norm) else 1
 
@@ -168,22 +172,22 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 _VERIFY_BLOCK = 256
 
 
-def _blocks(trials: int):
-    """The trial indices in consecutive ranges of at most _VERIFY_BLOCK."""
+def _draws(seed: int, section: int, trials: int, *widths: int):
+    """The instances of verify's section ``section``: row t of the normals
+    of np.random.default_rng((seed, section)), in rows of the fixed width
+    sum(widths), is trial t's.  So a trial's instance does not depend on
+    ``trials``: more trials only add instances.  Yields the rows of each
+    block of at most _VERIFY_BLOCK trials, one stacked draw, split into
+    parts of the given widths."""
+    rng = np.random.default_rng((seed, section))
     for start in range(0, trials, _VERIFY_BLOCK):
-        yield range(start, min(start + _VERIFY_BLOCK, trials))
+        x = rng.normal(size=(min(_VERIFY_BLOCK, trials - start), sum(widths)))
+        yield np.split(x, np.cumsum(widths)[:-1], axis=1)
 
 
 def _worst(err: float, errs) -> float:
     """The largest of err and errs, NaN if any of them is NaN."""
     return float(np.max(errs, initial=err))
-
-
-def _normal_rows(rng: np.random.Generator, block: range, *widths: int) -> list:
-    """The next len(block) rows of rng's normals, one per trial, split into
-    parts of the given widths."""
-    x = rng.normal(size=(len(block), sum(widths)))
-    return np.split(x, np.cumsum(widths)[:-1], axis=1)
 
 
 def _unitaries(x: np.ndarray, dim: int) -> np.ndarray:
@@ -203,29 +207,23 @@ def _index_form(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _verify_checks(seed: int, trials: int, sign: float):
     """Yield (name, worst error, tolerance) for each check of ``verify``.
 
-    The checks fall in four sections j, each of which draws its instances
-    from one stream of normals, np.random.default_rng((seed, j)): j = 0 for
-    the five checks from ``rate_vs_oracle`` to ``rate_bound_excess``, 1 for
-    ``local_unitary_invariance``, 2 for ``lagrange_vs_bruteforce`` and 3 for
-    the two ancilla checks.  Section j reads its stream in rows of a fixed
-    width w_j (180, 110, 18 and 8), and trial t's instance is row t, the
-    values t w_j to (t + 1) w_j - 1.  Section 0's dimensions (d_a, d_b) are
-    row t, two values, of the integers of default_rng((seed, 101)).  So a
-    trial's instance does not depend on --trials: more trials only add
-    instances.  Trials go in blocks of _VERIFY_BLOCK, and within a block
-    every check makes one stacked call per (d_a, d_b), the oracle of
-    ``rate_vs_oracle`` (its stacked core ``_fd_rates``) and the ancilla
-    checks' arbitration included.  A check's error is the maximum over its
-    trials, and NaN when any trial's is NaN, so that a NaN fails it.
+    The checks fall in four sections, each of which draws its instances
+    with ``_draws``: section 0 for the five checks from ``rate_vs_oracle``
+    to ``rate_bound_excess``, 1 for ``local_unitary_invariance``, 2 for
+    ``lagrange_vs_bruteforce`` and 3 for the two ancilla checks.  Section
+    0's dimensions (d_a, d_b) are row t, two values, of the integers of
+    default_rng((seed, 101)).  Within a block every check makes one stacked
+    call per (d_a, d_b), the oracle of ``rate_vs_oracle`` (its stacked core
+    ``_fd_rates``) and the ancilla checks' arbitration included.  A check's
+    error is the maximum over its trials, and NaN when any trial's is NaN,
+    so that a NaN fails it.
     """
     rng_dims = np.random.default_rng((seed, 101))
-    draws = np.random.default_rng((seed, 0))
     err_rate = err_var = err_mean = err_orth = err_bound = 0.0
-    for block in _blocks(trials):
-        dims = rng_dims.integers(2, 4, size=(len(block), 2))
-        # Each trial draws a state and a Hamiltonian at the largest shape,
-        # n = 9; a smaller one reads the first 2n and 2n^2 values of each.
-        x_psi, x_h = _normal_rows(draws, block, 2 * 9, 2 * 81)
+    # Each trial draws a state and a Hamiltonian at the largest shape, n = 9;
+    # a smaller one reads the first 2n and 2n^2 values of each.
+    for x_psi, x_h in _draws(seed, 0, trials, 2 * 9, 2 * 81):
+        dims = rng_dims.integers(2, 4, size=(len(x_psi), 2))
         groups: dict[tuple[int, int], list[int]] = {}
         for row, shape in enumerate(map(tuple, dims.tolist())):
             groups.setdefault(shape, []).append(row)
@@ -253,10 +251,8 @@ def _verify_checks(seed: int, trials: int, sign: float):
     yield "auto_orthogonality", err_orth, 1e-12
     yield "rate_bound_excess", err_bound, 1e-9
 
-    draws = np.random.default_rng((seed, 1))
     err_lu = 0.0
-    for block in _blocks(trials):
-        x_psi, x_h, x_u, x_v = _normal_rows(draws, block, 12, 72, 8, 18)
+    for x_psi, x_h, x_u, x_v in _draws(seed, 1, trials, 12, 72, 8, 18):
         psi = PureState(d_a=2, d_b=3, amplitudes=_unit_vectors(x_psi))
         h = _hermitians(x_h, 6)
         state = schmidt_decompose(psi)
@@ -272,19 +268,15 @@ def _verify_checks(seed: int, trials: int, sign: float):
         err_lu = _worst(err_lu, abs(base - moved))
     yield "local_unitary_invariance", err_lu, 1e-9
 
-    draws = np.random.default_rng((seed, 2))
     err_lagr = 0.0
-    for block in _blocks(trials):
-        (x,) = _normal_rows(draws, block, 18)
+    for (x,) in _draws(seed, 2, trials, 18):
         state = schmidt_decompose(PureState(d_a=3, d_b=3, amplitudes=_unit_vectors(x)))
         err_lagr = _worst(err_lagr, abs(opt.max_rate(state) - opt.brute_force_max_k(state)))
     yield "lagrange_vs_bruteforce", err_lagr, 1e-6
 
-    draws = np.random.default_rng((seed, 3))
     err_id = err_arb = 0.0
-    for block in _blocks(trials):
-        # Per trial, the (2, 2) draw of C, then the (2, 2) draw of G.
-        (x,) = _normal_rows(draws, block, 8)
+    # Per trial, the (2, 2) draw of C, then the (2, 2) draw of G.
+    for (x,) in _draws(seed, 3, trials, 8):
         raw = x.reshape(-1, 2, 2, 2)
         coeffs = anc.AncillaCoeffs.normalized(np.abs(raw[:, 0]) + 0.05)
         g = anc.GBlock.from_matrix(raw[:, 1] - raw[:, 1].swapaxes(-1, -2))
@@ -301,22 +293,14 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     if args.seed < 0:
         raise ValidationError("seed must be >= 0")
     sign = -1.0 if args.inject_sign_flip else 1.0
-    failures = 0
-    lines = []
+    checks = passed = 0
     for name, err, tol in _verify_checks(args.seed, args.trials, sign):
         ok = err < tol
-        failures += 0 if ok else 1
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'}  {name:<26} max_err={err: .3e}  tol={tol:.1e}"
-        )
-    for line in lines:
-        print(line, file=out)
-    print(
-        f"{len(lines) - failures}/{len(lines)} checks passed "
-        f"(seed={args.seed}, trials={args.trials})",
-        file=out,
-    )
-    return 0 if failures == 0 else 1
+        checks, passed = checks + 1, passed + ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<26} max_err={err: .3e}  tol={tol:.1e}",
+              file=out)
+    print(f"{passed}/{checks} checks passed (seed={args.seed}, trials={args.trials})", file=out)
+    return 0 if passed == checks else 1
 
 
 @functools.cache

@@ -112,14 +112,18 @@ def energy_stats(
     """Energy mean and variance, split along the Schmidt-basis real/imag parts.
 
     ``state`` is the Schmidt decomposition of ``psi`` (``schmidt_decompose``),
-    which the callers already hold; the split refers to its bases.  A stack
-    of states takes stacks of Hamiltonians and decompositions of the same
-    shape.  In the full Schmidt product basis W = basis_a (x) basis_b the
-    state is the real vector v = sum_i C_i e_ii, and the variance decomposes
-    exactly into the real-part variance plus <v|H_I H_I^T|v>.  Only
-    y = W^H H psi = H~ v is needed, one matvec plus a d_a x d_b rotation:
-    the real part is |Re y - mean v|^2, and since H~^T = conj(H~),
-    H_I^T v = -Im y.
+    which the callers already hold.  A stack of states takes stacks of
+    Hamiltonians and decompositions of the same shape.  The split refers to
+    the bases of ``state``; only its sum belongs to (psi, H).  Pair i turned
+    by e^{i theta_i} on A and e^{-i theta_i} on B is another decomposition
+    of psi, with another split, unless H psi lies on the |ii>, which no such
+    turn moves, as under the Hamiltonian that attains the maximal rate.
+
+    In the full Schmidt product basis W = basis_a (x) basis_b the state is
+    the real vector v = sum_i C_i e_ii, and the variance decomposes exactly
+    into the real-part variance plus <v|H_I H_I^T|v>.  Only y = W^H H psi =
+    H~ v is needed, one matvec plus a d_a x d_b rotation: the real part is
+    |Re y - mean v|^2, and since H~^T = conj(H~), H_I^T v = -Im y.
     """
     stack = psi.amplitudes.shape[:-1]
     n = psi.d_a * psi.d_b

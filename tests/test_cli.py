@@ -22,6 +22,7 @@ import entrate.cli
 import entrate.qcore
 from entrate.cli import main
 from entrate.optimum import build_optimal_state, optimal_gamma
+from entrate.oracle import _norm_1
 from entrate.qcore import (
     PureState,
     ValidationError,
@@ -191,6 +192,28 @@ class TestRateCommand:
         assert main(["rate", *files]) == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["difference"]) <= 1e-9 * abs(report["gamma_rate"])
+
+    def test_norm_above_2_to_511_is_input_failure(self, tmp_path, capsys):
+        # The variance of this pair overflowed to Infinity, which is not JSON,
+        # and the tolerance test then passed on it.
+        files = write_pair(tmp_path, random_state(2, 3, 1), 1e160 * random_hermitian(6, 2))
+        assert main(["rate", *files]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("dims", [(2, 3), (8, 8), (4, 16)])
+    def test_norm_just_below_2_to_511_prints_finite_json(self, tmp_path, capsys, dims):
+        h = random_hermitian(dims[0] * dims[1], (*dims, 1))
+        h *= 0.999 * 2.0**511 / _norm_1(h)
+        files = write_pair(tmp_path, random_state(*dims, (*dims, 0)), h)
+        assert main(["rate", *files]) == 0
+
+        def reject(token):
+            raise AssertionError(f"{token} in the report")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["energy_stats"]["variance"] > 0
 
     @pytest.mark.parametrize("norm", [1e-4, 1e4])
     def test_tolerance_is_relative_to_the_rate_scale(self, tmp_path, capsys, norm):

@@ -15,6 +15,7 @@ from entrate.qcore import (
     PureState,
     SchmidtState,
     ValidationError,
+    assemble_state,
     hermiticity_defect,
     random_hermitian,
     random_state,
@@ -30,6 +31,8 @@ from entrate.rate import (
     schmidt_block,
     schmidt_columns,
 )
+
+from hamiltonian_reference import achieving_hamiltonian
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -327,6 +330,69 @@ class TestInvariances:
                 max(energy_stats(psi, h, state).variance, 0.0)
             )
             assert abs(rate) <= bound + 1e-9
+
+
+def regauged(state: SchmidtState, rng) -> SchmidtState:
+    """Another Schmidt decomposition of the same state: pair i turned by
+    e^{i theta_i} on A and by e^{-i theta_i} on B, and the columns of a
+    basis past the pairs mixed by a random unitary."""
+    d = state.rank_dim
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    bases = [state.basis_a.copy(), state.basis_b.copy()]
+    for basis, turn in zip(bases, (phase, phase.conj())):
+        basis[:, :d] *= turn
+        extra = basis.shape[1] - d
+        if extra:
+            x = rng.normal(size=(extra, extra, 2)) @ [1, 1j]
+            basis[:, d:] = basis[:, d:] @ np.linalg.qr(x)[0]
+    return dataclasses.replace(state, basis_a=bases[0], basis_b=bases[1])
+
+
+GAUGE_CASES = [
+    ("3x3", lambda: random_state(3, 3, 50)),
+    ("2x5", lambda: random_state(2, 5, 51)),
+    ("4x2", lambda: random_state(4, 2, 52)),
+    ("rank-deficient 3x3", lambda: rank_two_state(3, 3, 53)),
+]
+
+
+class TestSchmidtGauge:
+    """energy_stats' real/imaginary split refers to the Schmidt bases it is
+    given; the rate, the mean and the variance belong to (psi, H) alone."""
+
+    @pytest.mark.parametrize("make_psi", [c[1] for c in GAUGE_CASES],
+                             ids=[c[0] for c in GAUGE_CASES])
+    def test_only_the_split_depends_on_the_gauge(self, make_psi):
+        psi = make_psi()
+        h = random_hermitian(psi.d_a * psi.d_b, (psi.d_a, psi.d_b, 54))
+        state = schmidt_decompose(psi)
+        block = schmidt_block(h, state)
+        stats = energy_stats(psi, h, state)
+        rng = np.random.default_rng(55)
+        imag_parts = []
+        for _ in range(8):
+            other = regauged(state, rng)
+            assert assemble_state(other).amplitudes == pytest.approx(psi.amplitudes, abs=1e-14)
+            other_block = schmidt_block(h, other)
+            other_stats = energy_stats(psi, h, other)
+            assert gamma_rate(other, other_block) == pytest.approx(
+                gamma_rate(state, block), rel=1e-12)
+            assert mean_energy(other, other_block) == pytest.approx(
+                mean_energy(state, block), rel=1e-12)
+            assert other_stats.mean == pytest.approx(stats.mean, rel=1e-12)
+            assert other_stats.variance == pytest.approx(stats.variance, rel=1e-12)
+            imag_parts.append(other_stats.variance_imag_part)
+        assert np.ptp(imag_parts) > 0.1 * stats.variance
+
+    def test_achieving_hamiltonian_reads_unit_imag_part_in_any_gauge(self):
+        # Its H psi lies on the |ii>, whose product vectors no gauge moves.
+        psi = random_state(3, 3, 23)
+        state = schmidt_decompose(psi)
+        h = achieving_hamiltonian(state)
+        rng = np.random.default_rng(56)
+        for _ in range(8):
+            stats = energy_stats(psi, h, regauged(state, rng))
+            assert stats.variance_imag_part == pytest.approx(1.0, abs=1e-12)
 
 
 # --- factored Schmidt-basis algebra against the kron-rotation path ---------
